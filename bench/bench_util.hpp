@@ -115,8 +115,8 @@ inline bool bench_elastic() {
 }
 
 /// SPTRSV_BENCH_DETERMINISTIC=1 runs every solve in the deterministic
-/// scheduler mode: slower (ranks serialize on the run token), but two runs
-/// of a bench print byte-identical tables (docs/DETERMINISM.md).
+/// scheduler mode (ranks as fibers on one thread, in virtual-time order):
+/// two runs of a bench print byte-identical tables (docs/DETERMINISM.md).
 inline RunOptions bench_run_options() {
   const char* v = std::getenv("SPTRSV_BENCH_DETERMINISTIC");
   RunOptions opts;

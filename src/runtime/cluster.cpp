@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -17,8 +18,21 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <tuple>
+
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #include "trace/trace.hpp"
 
@@ -732,14 +746,26 @@ struct ClusterAborted : std::runtime_error {
 /// turns it into a structured FaultError naming its own blocked wait.
 struct SchedulerDeadlock {};
 
-/// Deterministic-mode run-token scheduler (docs/DETERMINISM.md).
+/// Mirror of libstdc++'s per-thread `__cxa_eh_globals` (unwind-cxx.h): the
+/// chain of exceptions currently being handled and the uncaught count.
+/// Fibers share one thread, so each fiber keeps its own copy while it is
+/// switched out — otherwise a rank parked inside a catch handler would
+/// rethrow (`throw;`) whatever the rank that ran in between was handling.
+struct EhGlobals {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+
+/// Deterministic-mode scheduler (docs/DETERMINISM.md).
 ///
-/// Exactly one rank executes at a time; every blocking point in the runtime
-/// hands the token back here. Under the default kFifo policy the next
-/// holder is always the READY rank with the lexicographically smallest
-/// (virtual-time key, rank) pair, so the complete execution order — and
-/// with it every wildcard-receive choice, clock value and message count —
-/// is a pure function of the program.
+/// Every rank runs as a ucontext fiber on the thread that called
+/// Cluster::run, so exactly one rank executes at a time and every blocking
+/// point in the runtime is a user-space switch to the next rank. Under the
+/// default kFifo policy the next rank is always the READY rank with the
+/// lexicographically smallest (virtual-time key, rank) pair, kept in an
+/// ordered set, so a grant and a commit-fence check cost O(log P). The
+/// complete execution order — and with it every wildcard-receive choice,
+/// clock value and message count — is a pure function of the program.
 ///
 /// Exploration policies (docs/TESTING.md) permute the grant order among
 /// *eligible* ranks only: a rank that yielded through the commit fence
@@ -752,23 +778,21 @@ struct SchedulerDeadlock {};
 /// outcome is invariant and only the interleaving explored changes. Every
 /// grant decision is recorded into a ScheduleCertificate for exact replay.
 ///
-/// States: READY (wants the token, key = the virtual time it would resume
-/// at), RUNNING (holds the token), BLOCKED (needs wake(): an unsatisfied
-/// receive or an unfinished collective), DONE. No token is granted until
-/// all ranks have registered via start(), so the first holder does not
-/// depend on thread start-up order.
+/// States: READY (in the ready set, key = the virtual time it would resume
+/// at), RUNNING, BLOCKED (needs wake(): an unsatisfied receive or an
+/// unfinished collective), DONE. Every rank starts READY at key 0.
 class Scheduler {
  public:
   Scheduler(int nranks, const RunOptions& opts)
-      : watchdog_(opts.watchdog),
-        replay_(opts.replay_schedule),
+      : replay_(opts.replay_schedule),
         policy_(replay_ ? replay_->policy : opts.schedule),
         seed_(replay_ ? replay_->seed : opts.schedule_seed),
         delay_left_(opts.delay_budget),
-        state_(static_cast<size_t>(nranks), State::kUnstarted),
+        state_(static_cast<size_t>(nranks), State::kReady),
         key_(static_cast<size_t>(nranks), 0.0),
         yielded_(static_cast<size_t>(nranks), 0),
-        cv_(static_cast<size_t>(nranks)) {
+        fibers_(static_cast<size_t>(nranks)) {
+    for (int r = 0; r < nranks; ++r) ready_.emplace_hint(ready_.end(), 0.0, r);
     if (policy_ == SchedulePolicy::kRandomPriority) {
       prio_.resize(static_cast<size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
@@ -786,97 +810,130 @@ class Scheduler {
     }
   }
 
-  /// Invoked (under the scheduler lock) at the moment a deadlock is proven,
-  /// with some blocked rank as witness — while every parked rank's WaitInfo
-  /// is still published, so the report can name what each one waits on.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
+  ~Scheduler() {
+#if defined(__SANITIZE_THREAD__)
+    for (const Fiber& f : fibers_) {
+      if (f.tsan != nullptr) __tsan_destroy_fiber(f.tsan);
+    }
+#endif
+    if (stacks_ != nullptr) munmap(stacks_, stacks_bytes_);
+  }
+
+  /// Invoked at the moment a deadlock is proven, with some blocked rank as
+  /// witness — while every parked rank's WaitInfo is still published, so
+  /// the report can name what each one waits on.
   void set_deadlock_callback(std::function<void(int)> cb) {
     deadlock_cb_ = std::move(cb);
   }
 
   /// Per-rank "sched.grants" metric handles (empty when metrics are off).
-  /// Bumped under the scheduler mutex by whichever thread grants; the token
-  /// handoff orders those writes against the owner rank's own reads, so the
-  /// counter is race-free. NOTE: grant counts are the one metric that is
-  /// legitimately policy-dependent — exploration policies permute grants by
-  /// design — so cross-policy comparisons must skip "sched.*" names.
+  /// NOTE: grant counts are the one metric that is legitimately
+  /// policy-dependent — exploration policies permute grants by design — so
+  /// cross-policy comparisons must skip "sched.*" names.
   void set_grant_counters(std::vector<MetricsRegistry::Counter> counters) {
     grant_counters_ = std::move(counters);
   }
 
-  /// Registers the calling rank and waits for its first grant.
-  void start(int rank) {
-    std::unique_lock<std::mutex> lk(mu_);
-    state_[static_cast<size_t>(rank)] = State::kReady;
-    key_[static_cast<size_t>(rank)] = 0.0;
-    ++started_;
-    grant_locked();
-    wait_for_token(lk, rank);
-  }
-
-  /// Releases the token for good (rank_fn returned).
-  void finish(int rank) {
-    std::lock_guard<std::mutex> lk(mu_);
-    state_[static_cast<size_t>(rank)] = State::kDone;
-    running_ = -1;
-    grant_locked();
+  /// Runs `body(r)` for every rank r as a fiber on the calling thread and
+  /// returns once no rank can run any more. Every rank is then DONE, or the
+  /// run aborted (a rank threw, or grant() proved a deadlock): each fiber
+  /// still parked is resumed once so it unwinds through the throw in
+  /// block()/yield() into `body`'s own handlers.
+  void run(const std::function<void(int)>& body) {
+    body_ = &body;
+    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t slot = page + kFiberStackBytes;
+    stacks_bytes_ = slot * fibers_.size();
+    // One lazily committed region for every stack; each slot's lowest page
+    // is the guard below its stack.
+    void* region = mmap(nullptr, stacks_bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (region == MAP_FAILED) throw std::bad_alloc();
+    stacks_ = region;
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    for (size_t r = 0; r < fibers_.size(); ++r) {
+      char* base = static_cast<char*>(region) + r * slot;
+      ucontext_t& uc = fibers_[r].ctx;
+      if (mprotect(base, page, PROT_NONE) != 0 || getcontext(&uc) != 0) {
+        throw std::system_error(errno, std::generic_category(), "fiber stack");
+      }
+      uc.uc_stack.ss_sp = base + page;
+      uc.uc_stack.ss_size = kFiberStackBytes;
+      uc.uc_link = nullptr;
+      fibers_[r].stack_lo = base + page;
+      fibers_[r].stack_size = kFiberStackBytes;
+      makecontext(&uc, reinterpret_cast<void (*)()>(&Scheduler::entry), 2,
+                  static_cast<std::uint32_t>(self >> 32),
+                  static_cast<std::uint32_t>(self));
+#if defined(__SANITIZE_THREAD__)
+      fibers_[r].tsan = __tsan_create_fiber(0);
+#endif
+    }
+#if defined(__SANITIZE_THREAD__)
+    main_.tsan = __tsan_get_current_fiber();
+#endif
+    const int first = grant();
+    if (first >= 0) switch_to(-1, first);
+    if (!aborted_) return;
+    for (size_t r = 0; r < fibers_.size(); ++r) {
+      if (fibers_[r].started && state_[r] != State::kDone) {
+        running_ = static_cast<int>(r);
+        switch_to(-1, static_cast<int>(r));
+      }
+    }
   }
 
   /// Re-enters the ready set with `key` (the virtual time the rank intends
-  /// to resume at) and waits until it is the minimum again. Used to defer a
-  /// receive commit while a rank with an earlier clock could still send.
+  /// to resume at) and runs whichever rank the policy grants — possibly
+  /// this one again. Used to defer a receive commit while a rank with an
+  /// earlier clock could still send.
   void yield(int rank, double key) {
-    std::unique_lock<std::mutex> lk(mu_);
+    throw_if_aborted();
     state_[static_cast<size_t>(rank)] = State::kReady;
     key_[static_cast<size_t>(rank)] = key;
     yielded_[static_cast<size_t>(rank)] = 1;
+    ready_.emplace(key, rank);
     running_ = -1;
-    grant_locked();
-    wait_for_token(lk, rank);
+    const int next = grant();
+    if (next != rank) switch_to(rank, next);
+    throw_if_aborted();
   }
 
-  /// Parks the rank until wake(); resumes once re-granted the token.
+  /// Parks the rank until wake(); resumes once re-granted.
   void block(int rank, double key) {
-    std::unique_lock<std::mutex> lk(mu_);
+    throw_if_aborted();
     state_[static_cast<size_t>(rank)] = State::kBlocked;
     key_[static_cast<size_t>(rank)] = key;
     yielded_[static_cast<size_t>(rank)] = 0;
     running_ = -1;
-    grant_locked();
-    wait_for_token(lk, rank);
+    switch_to(rank, grant());
+    throw_if_aborted();
   }
 
-  /// Marks a blocked rank ready (no-op otherwise). Only the token holder
-  /// calls this — after delivering a message or finalizing a collective —
-  /// so the transition is serialized and needs no grant of its own.
+  /// Marks a blocked rank ready (no-op otherwise). Only the running rank
+  /// calls this — after delivering a message or finalizing a collective.
   void wake(int rank) {
-    std::lock_guard<std::mutex> lk(mu_);
     if (state_[static_cast<size_t>(rank)] == State::kBlocked) {
       state_[static_cast<size_t>(rank)] = State::kReady;
+      ready_.emplace(key_[static_cast<size_t>(rank)], rank);
     }
   }
 
   /// True if a READY rank's key is strictly below `key` — i.e. someone
-  /// could still execute (and send) at an earlier virtual time.
-  bool ready_below(int rank, double key) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t r = 0; r < state_.size(); ++r) {
-      if (static_cast<int>(r) != rank && state_[r] == State::kReady && key_[r] < key) {
-        return true;
-      }
-    }
-    return false;
+  /// could still execute (and send) at an earlier virtual time. The caller
+  /// is RUNNING, so it is never in the ready set itself.
+  bool ready_below(double key) const {
+    return !ready_.empty() && ready_.begin()->first < key;
   }
 
-  /// Wakes every waiter with the abort flag; they throw ClusterAborted.
-  void abort() {
-    std::lock_guard<std::mutex> lk(mu_);
-    aborted_ = true;
-    for (auto& cv : cv_) cv.notify_all();
-  }
+  /// Stops granting; every parked rank throws ClusterAborted on resume.
+  void abort() { aborted_ = true; }
 
-  /// The grant record so far (safe after join; callable any time).
-  ScheduleCertificate certificate() {
-    std::lock_guard<std::mutex> lk(mu_);
+  /// The grant record so far.
+  ScheduleCertificate certificate() const {
     ScheduleCertificate c;
     c.policy = policy_;
     c.seed = seed_;
@@ -885,71 +942,132 @@ class Scheduler {
   }
 
  private:
-  enum class State { kUnstarted, kReady, kRunning, kBlocked, kDone };
+  enum class State { kReady, kRunning, kBlocked, kDone };
+
+  /// One rank's execution context; index -1 (main_) is the calling thread.
+  struct Fiber {
+    ucontext_t ctx;
+    EhGlobals eh;           ///< exception state while switched out
+    bool started = false;   ///< has run at least once
+    // Sanitizer bookkeeping, unused in plain builds: the ThreadSanitizer
+    // fiber handle, and for AddressSanitizer the stack bounds (main_'s are
+    // learned on the first switch away from it) and the saved fake stack.
+    void* tsan = nullptr;
+    const void* stack_lo = nullptr;
+    std::size_t stack_size = 0;
+    void* asan_fake = nullptr;
+  };
+
+  /// Fiber entry point; the Scheduler pointer arrives split into two ints
+  /// (makecontext passes int arguments only). The granted rank is always
+  /// `running_` when a fiber first starts. Never returns: finish() switches
+  /// away for good.
+  static void entry(std::uint32_t hi, std::uint32_t lo) {
+    auto* self = reinterpret_cast<Scheduler*>((std::uintptr_t{hi} << 32) | lo);
+    self->finish_switch(nullptr);
+    const int rank = self->running_;
+    (*self->body_)(rank);
+    self->finish(rank);
+  }
+
+  /// Releases the rank for good (its body returned or unwound).
+  [[noreturn]] void finish(int rank) {
+    state_[static_cast<size_t>(rank)] = State::kDone;
+    running_ = -1;
+    switch_to(rank, grant(), /*exiting=*/true);
+    std::abort();  // a DONE fiber is never resumed
+  }
+
+  Fiber& fiber(int r) { return r < 0 ? main_ : fibers_[static_cast<size_t>(r)]; }
+
+  /// Switches from `from` to `to` (-1 = the calling thread's loop in run()),
+  /// carrying the C++ exception state with the stack. `exiting` marks the
+  /// last switch away from a finished fiber.
+  void switch_to(int from, int to, [[maybe_unused]] bool exiting = false) {
+    Fiber& a = fiber(from);
+    Fiber& b = fiber(to);
+    b.started = true;
+    auto* eh = reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+    a.eh = *eh;
+    *eh = b.eh;
+    switched_from_ = from;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(b.tsan, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &a.asan_fake, b.stack_lo,
+                                   b.stack_size);
+#endif
+    swapcontext(&a.ctx, &b.ctx);
+    finish_switch(a.asan_fake);
+  }
+
+  /// Completes a switch on the resumed stack: AddressSanitizer learns that
+  /// the stack changed and records the bounds of the one just left.
+  void finish_switch([[maybe_unused]] void* fake_stack) {
+#if defined(__SANITIZE_ADDRESS__)
+    Fiber& prev = fiber(switched_from_);
+    __sanitizer_finish_switch_fiber(fake_stack, &prev.stack_lo, &prev.stack_size);
+#endif
+  }
+
+  void throw_if_aborted() const {
+    if (!aborted_) return;
+    if (deadlocked_) throw SchedulerDeadlock{};
+    throw ClusterAborted();
+  }
 
   /// A READY rank the policy may legally grant: never yielded, or yielded
   /// but now holding the minimal key (see the class comment).
-  bool eligible_locked(size_t r, double min_key) const {
+  bool eligible(size_t r, double min_key) const {
     return state_[r] == State::kReady && (!yielded_[r] || key_[r] <= min_key);
   }
 
-  /// Grants the token to the policy's choice among eligible READY ranks,
-  /// once all ranks have started and no one is running. Caller holds mu_.
-  void grant_locked() {
-    if (running_ != -1 || started_ < static_cast<int>(state_.size())) return;
-    int best = -1;
-    for (size_t r = 0; r < state_.size(); ++r) {
-      if (state_[r] != State::kReady) continue;
-      if (best < 0 || key_[r] < key_[static_cast<size_t>(best)]) {
-        best = static_cast<int>(r);  // key tie: lowest rank wins (scan order)
-      }
-    }
-    if (best < 0) {
+  /// Picks the next rank to run and marks it RUNNING; -1 when nothing can
+  /// run (everyone DONE, the run aborted, or a deadlock just proven).
+  int grant() {
+    if (aborted_) return -1;
+    if (ready_.empty()) {
       // Everyone blocked or done. A BLOCKED rank can only be woken by a
       // RUNNING rank, so if anyone is still blocked the run is provably
-      // wedged: wake the parked ranks with the deadlock verdict instead of
-      // sleeping forever (docs/ROBUSTNESS.md).
-      if (watchdog_ && !aborted_) {
-        for (size_t r = 0; r < state_.size(); ++r) {
-          if (state_[r] == State::kBlocked) {
-            aborted_ = true;
-            deadlocked_ = true;
-            // Build the report now: once the parked ranks start unwinding,
-            // their WaitScopes pop and the wait state is gone.
-            if (deadlock_cb_) deadlock_cb_(static_cast<int>(r));
-            for (auto& cv : cv_) cv.notify_all();
-            break;
-          }
+      // wedged: abort with the deadlock verdict (docs/ROBUSTNESS.md).
+      for (size_t r = 0; r < state_.size(); ++r) {
+        if (state_[r] == State::kBlocked) {
+          aborted_ = true;
+          deadlocked_ = true;
+          // Build the report now: once the parked ranks start unwinding,
+          // their WaitScopes pop and the wait state is gone.
+          if (deadlock_cb_) deadlock_cb_(static_cast<int>(r));
+          break;
         }
       }
-      return;
+      return -1;
     }
-    // `best` is the FIFO choice (minimal key over READY, so always
-    // eligible); exploration policies may substitute any other eligible
-    // rank without breaking the commit fence.
-    best = pick_locked(best, key_[static_cast<size_t>(best)]);
+    // The set's front is the FIFO choice (minimal key, lowest rank on a
+    // tie, so always eligible); exploration policies may substitute any
+    // other eligible rank without breaking the commit fence.
+    const auto [min_key, fifo] = *ready_.begin();
+    const int best = pick(fifo, min_key);
+    ready_.erase({key_[static_cast<size_t>(best)], best});
     yielded_[static_cast<size_t>(best)] = 0;
     record_.push_back(best);
     ++grant_n_;
     if (!grant_counters_.empty()) grant_counters_[static_cast<size_t>(best)].add();
     state_[static_cast<size_t>(best)] = State::kRunning;
     running_ = best;
-    // Per-rank condition variables: a handoff wakes exactly the new holder.
-    // One shared cv would thundering-herd all P waiters per handoff, which
-    // dominates runtime at P in the thousands.
-    cv_[static_cast<size_t>(best)].notify_one();
+    return best;
   }
 
-  /// Applies the schedule policy / replay to the FIFO choice. Caller holds
-  /// mu_; `fifo` is READY with the minimal key `min_key`.
-  int pick_locked(int fifo, double min_key) {
+  /// Applies the schedule policy / replay to the FIFO choice; `fifo` is
+  /// READY with the minimal key `min_key`.
+  int pick(int fifo, double min_key) {
     if (replay_ != nullptr) {
       // Follow the certificate while it stays legal; a diverged or
       // exhausted record degrades to FIFO instead of wedging the run.
       if (replay_pos_ < replay_->grants.size()) {
         const int want = replay_->grants[replay_pos_++];
         if (want >= 0 && want < static_cast<int>(state_.size()) &&
-            eligible_locked(static_cast<size_t>(want), min_key)) {
+            eligible(static_cast<size_t>(want), min_key)) {
           return want;
         }
       }
@@ -961,7 +1079,7 @@ class Scheduler {
       case SchedulePolicy::kRandomPriority: {
         int best = fifo;
         for (size_t r = 0; r < state_.size(); ++r) {
-          if (!eligible_locked(r, min_key)) continue;
+          if (!eligible(r, min_key)) continue;
           if (prio_[r] > prio_[static_cast<size_t>(best)]) best = static_cast<int>(r);
         }
         // PCT priority-change points: demote the chosen rank below every
@@ -978,7 +1096,7 @@ class Scheduler {
           // (key, rank) order among eligibles, if there is one.
           int second = -1;
           for (size_t r = 0; r < state_.size(); ++r) {
-            if (static_cast<int>(r) == fifo || !eligible_locked(r, min_key)) continue;
+            if (static_cast<int>(r) == fifo || !eligible(r, min_key)) continue;
             if (second < 0 || key_[r] < key_[static_cast<size_t>(second)]) {
               second = static_cast<int>(r);
             }
@@ -994,16 +1112,6 @@ class Scheduler {
     return fifo;
   }
 
-  void wait_for_token(std::unique_lock<std::mutex>& lk, int rank) {
-    cv_[static_cast<size_t>(rank)].wait(
-        lk, [&] { return aborted_ || running_ == rank; });
-    if (aborted_) {
-      if (deadlocked_) throw SchedulerDeadlock{};
-      throw ClusterAborted();
-    }
-  }
-
-  bool watchdog_ = true;
   bool aborted_ = false;
   bool deadlocked_ = false;
   std::function<void(int)> deadlock_cb_;
@@ -1019,13 +1127,17 @@ class Scheduler {
   std::size_t change_pos_ = 0;
   std::uint64_t demote_next_ = 0;
   std::vector<std::int32_t> record_;
-  int started_ = 0;
   int running_ = -1;
+  int switched_from_ = -1;  ///< context the latest switch left
   std::vector<State> state_;
   std::vector<double> key_;
   std::vector<char> yielded_;
-  std::mutex mu_;
-  std::vector<std::condition_variable> cv_;
+  std::set<std::pair<double, int>> ready_;  ///< READY ranks by (key, rank)
+  const std::function<void(int)>* body_ = nullptr;
+  std::vector<Fiber> fibers_;
+  Fiber main_;
+  void* stacks_ = nullptr;  ///< one mapping holding every fiber stack
+  std::size_t stacks_bytes_ = 0;
 };
 
 /// Whole-cluster shared state.
@@ -2053,7 +2165,7 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
         continue;
       }
       const double commit = std::max(ctx_->vt, best->msg.arrival);
-      if (sched->ready_below(ctx_->grank, commit)) {
+      if (sched->ready_below(commit)) {
         lk.unlock();
         sched->yield(ctx_->grank, commit);
         continue;  // an earlier message may have been queued meanwhile
@@ -2721,43 +2833,44 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   state.register_group(world);
 
   std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      Comm comm(world, r, &state.rank(r));
-      detail::Scheduler* sched = state.sched();
-      try {
-        if (sched) sched->start(r);
-        rank_fn(comm);
-        if (sched) sched->finish(r);
-      } catch (const detail::ClusterAborted&) {
-        // Secondary casualty of another rank's failure; the original
-        // exception is already recorded.
-      } catch (const detail::SchedulerDeadlock&) {
-        // The deterministic scheduler proved no rank can make progress and
-        // recorded the report at detection time (before the parked ranks'
-        // wait state unwound); every casualty rank lands here.
-        FaultReport rep = state.recorded_fault_or_report(r);
-        {
-          std::lock_guard<std::mutex> lk(error_mu);
-          if (!first_error) {
-            first_error = std::make_exception_ptr(FaultError(std::move(rep)));
-          }
+  std::mutex error_mu;  // free-running ranks may fail concurrently
+  const std::function<void(int)> rank_body = [&](int r) {
+    Comm comm(world, r, &state.rank(r));
+    try {
+      rank_fn(comm);
+    } catch (const detail::ClusterAborted&) {
+      // Secondary casualty of another rank's failure; the original
+      // exception is already recorded.
+    } catch (const detail::SchedulerDeadlock&) {
+      // The deterministic scheduler proved no rank can make progress and
+      // recorded the report at detection time (before the parked ranks'
+      // wait state unwound); every casualty rank lands here.
+      FaultReport rep = state.recorded_fault_or_report(r);
+      {
+        std::lock_guard<std::mutex> lk(error_mu);
+        if (!first_error) {
+          first_error = std::make_exception_ptr(FaultError(std::move(rep)));
         }
-        state.abort();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        state.abort();
       }
-      state.rank_done();
-    });
+      state.abort();
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lk(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      state.abort();
+    }
+    state.rank_done();
+  };
+  if (detail::Scheduler* sched = state.sched()) {
+    // Deterministic: every rank is a fiber on this thread.
+    sched->run(rank_body);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) threads.emplace_back(rank_body, r);
+    for (auto& t : threads) t.join();
   }
-  for (auto& t : threads) t.join();
 
   Cluster::Result res;
   res.ranks.resize(static_cast<size_t>(nranks));

@@ -3,7 +3,8 @@
 /// \brief In-process message-passing runtime with virtual LogGP clocks.
 ///
 /// This substitutes for MPI + the physical cluster (see DESIGN.md §1).
-/// Every rank is an OS thread; `Comm` exposes MPI-shaped primitives
+/// Every rank runs its own control flow (an OS thread in free-running mode,
+/// a fiber in deterministic mode); `Comm` exposes MPI-shaped primitives
 /// (send / recv with wildcards / barrier / allreduce / split) with real
 /// message passing through per-rank mailboxes, so distributed algorithms
 /// are written exactly as they would be against MPI and their *functional*
@@ -19,18 +20,19 @@
 ///  - Free-running (default): ranks execute concurrently; a wildcard
 ///    receive takes the earliest virtual arrival among *queued* messages,
 ///    so OS scheduling can perturb which message wins and makespans carry
-///    a small run-to-run jitter. Fastest; fine for exploratory sweeps.
-///  - Deterministic: ranks hand off a run token in virtual-time order via a
-///    sequenced condition-variable protocol. A receive only commits to a
-///    queued message once no runnable rank could still produce an earlier
-///    virtual arrival, so makespans, per-category breakdowns and message
-///    counts are bit-reproducible across runs and machines.
+///    a small run-to-run jitter.
+///  - Deterministic: ranks run as fibers on the calling thread, switched in
+///    virtual-time order. A receive only commits to a queued message once
+///    no runnable rank could still produce an earlier virtual arrival, so
+///    makespans, per-category breakdowns and message counts are
+///    bit-reproducible across runs and machines.
 ///
 /// Time is attributed to the paper's breakdown categories (FP operation,
 /// XY/intra-grid communication, Z/inter-grid communication; Fig 5-6),
 /// defined in runtime/perturbation.hpp together with the seeded
 /// PerturbationModel the clock applies when MachineModel::perturb is set.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -48,6 +50,13 @@ namespace sptrsv {
 /// Wildcard selectors for Comm::recv (MPI_ANY_SOURCE / MPI_ANY_TAG).
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+
+/// Stack size of one rank in deterministic mode, where every rank runs as a
+/// fiber on the thread that called Cluster::run (docs/DETERMINISM.md).
+/// Stacks are committed lazily and each sits above a guard page, so a rank
+/// that recurses past this dies with SIGSEGV instead of corrupting another
+/// rank's stack.
+inline constexpr std::size_t kFiberStackBytes = 512 * 1024;
 
 /// Grant-order policy for the deterministic scheduler. Every policy keeps
 /// the commit fence of docs/DETERMINISM.md intact — a wildcard receive
@@ -93,8 +102,9 @@ struct ScheduleCertificate {
 
 /// Per-run scheduling options for Cluster::run.
 struct RunOptions {
-  /// Serialize rank execution behind a virtual-time-ordered token so the
-  /// whole run (makespan, breakdowns, message counts) is bit-reproducible.
+  /// Run every rank as a fiber on the calling thread, switched in
+  /// virtual-time order, so the whole run (makespan, breakdowns, message
+  /// counts) is bit-reproducible.
   bool deterministic = false;
   /// Seed for MachineModel::perturb draws. A given (machine, seed) pair
   /// yields the same perturbations in every run; ignored when the machine's
@@ -106,10 +116,11 @@ struct RunOptions {
   bool trace = false;
   /// Convert would-be infinite hangs (a receive no send will ever match, a
   /// collective a dead rank never joins) into a structured FaultReport
-  /// (docs/ROBUSTNESS.md). In deterministic mode detection is exact (the
-  /// scheduler sees the global blocked state); in free-running mode a
-  /// quiescence watchdog declares after the whole cluster sits blocked with
-  /// no progress for a real-time patience window.
+  /// (docs/ROBUSTNESS.md). In free-running mode a quiescence watchdog
+  /// declares after the whole cluster sits blocked with no progress for a
+  /// real-time patience window. Deterministic mode ignores the flag: its
+  /// scheduler sees the global blocked state, so detection is exact and
+  /// always on (a wedged run on one thread has nothing left to wait for).
   bool watchdog = true;
   /// Abort with FaultKind::kVtLimit once any rank's clean virtual clock
   /// passes this bound (infinity = unlimited). A cheap guard against
@@ -441,9 +452,10 @@ struct Spread {
 /// Summarizes one value per rank into a Spread.
 Spread spread_over(std::span<const double> values);
 
-/// Spawns `nranks` rank threads, runs `rank_fn` on each, joins, and returns
-/// the virtual-clock statistics. Exceptions thrown by any rank are
-/// rethrown (first one wins) after all threads have been joined.
+/// Runs `rank_fn` on `nranks` ranks (OS threads in free-running mode,
+/// fibers on the calling thread in deterministic mode) and returns the
+/// virtual-clock statistics. Exceptions thrown by any rank are rethrown
+/// (first one wins) after every rank has finished.
 class Cluster {
  public:
   struct Result {
@@ -517,7 +529,8 @@ class Cluster {
   };
 
   /// Runs `rank_fn(comm)` on every rank of a world of size `nranks`.
-  /// A rank's exception (including FaultError) is rethrown after join.
+  /// A rank's exception (including FaultError) is rethrown once every rank
+  /// has finished.
   static Result run(int nranks, const MachineModel& machine,
                     const std::function<void(Comm&)>& rank_fn,
                     const RunOptions& opts = {});

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "comm/sparse_allreduce.hpp"
 #include "core/sptrsv3d.hpp"
@@ -96,6 +103,206 @@ TEST(DetScheduler, ExceptionsStillPropagate) {
                    },
                    kDet),
                std::logic_error);
+}
+
+/// FNV-1a over a certificate's text form: a short, stable digest of the
+/// whole grant sequence.
+std::string certificate_digest(const ScheduleCertificate& cert) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : cert.to_string()) {
+    h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(DetScheduler, FifoGrantOrderIsPinned) {
+  // Fingerprints only pin the clean ledger; these digests pin the exact
+  // FIFO grant sequence, so any change to how the scheduler finds its
+  // minimal (key, rank) READY rank must keep granting in this order.
+  auto check = [](const char* what, const ScheduleCertificate& cert,
+                  std::size_t grants, const char* digest) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(cert.policy, SchedulePolicy::kFifo);
+    EXPECT_EQ(cert.grants.size(), grants);
+    EXPECT_EQ(certificate_digest(cert), digest);
+  };
+
+  const auto wildcard = Cluster::run(
+      8, test_machine(),
+      [](Comm& c) {
+        if (c.rank() == 0) {
+          for (int i = 1; i < c.size(); ++i) c.recv(kAnySource, 7);
+        } else {
+          c.compute(static_cast<double>(c.rank()) * 1e6);
+          c.send(0, 7, {static_cast<Real>(c.rank())});
+        }
+      },
+      kDet);
+  check("wildcard", wildcard.schedule, 10, "6744d450d93b6ec4");
+
+  {
+    const CsrMatrix a = make_grid2d(12, 12, Stencil2d::kNinePoint, {.seed = 11});
+    const FactoredSystem fs = analyze_and_factor(a, 0);
+    const auto b = random_rhs(a.rows(), 1, 3);
+    const auto out = test::solve_system_2d(fs, {3, 2}, b, 1, test_machine(), kDet);
+    check("2d 3x2", out.run.schedule, 49, "b929c9558c9f41fa");
+  }
+
+  {
+    const CsrMatrix a = make_grid2d(12, 12, Stencil2d::kNinePoint, {.seed = 5});
+    const FactoredSystem fs = analyze_and_factor(a, 3);
+    const auto b = random_rhs(a.rows(), 2, 4);
+    SolveConfig cfg;
+    cfg.shape = {2, 2, 2};
+    cfg.nrhs = 2;
+    cfg.run = kDet;
+    cfg.algorithm = Algorithm3d::kProposed;
+    check("3d proposed 2x2x2",
+          solve_system_3d(fs, b, cfg, test_machine()).run_stats.schedule, 100,
+          "ea3e370d668e7a8a");
+    cfg.algorithm = Algorithm3d::kBaseline;
+    check("3d baseline 2x2x2",
+          solve_system_3d(fs, b, cfg, test_machine()).run_stats.schedule, 100,
+          "ea3e370d668e7a8a");
+  }
+
+  constexpr int kRing = 128;
+  const auto ring = Cluster::run(
+      kRing, test_machine(),
+      [](Comm& c) {
+        for (int r = 0; r < 4; ++r) {
+          c.send((c.rank() + 1) % kRing, r, std::vector<Real>(8, 1.0));
+          c.recv((c.rank() + kRing - 1) % kRing, r);
+        }
+      },
+      kDet);
+  check("ring p128", ring.schedule, 640, "8d80cd17f703cabb");
+}
+
+TEST(DetScheduler, RethrowInsideHandlerSurvivesParking) {
+  // Each rank parks inside its own catch handler; when it resumes, a bare
+  // `throw;` must rethrow the rank's own exception, not whichever one the
+  // rank that ran in between was handling.
+  std::string rethrown[2];
+  Cluster::run(
+      2, test_machine(),
+      [&](Comm& c) {
+        const int peer = 1 - c.rank();
+        try {
+          throw std::runtime_error(c.rank() == 0 ? "mine" : "theirs");
+        } catch (const std::runtime_error&) {
+          if (c.rank() == 1) c.send(peer, 0, {1.0});
+          c.recv(peer, c.rank());  // rank 0 parks here first, then rank 1
+          if (c.rank() == 0) c.send(peer, 1, {1.0});
+          try {
+            throw;
+          } catch (const std::runtime_error& e) {
+            rethrown[c.rank()] = e.what();
+          }
+        }
+      },
+      kDet);
+  EXPECT_EQ(rethrown[0], "mine");
+  EXPECT_EQ(rethrown[1], "theirs");
+}
+
+TEST(DetScheduler, RanksRunOnTheCallingThread) {
+  constexpr int kP = 16;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> before(kP), after(kP);
+  Cluster::run(
+      kP, test_machine(),
+      [&](Comm& c) {
+        before[static_cast<size_t>(c.rank())] = std::this_thread::get_id();
+        c.barrier();  // every rank parks at least once
+        after[static_cast<size_t>(c.rank())] = std::this_thread::get_id();
+      },
+      kDet);
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_EQ(before[static_cast<size_t>(r)], caller) << "rank " << r;
+    EXPECT_EQ(after[static_cast<size_t>(r)], caller) << "rank " << r;
+  }
+}
+
+TEST(DetScheduler, RingOf4096RanksCompletes) {
+  constexpr int kP = 4096;
+  constexpr int kRounds = 2;
+  constexpr int kWords = 8;
+  const auto res = Cluster::run(
+      kP, test_machine(),
+      [](Comm& c) {
+        for (int r = 0; r < kRounds; ++r) {
+          c.send((c.rank() + 1) % kP, r, std::vector<Real>(kWords, 1.0),
+                 TimeCategory::kXyComm);
+          c.recv((c.rank() + kP - 1) % kP, r, TimeCategory::kXyComm);
+        }
+      },
+      kDet);
+  ASSERT_EQ(res.ranks.size(), static_cast<size_t>(kP));
+  const int xy = static_cast<int>(TimeCategory::kXyComm);
+  for (const RankStats& r : res.ranks) {
+    EXPECT_EQ(r.messages[xy], kRounds);
+    EXPECT_EQ(r.bytes[xy], kRounds * kWords * static_cast<std::int64_t>(sizeof(Real)));
+  }
+}
+
+/// Recurses with a fixed-size frame until the stack runs out.
+__attribute__((noinline)) int recurse_forever(int depth) {
+  volatile char pad[256];
+  pad[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return pad[0];
+  return recurse_forever(depth + 1) + pad[0];
+}
+
+/// Window the overflowing rank's guard page must fall in, derived from the
+/// address of a local near the top of its fiber stack.
+std::uintptr_t g_guard_lo = 0;
+std::uintptr_t g_guard_hi = 0;
+
+void report_segv(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const char* msg = addr >= g_guard_lo && addr < g_guard_hi
+                        ? "fault on the fiber guard page\n"
+                        : "fault outside the fiber guard page\n";
+  (void)!write(STDERR_FILENO, msg, std::strlen(msg));
+  _exit(1);
+}
+
+void overflow_rank_one() {
+  // The overflow exhausts the fiber stack, so the handler needs its own.
+  static char alt[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt;
+  ss.ss_size = sizeof(alt);
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = report_segv;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+  Cluster::run(
+      2, test_machine(),
+      [](Comm& c) {
+        if (c.rank() == 0) {
+          c.recv(1, 0);  // parks: rank 0's stack stays live below rank 1's
+          return;
+        }
+        // The frames above this local (fiber entry, rank body) take far
+        // less than 64 KiB, so the stack's base — with the guard page just
+        // under it — lies within that distance above &top - kFiberStackBytes.
+        char top = 0;
+        const std::uintptr_t floor = reinterpret_cast<std::uintptr_t>(&top) - kFiberStackBytes;
+        g_guard_lo = floor - static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+        g_guard_hi = floor + 64 * 1024;
+        recurse_forever(0);
+        c.send(0, 0, {1.0});
+      },
+      kDet);
+}
+
+TEST(DetSchedulerDeathTest, StackOverflowDiesOnTheGuardPage) {
+  EXPECT_DEATH(overflow_rank_one(), "fault on the fiber guard page");
 }
 
 TEST(DetScheduler, ProbeSpinMakesProgress) {
