@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
   cfg.algorithm = alg;
   cfg.tree = tree;
   cfg.nrhs = nrhs;
-  cfg.run.deterministic = true;  // repeated runs print identical reports
   cfg.run.trace = true;
   cfg.run.metrics = bench_json_enabled();
   const auto b = bench_rhs(fs.lu.n(), nrhs);

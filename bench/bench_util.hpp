@@ -114,13 +114,10 @@ inline bool bench_elastic() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-/// SPTRSV_BENCH_DETERMINISTIC=1 runs every solve in the deterministic
-/// scheduler mode (ranks as fibers on one thread, in virtual-time order):
-/// two runs of a bench print byte-identical tables (docs/DETERMINISM.md).
+/// Run options of every bench solve. The scheduler makes two runs of a
+/// bench print byte-identical tables (docs/DETERMINISM.md).
 inline RunOptions bench_run_options() {
-  const char* v = std::getenv("SPTRSV_BENCH_DETERMINISTIC");
   RunOptions opts;
-  opts.deterministic = v != nullptr && v[0] != '\0' && v[0] != '0';
   opts.trace = !bench_trace_dir().empty();
   // Metrics ride along with JSON reporting; they live outside the clean
   // ledger, so the printed tables are bitwise unchanged.
@@ -128,11 +125,8 @@ inline RunOptions bench_run_options() {
   return opts;
 }
 
-/// Prints the reproducibility banner benches lead with.
+/// Prints the banner benches lead with.
 inline void print_mode_banner() {
-  if (bench_run_options().deterministic) {
-    std::printf("# deterministic scheduler: repeated runs are byte-identical\n");
-  }
   const std::string tdir = bench_trace_dir();
   if (!tdir.empty()) {
     std::printf("# tracing: one Perfetto JSON per sweep point under %s/\n",

@@ -80,7 +80,7 @@ LSolve2dResult solve_l_2d(Comm& grid, const Solve2dPlan& plan, const VecMap& b_l
 
   // Handlers communicate through an explicit ready queue instead of
   // recursing: DAG chains can be O(nsup) long (e.g. on a 1x1 grid), which
-  // would otherwise overflow the rank thread's stack.
+  // would otherwise overflow the rank's fiber stack.
   std::vector<Idx> ready_rows;
 
   auto process_y = [&](Idx cp, std::span<const Real> yk) {

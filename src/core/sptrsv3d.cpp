@@ -125,7 +125,7 @@ void replace_op(std::vector<Real>& dst, std::span<const Real> src) {
   std::copy(src.begin(), src.end(), dst.begin());
 }
 
-/// Shared, read-only context for all rank threads of one solve.
+/// Shared, read-only context for all ranks of one solve.
 struct SolveContext {
   const SupernodalLU* lu = nullptr;
   NdTree coarse;  // tracked tree cut to log2(pz) levels

@@ -17,10 +17,10 @@
 ///    no virtual time, fingerprint, message count or trace byte. Pinned by
 ///    tests/test_metrics.cpp.
 ///
-/// The registry is strictly per-rank (one owner thread; the deterministic
-/// scheduler's grant counter is the one cross-thread writer and is
-/// serialized by the token handoff). Cluster::run_impl merges the per-rank
-/// registries into an immutable MetricsReport after join.
+/// The registry is strictly per-rank: its own rank writes it, plus the
+/// scheduler's grant counter, and every rank runs as a fiber on one thread,
+/// so nothing needs a lock. Cluster::run_impl merges the per-rank
+/// registries into an immutable MetricsReport once every rank has stopped.
 
 #include <cstdint>
 #include <map>

@@ -94,7 +94,7 @@ struct SdcStats {
 };
 
 /// One planned memory fault at a rank, with every random choice predrawn so
-/// both scheduler modes (and the ABFT-on / ABFT-off twins of one schedule)
+/// every grant order (and the ABFT-on / ABFT-off twins of one schedule)
 /// flip the exact same bit of the exact same word.
 struct SdcEvent {
   double vt = 0.0;  ///< clean virtual time the fault arms at; it fires at

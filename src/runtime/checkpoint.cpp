@@ -178,7 +178,7 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
   // checkpoint is gone and the crash is unrecoverable (kBuddyLoss). With a
   // single rank the buddy ring degenerates to self-buddying: any crash loses
   // its own checkpoint. Surviving crashes consume spares in global
-  // (vt, rank) order — deterministic in both scheduler modes — and overflow
+  // (vt, rank) order — independent of the grant order — and overflow
   // of the pool is kSparesExhausted.
   const double window = rm.heartbeat_period * static_cast<double>(rm.heartbeat_misses);
   // The verdict pass walks crashes and spare returns merged in global

@@ -196,8 +196,8 @@ struct CheckpointImage {
 
 /// In-memory buddy checkpoint store: one latest-image slot per owner rank,
 /// conceptually stored at buddy_of(owner) = (owner + 1) mod P (a ring, so
-/// every rank buddies exactly one other). Each owner thread is the sole
-/// writer and reader of its own slot, so slots need no locking; the buddy
+/// every rank buddies exactly one other). Each owner rank is the sole
+/// writer and reader of its own slot; the buddy
 /// placement is a cost/feasibility model (shipment and fetch are charged to
 /// the fault ledger, and a buddy that dies inside the owner's detection
 /// window makes the owner's crash unrecoverable), not a data-movement one.
@@ -230,7 +230,7 @@ class CheckpointStore {
 };
 
 /// One planned crash of a rank, with its recovery verdict precomputed from
-/// the static schedule (so both scheduler modes agree on it bit for bit).
+/// the static schedule (so every grant order agrees on it bit for bit).
 struct CrashEvent {
   double vt = 0.0;   ///< clean virtual time the rank dies at
   int spare = -1;    ///< spare slot adopting the identity (-1: unrecoverable)
@@ -238,8 +238,8 @@ struct CrashEvent {
   /// detection window (the checkpoint died with it); kSparesExhausted = the
   /// spare pool was already consumed by earlier crashes.
   FaultKind verdict = FaultKind::kNone;
-  /// Elastic-recovery plan for an unrecoverable verdict, precomputed so both
-  /// scheduler modes degrade identically under RunOptions::degrade (and
+  /// Elastic-recovery plan for an unrecoverable verdict, precomputed so every
+  /// grant order degrades identically under RunOptions::degrade (and
   /// ignored entirely without it). `adopter` is the survivor that inherits
   /// the victim's partition; `survivors_after` counts the post-shrink world
   /// (<= 0: nobody left, FaultKind::kNoSurvivors); `image_survives` is 0
@@ -267,7 +267,7 @@ struct DegradeEvent {
 /// re-agree (two sweeps), the communicator grows back by one (one sweep) and
 /// the host `from` hands the adopted partition's checkpoint image back
 /// (checksum-verified on fetch, escalating to replay-from-start on a reject).
-/// Processed at the returning partition's own context — the partition thread
+/// Processed at the returning partition's own context — the partition's rank
 /// kept executing through the degraded window, so the clean ledger is
 /// untouched by construction and every cost lands on the fault clock and
 /// ElasticityStats. Returns whose rank is alive at `vt` are inert and never

@@ -1,12 +1,9 @@
 #include "runtime/cluster.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -14,12 +11,11 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 #include <tuple>
 
 #include <cxxabi.h>
@@ -83,41 +79,30 @@ struct Envelope {
   Message msg;
 };
 
-/// What a parked rank is waiting for — published (lock-free) before every
-/// blocking wait so the watchdog's FaultReport can say "rank R waiting on
-/// recv(src, tags)" instead of just "wedged" (docs/ROBUSTNESS.md).
+/// What a parked rank is waiting for — published before every blocking
+/// wait so a deadlock's FaultReport can say "rank R waiting on recv(src,
+/// tags)" instead of just "wedged" (docs/ROBUSTNESS.md).
 struct WaitInfo {
-  std::atomic<int> kind{0};  ///< 0 none, 1 recv, 2 collective
-  std::atomic<int> a{0};     ///< recv: src (comm-local, -1 wildcard); coll: generation
-  std::atomic<int> b{0};     ///< recv: tag_lo
-  std::atomic<int> c{0};     ///< recv: tag_hi (lo >= hi: any tag)
-  std::atomic<std::uint64_t> ctx{0};  ///< communicator context id
+  int kind = 0;           ///< 0 none, 1 recv, 2 collective
+  int a = 0;              ///< recv: src (comm-local, -1 wildcard); coll: generation
+  int b = 0;              ///< recv: tag_lo
+  int c = 0;              ///< recv: tag_hi (lo >= hi: any tag)
+  std::uint64_t ctx = 0;  ///< communicator context id
 };
 
 /// RAII publication of a WaitInfo around a blocking wait.
 struct WaitScope {
   WaitInfo& w;
   WaitScope(WaitInfo& wi, int kind, int a, int b, int c, std::uint64_t ctx) : w(wi) {
-    w.a.store(a, std::memory_order_relaxed);
-    w.b.store(b, std::memory_order_relaxed);
-    w.c.store(c, std::memory_order_relaxed);
-    w.ctx.store(ctx, std::memory_order_relaxed);
-    w.kind.store(kind, std::memory_order_release);
+    w = {kind, a, b, c, ctx};
   }
-  ~WaitScope() { w.kind.store(0, std::memory_order_release); }
-};
-
-/// Per-rank mailbox: all communicators deliver here; receives filter by
-/// (ctx, src, tag).
-struct Mailbox {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Envelope> q;
+  ~WaitScope() { w.kind = 0; }
 };
 
 /// Per-rank runtime context (virtual clock + accounting + mailbox).
 struct RankCtx {
-  Mailbox mailbox;
+  /// Every communicator delivers here; receives filter by (ctx, src, tag).
+  std::deque<Envelope> mailbox;
   int grank = 0;                 ///< global (world) rank of this context
   double vt = 0.0;
   double category[kNumTimeCategories] = {0, 0, 0, 0};
@@ -136,7 +121,7 @@ struct RankCtx {
   /// reaching the application would be a transport bug). Only consulted
   /// while delivery faults are active.
   std::map<int, std::set<std::int64_t>> seen_seqs;
-  WaitInfo wait;                 ///< watchdog diagnostics for blocking waits
+  WaitInfo wait;                 ///< deadlock diagnostics for blocking waits
   double vt_limit = std::numeric_limits<double>::infinity();
 
   bool tracing = false;          ///< RunOptions::trace
@@ -342,7 +327,7 @@ struct RankCtx {
   }
 
   /// Fires every crash event the clean clock just crossed: simulated
-  /// analytically at the crossing instant — the victim thread *is* the spare
+  /// analytically at the crossing instant — the victim rank *is* the spare
   /// that adopts its identity (the clean clock, counters and solve state are
   /// exactly what the restored spare would recompute bit for bit), so only
   /// the recovery delay (heartbeat detection, ULFM repair sweeps, buddy
@@ -437,7 +422,7 @@ struct RankCtx {
   /// survivor-sized sweeps), shrink the world (one sweep), and the ring
   /// adopter pulls the victim's partition from the surviving buddy image,
   /// replaying the work since that epoch. Modeled analytically at the
-  /// victim's context — the victim thread keeps executing its partition,
+  /// victim's context — the victim rank keeps executing its partition,
   /// which is bit-for-bit the work the adopter performs after the shrink
   /// (the solvers' reduction order is partition-parametric), so the clean
   /// ledger is untouched by construction; every cost lands on the fault
@@ -512,7 +497,7 @@ struct RankCtx {
   /// the relieved host hands this partition's checkpoint image back
   /// (checksum-verified, escalating to replay-from-start on a reject, same
   /// integrity rules as every other fetch). Modeled analytically at the
-  /// returning partition's context — the partition thread kept executing
+  /// returning partition's context — the partition's rank kept executing
   /// through the degraded window, so the clean ledger is untouched by
   /// construction; every cost lands on the fault clock and ElasticityStats.
   /// The relieved host's lowered multiplier arrives separately through the
@@ -741,9 +726,9 @@ struct ClusterAborted : std::runtime_error {
   ClusterAborted() : std::runtime_error("cluster aborted: another rank failed") {}
 };
 
-/// Thrown into ranks parked on the deterministic scheduler when it proves
-/// the run is wedged (no READY or RUNNING rank, some BLOCKED). The catcher
-/// turns it into a structured FaultError naming its own blocked wait.
+/// Thrown into ranks parked on the scheduler when it proves the run is
+/// wedged (no READY or RUNNING rank, some BLOCKED). The catcher turns it
+/// into a structured FaultError naming its own blocked wait.
 struct SchedulerDeadlock {};
 
 /// Mirror of libstdc++'s per-thread `__cxa_eh_globals` (unwind-cxx.h): the
@@ -756,7 +741,7 @@ struct EhGlobals {
   unsigned int uncaught = 0;
 };
 
-/// Deterministic-mode scheduler (docs/DETERMINISM.md).
+/// The run scheduler (docs/DETERMINISM.md).
 ///
 /// Every rank runs as a ucontext fiber on the thread that called
 /// Cluster::run, so exactly one rank executes at a time and every blocking
@@ -931,6 +916,7 @@ class Scheduler {
 
   /// Stops granting; every parked rank throws ClusterAborted on resume.
   void abort() { aborted_ = true; }
+  bool aborted() const { return aborted_; }
 
   /// The grant record so far.
   ScheduleCertificate certificate() const {
@@ -1144,24 +1130,21 @@ class Scheduler {
 class ClusterState {
  public:
   ClusterState(int nranks, MachineModel machine, const RunOptions& opts)
-      : machine_(std::move(machine)), opts_(opts),
-        ranks_(static_cast<size_t>(nranks)), active_(nranks) {
-    if (opts_.deterministic) {
-      sched_ = std::make_unique<Scheduler>(nranks, opts_);
-      sched_->set_deadlock_callback(
-          [this](int witness) { record_fault(build_deadlock_report(witness)); });
-    }
+      : machine_(std::move(machine)), opts_(opts), sched_(nranks, opts_),
+        ranks_(static_cast<size_t>(nranks)) {
+    sched_.set_deadlock_callback(
+        [this](int witness) { deadlock_ = build_deadlock_report(witness); });
     const bool skewed = machine_.perturb.compute_skew > 0.0;
     const bool crashing = machine_.perturb.crash_active();
     if (crashing) {
       // The whole crash schedule — times and recovery verdicts — is fixed
-      // here, before any thread runs, so both scheduler modes process the
+      // here, before any rank runs, so every grant order processes the
       // exact same events in the exact same order.
       crash_plan_ = build_crash_plan(machine_.perturb, machine_.recovery,
                                      opts_.seed, nranks);
       ckpt_ = std::make_unique<CheckpointStore>(nranks);
     }
-    // The memory-fault plan is likewise fixed before any thread runs; its
+    // The memory-fault plan is likewise fixed before any rank runs; its
     // draws ride a salted stream of their own (kMemStreamSalt), so enabling
     // SDC shifts no timing, delivery, or crash draw.
     const bool sdc = machine_.perturb.sdc_active();
@@ -1255,19 +1238,19 @@ class ClusterState {
         mh.straggler_rebalances = m->counter("recovery.straggler.rebalances");
       }
     }
-    if (sched_ != nullptr && opts_.metrics) {
+    if (opts_.metrics) {
       std::vector<MetricsRegistry::Counter> grants;
       grants.reserve(static_cast<size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
         grants.push_back(metrics_[static_cast<size_t>(r)]->counter("sched.grants"));
       }
-      sched_->set_grant_counters(std::move(grants));
+      sched_.set_grant_counters(std::move(grants));
     }
   }
 
   const MachineModel& machine() const { return machine_; }
   const RunOptions& opts() const { return opts_; }
-  Scheduler* sched() { return sched_.get(); }
+  Scheduler& sched() { return sched_; }
   RankCtx& rank(int global) { return ranks_[static_cast<size_t>(global)]; }
   int world_size() const { return static_cast<int>(ranks_.size()); }
   std::uint64_t next_ctx() { return ++ctx_counter_; }
@@ -1279,8 +1262,8 @@ class ClusterState {
 
   /// Formats every rank's flight-recorder ring, oldest entry first, one
   /// line per entry ("rank R: vt=... recv-wait(src=1, tags[40,41))").
-  /// Called after join (or at detection, when the rings are quiescent) to
-  /// populate FaultReport::flight.
+  /// Called once the run returns (or at deadlock detection) to populate
+  /// FaultReport::flight.
   std::vector<std::string> flight_dump() const {
     std::vector<std::string> out;
     for (size_t r = 0; r < ranks_.size(); ++r) {
@@ -1355,85 +1338,48 @@ class ClusterState {
     return out;
   }
 
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+  bool aborted() const { return sched_.aborted(); }
 
-  /// Called when a rank dies with an exception: wakes every blocked wait
-  /// so the remaining ranks can unwind instead of deadlocking at join.
-  void abort();
+  /// Called when a rank dies with an exception: every parked rank unwinds
+  /// with ClusterAborted when next resumed.
+  void abort() { sched_.abort(); }
 
-  void register_group(const std::shared_ptr<CommGroup>& g) {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    groups_.push_back(g);
+  /// The deadlock report recorded at detection time, or a freshly built
+  /// (less detailed, the waits are gone) one if none was.
+  FaultReport deadlock_report(int grank) {
+    return deadlock_ ? *deadlock_ : build_deadlock_report(grank);
   }
 
-  // --- watchdog bookkeeping (free-running mode; docs/ROBUSTNESS.md) ---
-
-  /// Bumped whenever anything that could unblock a waiter happens (a send
-  /// lands, a collective finalizes, a rank finishes).
-  void bump_progress() { progress_.fetch_add(1, std::memory_order_release); }
-
-  /// Rank thread is leaving (returned or threw): it can no longer send.
-  void rank_done() {
-    active_.fetch_sub(1, std::memory_order_acq_rel);
-    bump_progress();
-  }
-
-  /// Records the first fault of the run; returns true iff this call won.
-  bool record_fault(const FaultReport& r) {
-    std::lock_guard<std::mutex> lk(fault_mu_);
-    if (has_fault_) return false;
-    has_fault_ = true;
-    fault_ = r;
-    return true;
-  }
-
-  /// The fault recorded at detection time, or a freshly built (less
-  /// detailed, the waits are gone) report if none was.
-  FaultReport recorded_fault_or_report(int grank) {
-    {
-      std::lock_guard<std::mutex> lk(fault_mu_);
-      if (has_fault_) return fault_;
-    }
-    return build_deadlock_report(grank);
-  }
-
-  /// Builds the watchdog's deadlock report from `grank`'s own wait plus a
-  /// lock-free snapshot of what every parked rank says it is waiting on.
+  /// Builds the deadlock report from `grank`'s own wait plus what every
+  /// parked rank says it is waiting on.
   FaultReport build_deadlock_report(int grank) {
     FaultReport r;
     r.kind = FaultKind::kDeadlock;
     r.rank = grank;
     r.vt = ranks_[static_cast<size_t>(grank)].vt;
     const WaitInfo& own = ranks_[static_cast<size_t>(grank)].wait;
-    if (own.kind.load(std::memory_order_acquire) == 1) {
-      r.peer = own.a.load(std::memory_order_relaxed);
-      r.tag = own.b.load(std::memory_order_relaxed);
+    if (own.kind == 1) {
+      r.peer = own.a;
+      r.tag = own.b;
     }
     std::string d = "no rank can make progress;";
     int listed = 0;
     for (size_t i = 0; i < ranks_.size(); ++i) {
       const WaitInfo& w = ranks_[i].wait;
-      const int kind = w.kind.load(std::memory_order_acquire);
-      if (kind == 0) continue;
+      if (w.kind == 0) continue;
       if (++listed > 12) {
         d += " ...";
         break;
       }
       char buf[96];
-      if (kind == 1) {
+      if (w.kind == 1) {
         std::snprintf(buf, sizeof(buf),
                       " rank %zu waiting on recv(src=%d, tags[%d,%d), ctx=%llu);",
-                      i, w.a.load(std::memory_order_relaxed),
-                      w.b.load(std::memory_order_relaxed),
-                      w.c.load(std::memory_order_relaxed),
-                      static_cast<unsigned long long>(
-                          w.ctx.load(std::memory_order_relaxed)));
+                      i, w.a, w.b, w.c, static_cast<unsigned long long>(w.ctx));
       } else {
         std::snprintf(buf, sizeof(buf),
-                      " rank %zu waiting on collective(gen=%d, ctx=%llu);", i,
-                      w.a.load(std::memory_order_relaxed),
-                      static_cast<unsigned long long>(
-                          w.ctx.load(std::memory_order_relaxed)));
+                      " rank %zu waiting on collective(gen=%d, ctx=%llu);", i, w.a,
+                      static_cast<unsigned long long>(w.ctx));
       }
       d += buf;
     }
@@ -1441,91 +1387,14 @@ class ClusterState {
     return r;
   }
 
-  /// Positive in-flight evidence for the free-running watchdog: true if any
-  /// *other* rank's published recv wait is already satisfiable by an
-  /// envelope queued in its mailbox, or any communicator holds a finalized
-  /// collective a member has not consumed yet — i.e. a wakeup was delivered
-  /// but its target thread has not run (e.g. starved by a loaded machine).
-  /// Declaring a deadlock then would misdiagnose scheduling latency as a
-  /// hang, so the watchdog treats it as progress. Declared here, defined
-  /// after CommGroup; `held_ctx` names the communicator whose mutex the
-  /// caller holds (a collective wait) so the scan skips it — every other
-  /// lock is only try_lock'd, and a failed try_lock is itself activity.
-  bool pending_wakeup(int skip_rank, std::uint64_t held_ctx);
-
-  /// Free-running-mode blocking wait with deadlock detection: parks on `cv`
-  /// until `pred` holds. A deadlock is declared only on positive evidence of
-  /// global quiescence: every live rank parked, the progress counter frozen
-  /// for the whole patience window, *and* no in-flight wakeup pending
-  /// (pending_wakeup) — elapsed quiet time alone never fires, so a rank
-  /// descheduled mid-compute on a loaded machine is not misdiagnosed. Then
-  /// re-checks `pred` one last time and declares: records a FaultReport,
-  /// aborts the cluster and throws FaultError. Throws ClusterAborted if
-  /// woken by another rank's abort. `lk` guards `pred`'s state; `held_ctx`
-  /// is the communicator context whose mutex `lk` holds (0 for a mailbox
-  /// wait).
-  template <class Pred>
-  void blocking_wait(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
-                     int grank, Pred pred, std::uint64_t held_ctx = 0) {
-    if (!opts_.watchdog) {
-      cv.wait(lk, [&] { return pred() || aborted(); });
-      if (!pred()) throw ClusterAborted();
-      return;
-    }
-    waiting_.fetch_add(1, std::memory_order_acq_rel);
-    struct Depart {
-      std::atomic<int>& w;
-      ~Depart() { w.fetch_sub(1, std::memory_order_acq_rel); }
-    } depart{waiting_};
-    std::uint64_t snap = progress_.load(std::memory_order_acquire);
-    int quiet = 0;
-    for (;;) {
-      if (cv.wait_for(lk, std::chrono::milliseconds(100),
-                      [&] { return pred() || aborted(); })) {
-        break;
-      }
-      const std::uint64_t now = progress_.load(std::memory_order_acquire);
-      if (now != snap) {
-        snap = now;
-        quiet = 0;
-        continue;
-      }
-      if (++quiet < 3) continue;  // ~300 ms of real-time quiescence
-      if (waiting_.load(std::memory_order_acquire) <
-          active_.load(std::memory_order_acquire)) {
-        quiet = 0;  // someone is still computing — not a deadlock
-        continue;
-      }
-      if (pending_wakeup(grank, held_ctx)) {
-        quiet = 0;  // a delivered wakeup is still in flight — not a deadlock
-        continue;
-      }
-      if (pred() || aborted()) break;
-      FaultReport r = build_deadlock_report(grank);
-      lk.unlock();
-      record_fault(r);
-      abort();
-      throw FaultError(std::move(r));
-    }
-    if (!pred()) throw ClusterAborted();
-  }
-
  private:
   MachineModel machine_;
   RunOptions opts_;
-  std::unique_ptr<Scheduler> sched_;  // deterministic mode only
-  std::deque<RankCtx> ranks_;  // deque: RankCtx is not movable (mutex)
+  Scheduler sched_;
+  std::deque<RankCtx> ranks_;
   std::vector<std::unique_ptr<MetricsRegistry>> metrics_;  // per rank; metrics on only
-  std::uint64_t ctx_counter_ = 0;  // pre-incremented under group mutexes only
-  std::atomic<bool> aborted_{false};
-  std::atomic<std::uint64_t> progress_{0};
-  std::atomic<int> waiting_{0};
-  std::atomic<int> active_;
-  std::mutex fault_mu_;
-  bool has_fault_ = false;
-  FaultReport fault_;
-  std::mutex groups_mu_;
-  std::vector<std::weak_ptr<CommGroup>> groups_;
+  std::uint64_t ctx_counter_ = 0;
+  std::optional<FaultReport> deadlock_;  // set once the scheduler proves one
   CrashPlan crash_plan_;                  // empty unless perturb.crash_active()
   std::unique_ptr<CheckpointStore> ckpt_; // null unless perturb.crash_active()
   SdcPlan sdc_plan_;                      // empty unless perturb.sdc_active()
@@ -1533,7 +1402,7 @@ class ClusterState {
 
 /// One communicator: a context id plus the member global ranks. Also hosts
 /// the generation-numbered collective slots (barrier / allreduce / split).
-class CommGroup : public std::enable_shared_from_this<CommGroup> {
+class CommGroup {
  public:
   CommGroup(ClusterState* cluster, std::uint64_t ctx, std::vector<int> global_ranks)
       : cluster_(cluster), ctx_(ctx), globals_(std::move(global_ranks)) {}
@@ -1544,8 +1413,8 @@ class CommGroup : public std::enable_shared_from_this<CommGroup> {
   int global_rank(int r) const { return globals_[static_cast<size_t>(r)]; }
 
   // --- ULFM revocation (docs/ROBUSTNESS.md) ---
-  bool revoked() const { return revoked_.load(std::memory_order_acquire); }
-  void set_revoked() { revoked_.store(true, std::memory_order_release); }
+  bool revoked() const { return revoked_; }
+  void set_revoked() { revoked_ = true; }
 
   /// Structured failure for an operation attempted on a revoked
   /// communicator (every member observes the same kind; detail names the
@@ -1581,186 +1450,48 @@ class CommGroup : public std::enable_shared_from_this<CommGroup> {
   };
 
   /// Runs one collective: `deposit` stores this rank's contribution into
-  /// the slot; the last arriver runs `finalize`; everyone then reads via
-  /// `extract` after `ready`. All callbacks run under the group mutex.
-  /// `grank`/`vt` identify the caller to the deterministic scheduler.
-  /// `tolerate_revoked` lets ULFM repair collectives (agree/shrink) proceed
-  /// on a revoked communicator; everything else fails with kRevoked.
-  /// `expected` overrides the arrival count that completes the operation
-  /// (-1 = all members) for survivor-only collectives.
+  /// the slot; the last arriver runs `finalize` and wakes the members parked
+  /// in the scheduler; everyone then reads via `extract`. `grank`/`vt`
+  /// identify the caller to the scheduler. `tolerate_revoked` lets ULFM
+  /// repair collectives (agree/shrink) proceed on a revoked communicator;
+  /// everything else fails with kRevoked. `expected` overrides the arrival
+  /// count that completes the operation (-1 = all members) for
+  /// survivor-only collectives.
   template <class Deposit, class Finalize, class Extract>
   auto collective(std::int64_t gen, int grank, double vt, Deposit deposit,
                   Finalize finalize, Extract extract,
                   bool tolerate_revoked = false, int expected = -1) {
-    if (expected < 0) expected = size();
-    if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
-    if (Scheduler* sched = cluster_->sched()) {
-      return collective_det(sched, gen, grank, vt, deposit, finalize, extract,
-                            tolerate_revoked, expected);
-    }
-    std::unique_lock<std::mutex> lk(mu_);
+    if (!tolerate_revoked && revoked_) throw_revoked(grank, vt);
     CollSlot& slot = slots_[gen];
-    if (slot.expected == 0) slot.expected = expected;
+    if (slot.expected == 0) slot.expected = expected < 0 ? size() : expected;
     deposit(slot);
     if (++slot.arrived == slot.expected) {
       finalize(slot);
       slot.ready = true;
-      cluster_->bump_progress();
-      cv_.notify_all();
+      for (const int g : globals_) {
+        if (g != grank) cluster_->sched().wake(g);
+      }
     } else {
       WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
                    static_cast<int>(gen), 0, 0, ctx_);
-      cluster_->blocking_wait(
-          lk, cv_, grank,
-          [&] { return slot.ready || (!tolerate_revoked && revoked()); }, ctx_);
-      if (!slot.ready) {
-        lk.unlock();
-        throw_revoked(grank, vt);
+      while (!slot.ready) {
+        if (!tolerate_revoked && revoked_) throw_revoked(grank, vt);
+        if (cluster_->aborted()) throw ClusterAborted();
+        cluster_->sched().block(grank, vt);  // a stray message wake rechecks and re-parks
       }
     }
     auto result = extract(slot);
     if (++slot.consumed == slot.expected) slots_.erase(gen);
     return result;
-  }
-
-  void wake_all() {
-    std::lock_guard<std::mutex> lk(mu_);  // lock so no waiter misses the flag
-    cv_.notify_all();
-  }
-
-  /// Watchdog scan (ClusterState::pending_wakeup): a finalized collective
-  /// not yet consumed by every expected member means a member was woken but
-  /// has not run — in-flight progress, not quiescence. try_lock only: a
-  /// contended mutex is itself evidence of activity, and never deadlocks
-  /// against whatever the caller holds.
-  bool pending_collective_wakeup() {
-    std::unique_lock<std::mutex> lk(mu_, std::try_to_lock);
-    if (!lk.owns_lock()) return true;
-    for (const auto& [gen, slot] : slots_) {
-      if (slot.ready && slot.consumed < slot.expected) return true;
-    }
-    return false;
   }
 
  private:
-  /// Deterministic-mode collective: the caller holds the run token, so
-  /// slot arrivals are already serialized; non-final arrivers release the
-  /// token through the scheduler instead of waiting on the group condition
-  /// variable, and the finalizer wakes the parked members.
-  template <class Deposit, class Finalize, class Extract>
-  auto collective_det(Scheduler* sched, std::int64_t gen, int grank, double vt,
-                      Deposit deposit, Finalize finalize, Extract extract,
-                      bool tolerate_revoked, int expected) {
-    bool finalized_here = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      CollSlot& slot = slots_[gen];
-      if (slot.expected == 0) slot.expected = expected;
-      deposit(slot);
-      if (++slot.arrived == slot.expected) {
-        finalize(slot);
-        slot.ready = true;
-        finalized_here = true;
-      }
-    }
-    if (finalized_here) {
-      cluster_->bump_progress();
-      for (const int g : globals_) {
-        if (g != grank) sched->wake(g);
-      }
-    } else {
-      WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
-                   static_cast<int>(gen), 0, 0, ctx_);
-      for (;;) {
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (slots_[gen].ready) break;
-        }
-        if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
-        if (cluster_->aborted()) throw ClusterAborted();
-        sched->block(grank, vt);  // a stray message wake rechecks and re-parks
-      }
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    CollSlot& slot = slots_[gen];
-    auto result = extract(slot);
-    if (++slot.consumed == slot.expected) slots_.erase(gen);
-    return result;
-  }
-
   ClusterState* cluster_;
   std::uint64_t ctx_;
   std::vector<int> globals_;
-  std::atomic<bool> revoked_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
+  bool revoked_ = false;
   std::map<std::int64_t, CollSlot> slots_;
 };
-
-bool ClusterState::pending_wakeup(int skip_rank, std::uint64_t held_ctx) {
-  // A queued envelope already matching some parked rank's published recv
-  // wait: the receiver was notified but its thread has not run yet.
-  // `skip_rank` is the caller — in a recv wait it holds its own mailbox
-  // mutex (try_lock on an owned std::mutex is undefined), and its own pred
-  // is re-checked separately anyway.
-  for (size_t i = 0; i < ranks_.size(); ++i) {
-    if (static_cast<int>(i) == skip_rank) continue;
-    RankCtx& rc = ranks_[i];
-    if (rc.wait.kind.load(std::memory_order_acquire) != 1) continue;
-    const int src = rc.wait.a.load(std::memory_order_relaxed);
-    const int lo = rc.wait.b.load(std::memory_order_relaxed);
-    const int hi = rc.wait.c.load(std::memory_order_relaxed);
-    const std::uint64_t wctx = rc.wait.ctx.load(std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(rc.mailbox.mu, std::try_to_lock);
-    if (!lk.owns_lock()) return true;  // the owner or a sender is active now
-    for (const auto& e : rc.mailbox.q) {
-      // Envelope src and the published wait are both comm-local, compared
-      // under the same communicator context.
-      if (e.ctx == wctx && (src == kAnySource || e.msg.src == src) &&
-          (lo >= hi || (e.msg.tag >= lo && e.msg.tag < hi))) {
-        return true;
-      }
-    }
-  }
-  // A finalized-but-unconsumed collective: a member was woken to extract
-  // but has not run yet. Snapshot under groups_mu_, scan after releasing it
-  // (same discipline as abort()); skip the group whose mutex the caller
-  // holds during its own collective wait.
-  std::vector<std::shared_ptr<CommGroup>> live;
-  {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    live.reserve(groups_.size());
-    for (auto& wg : groups_) {
-      if (auto g = wg.lock()) live.push_back(std::move(g));
-    }
-  }
-  for (auto& g : live) {
-    if (g->ctx() == held_ctx) continue;
-    if (g->pending_collective_wakeup()) return true;
-  }
-  return false;
-}
-
-void ClusterState::abort() {
-  aborted_.store(true, std::memory_order_release);
-  if (sched_) sched_->abort();
-  for (auto& r : ranks_) {
-    std::lock_guard<std::mutex> lk(r.mailbox.mu);
-    r.mailbox.cv.notify_all();
-  }
-  // Snapshot under groups_mu_, wake outside it: split() registers new
-  // groups while holding a group mutex, so waking while holding groups_mu_
-  // would invert that order (groups_mu_ -> group mu_ vs the reverse).
-  std::vector<std::shared_ptr<CommGroup>> live;
-  {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    live.reserve(groups_.size());
-    for (auto& wg : groups_) {
-      if (auto g = wg.lock()) live.push_back(std::move(g));
-    }
-  }
-  for (auto& g : live) g->wake_all();
-}
 
 }  // namespace detail
 
@@ -1999,16 +1730,8 @@ void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams&
     }
     ctx_->trace.events.push_back(e);
   }
-  detail::Mailbox& box = cluster->rank(dst_grank).mailbox;
-  {
-    std::lock_guard<std::mutex> lk(box.mu);
-    box.q.push_back(std::move(env));
-  }
-  cluster->bump_progress();
-  box.cv.notify_all();
-  // Deterministic mode: the receiver parks in the scheduler, not on the
-  // mailbox condition variable.
-  if (detail::Scheduler* sched = cluster->sched()) sched->wake(dst_grank);
+  cluster->rank(dst_grank).mailbox.push_back(std::move(env));
+  cluster->sched().wake(dst_grank);
 }
 
 Message Comm::recv(int src, int tag, TimeCategory cat) {
@@ -2021,8 +1744,8 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     throw std::out_of_range("Comm::recv: bad source");
   }
   const bool any_tag = (tag_lo >= tag_hi);
-  detail::Mailbox& box = ctx_->mailbox;
-  // Watchdog diagnostics: publish what this rank is about to wait on, so a
+  std::deque<detail::Envelope>& box = ctx_->mailbox;
+  // Deadlock diagnostics: publish what this rank is about to wait on, so a
   // wedged run names the blocking (src, tag) per rank (docs/ROBUSTNESS.md).
   detail::WaitScope ws(ctx_->wait, /*recv*/ 1, src, tag_lo, tag_hi, group_->ctx());
   // Flight-recorder entry for the wait itself, recorded *before* parking:
@@ -2037,8 +1760,8 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
   // per-source arrivals are monotone, so same-source FIFO is preserved;
   // perturbation seeds may reorder them — by design, solvers must not care).
   // Bitwise-equal arrivals are broken lexicographically by (sender, seq) —
-  // never by queue insertion order, which would leak the thread/grant order
-  // into the wildcard choice, and never by a policy-seeded score: which
+  // never by queue insertion order, which would leak the grant order into
+  // the wildcard choice, and never by a policy-seeded score: which
   // equal-arrival message is taken first changes the virtual times of the
   // sends issued between the two takes, so the tie-break must be one fixed
   // function of the messages themselves for the clean ledger to stay
@@ -2049,9 +1772,9 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     return a.seq < b.seq;
   };
   auto scan = [&]() {
-    auto best = box.q.end();
-    for (auto it = box.q.begin(); it != box.q.end(); ++it) {
-      if (matches(*it) && (best == box.q.end() || earlier(*it, *best))) {
+    auto best = box.end();
+    for (auto it = box.begin(); it != box.end(); ++it) {
+      if (matches(*it) && (best == box.end() || earlier(*it, *best))) {
         best = it;
       }
     }
@@ -2065,7 +1788,7 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     const double fa = best->fault_arrival;
     std::unique_ptr<const TransportOutcome> outcome = std::move(best->transport);
     Message msg = std::move(best->msg);
-    box.q.erase(best);
+    box.erase(best);
     if (outcome) {
       if (outcome->failed) {
         // The transport never got an intact copy through (retry budget
@@ -2149,51 +1872,31 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     return msg;
   };
 
-  if (detail::Scheduler* sched = group_->cluster()->sched()) {
-    // Deterministic mode: the caller holds the run token. Park until a
-    // match is queued, then commit only once no READY rank could still
-    // execute (and send) below the commit time — the wildcard choice is
-    // the globally earliest arrival any runnable rank can produce.
-    for (;;) {
-      if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
-      if (group_->cluster()->aborted()) throw detail::ClusterAborted();
-      std::unique_lock<std::mutex> lk(box.mu);
-      auto best = scan();
-      if (best == box.q.end()) {
-        lk.unlock();
-        sched->block(ctx_->grank, ctx_->vt);
-        continue;
-      }
-      const double commit = std::max(ctx_->vt, best->msg.arrival);
-      if (sched->ready_below(commit)) {
-        lk.unlock();
-        sched->yield(ctx_->grank, commit);
-        continue;  // an earlier message may have been queued meanwhile
-      }
-      return take(best);
+  // The caller holds the run token. Park until a match is queued, then
+  // commit only once no READY rank could still execute (and send) below the
+  // commit time — the wildcard choice is the globally earliest arrival any
+  // runnable rank can produce.
+  detail::Scheduler& sched = group_->cluster()->sched();
+  for (;;) {
+    if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
+    if (group_->cluster()->aborted()) throw detail::ClusterAborted();
+    auto best = scan();
+    if (best == box.end()) {
+      sched.block(ctx_->grank, ctx_->vt);
+      continue;
     }
+    const double commit = std::max(ctx_->vt, best->msg.arrival);
+    if (sched.ready_below(commit)) {
+      sched.yield(ctx_->grank, commit);
+      continue;  // an earlier message may have been queued meanwhile
+    }
+    return take(best);
   }
-
-  if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
-  std::unique_lock<std::mutex> lk(box.mu);
-  std::deque<detail::Envelope>::iterator best = box.q.end();
-  group_->cluster()->blocking_wait(lk, box.cv, ctx_->grank, [&] {
-    if (group_->revoked()) return true;
-    best = scan();
-    return best != box.q.end();
-  });
-  if (best == box.q.end()) {
-    lk.unlock();
-    group_->throw_revoked(ctx_->grank, ctx_->vt);
-  }
-  return take(best);
 }
 
 bool Comm::probe(int src, int tag) {
-  detail::Mailbox& box = ctx_->mailbox;
   auto scan = [&] {
-    std::lock_guard<std::mutex> lk(box.mu);
-    for (const auto& e : box.q) {
+    for (const auto& e : ctx_->mailbox) {
       if (e.ctx == group_->ctx() && (src == kAnySource || e.msg.src == src) &&
           (tag == kAnyTag || e.msg.tag == tag)) {
         return true;
@@ -2202,14 +1905,11 @@ bool Comm::probe(int src, int tag) {
     return false;
   };
   if (scan()) return true;
-  // Deterministic mode: a miss yields the token at an infinite key so
-  // probe-spin loops make progress (everyone else runs first), then
-  // rescans — without this a spinning rank would hold the token forever.
-  if (detail::Scheduler* sched = group_->cluster()->sched()) {
-    sched->yield(ctx_->grank, std::numeric_limits<double>::infinity());
-    return scan();
-  }
-  return false;
+  // A miss yields the token at an infinite key so probe-spin loops make
+  // progress (everyone else runs first), then rescans — without this a
+  // spinning rank would hold the token forever.
+  group_->cluster()->sched().yield(ctx_->grank, std::numeric_limits<double>::infinity());
+  return scan();
 }
 
 void Comm::barrier(TimeCategory cat) {
@@ -2359,7 +2059,6 @@ Comm Comm::split(int color, int key) {
           for (const int r : ranks) globals.push_back(group->global_rank(r));
           auto g = std::make_shared<detail::CommGroup>(
               group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-          group->cluster()->register_group(g);
           for (size_t i = 0; i < ranks.size(); ++i) {
             slot.split_groups[static_cast<size_t>(ranks[i])] = g;
             slot.split_rank[static_cast<size_t>(ranks[i])] = static_cast<int>(i);
@@ -2380,21 +2079,13 @@ void Comm::revoke(TimeCategory cat) {
   // overhead, synchronizes nothing.
   ctx_->advance_traced(machine().mpi_overhead, cat, TraceEventKind::kAdvance);
   group_->set_revoked();
-  cluster->bump_progress();
-  // Wake every member parked on this communicator (mailbox recv waits,
-  // collective waits, scheduler blocks) so pending operations fail now
-  // rather than at their next natural wakeup.
+  // Wake every member parked on this communicator (receives and collective
+  // waits) so pending operations fail now rather than at their next
+  // natural wakeup.
   for (int r = 0; r < group_->size(); ++r) {
     const int g = group_->global_rank(r);
-    if (g == ctx_->grank) continue;
-    detail::Mailbox& box = cluster->rank(g).mailbox;
-    {
-      std::lock_guard<std::mutex> lk(box.mu);  // no waiter may miss the flag
-      box.cv.notify_all();
-    }
-    if (detail::Scheduler* sched = cluster->sched()) sched->wake(g);
+    if (g != ctx_->grank) cluster->sched().wake(g);
   }
-  group_->wake_all();
 }
 
 bool Comm::revoked() const { return group_->revoked(); }
@@ -2489,7 +2180,6 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
         for (const int r : survivors) globals.push_back(group->global_rank(r));
         auto g = std::make_shared<detail::CommGroup>(
             group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-        group->cluster()->register_group(g);
         for (size_t i = 0; i < survivors.size(); ++i) {
           slot.split_groups[static_cast<size_t>(survivors[i])] = g;
           slot.split_rank[static_cast<size_t>(survivors[i])] = static_cast<int>(i);
@@ -2793,16 +2483,13 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
                                   const RunOptions& opts,
                                   std::exception_ptr* err_out) {
   if (nranks <= 0) throw std::invalid_argument("Cluster::run: nranks must be positive");
-  // Schedule-exploration knobs are rejected with structured errors before
-  // any thread spawns: an invalid combination is a caller bug, never a
-  // modeled fault (docs/TESTING.md).
-  if (!opts.deterministic && opts.schedule != SchedulePolicy::kFifo) {
+  // Invalid knobs are rejected with structured errors before any rank runs:
+  // an invalid combination is a caller bug, never a modeled fault
+  // (docs/TESTING.md).
+  if (!opts.deterministic) {
     throw std::invalid_argument(
-        "Cluster::run: SchedulePolicy exploration requires deterministic mode");
-  }
-  if (!opts.deterministic && opts.replay_schedule != nullptr) {
-    throw std::invalid_argument(
-        "Cluster::run: schedule replay requires deterministic mode");
+        "Cluster::run: RunOptions::deterministic must be true (the scheduler is "
+        "the only execution mode)");
   }
   if (opts.priority_points < 0) {
     throw std::invalid_argument("Cluster::run: priority_points must be >= 0");
@@ -2830,10 +2517,8 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   for (int r = 0; r < nranks; ++r) globals[static_cast<size_t>(r)] = r;
   auto world =
       std::make_shared<detail::CommGroup>(&state, state.next_ctx(), std::move(globals));
-  state.register_group(world);
 
   std::exception_ptr first_error;
-  std::mutex error_mu;  // free-running ranks may fail concurrently
   const std::function<void(int)> rank_body = [&](int r) {
     Comm comm(world, r, &state.rank(r));
     try {
@@ -2842,35 +2527,21 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
       // Secondary casualty of another rank's failure; the original
       // exception is already recorded.
     } catch (const detail::SchedulerDeadlock&) {
-      // The deterministic scheduler proved no rank can make progress and
-      // recorded the report at detection time (before the parked ranks'
-      // wait state unwound); every casualty rank lands here.
-      FaultReport rep = state.recorded_fault_or_report(r);
-      {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (!first_error) {
-          first_error = std::make_exception_ptr(FaultError(std::move(rep)));
-        }
+      // The scheduler proved no rank can make progress and recorded the
+      // report at detection time (before the parked ranks' wait state
+      // unwound); every casualty rank lands here.
+      if (!first_error) {
+        first_error = std::make_exception_ptr(
+            FaultError(state.deadlock_report(r)));
       }
       state.abort();
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
+      if (!first_error) first_error = std::current_exception();
       state.abort();
     }
-    state.rank_done();
   };
-  if (detail::Scheduler* sched = state.sched()) {
-    // Deterministic: every rank is a fiber on this thread.
-    sched->run(rank_body);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) threads.emplace_back(rank_body, r);
-    for (auto& t : threads) t.join();
-  }
+  // Every rank is a fiber on this thread.
+  state.sched().run(rank_body);
 
   Cluster::Result res;
   res.ranks.resize(static_cast<size_t>(nranks));
@@ -2889,7 +2560,7 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
       out.bytes[c] = state.rank(r).bytes[c];
     }
   }
-  if (state.sched() != nullptr) res.schedule = state.sched()->certificate();
+  res.schedule = state.sched().certificate();
   if (opts.trace && !first_error) {
     std::vector<RankTrace> buffers;
     buffers.reserve(static_cast<size_t>(nranks));
@@ -2917,8 +2588,8 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   if (first_error) {
     // Attach the flight-recorder dump to a fault-terminated run's report
     // (every FaultError path funnels through here — transport failures,
-    // watchdog deadlocks, vt-limit, crash verdicts). The rings are
-    // quiescent after join; non-fault exceptions pass through untouched.
+    // deadlocks, vt-limit, crash verdicts). Every rank has stopped, so the
+    // rings are quiescent; non-fault exceptions pass through untouched.
     try {
       std::rethrow_exception(first_error);
     } catch (const FaultError& fe) {

@@ -3,12 +3,12 @@
 /// \brief In-process message-passing runtime with virtual LogGP clocks.
 ///
 /// This substitutes for MPI + the physical cluster (see DESIGN.md §1).
-/// Every rank runs its own control flow (an OS thread in free-running mode,
-/// a fiber in deterministic mode); `Comm` exposes MPI-shaped primitives
-/// (send / recv with wildcards / barrier / allreduce / split) with real
-/// message passing through per-rank mailboxes, so distributed algorithms
-/// are written exactly as they would be against MPI and their *functional*
-/// behaviour (message counts, DAG traversal, data movement) is real.
+/// Every rank runs its own control flow as a fiber; `Comm` exposes
+/// MPI-shaped primitives (send / recv with wildcards / barrier / allreduce /
+/// split) with real message passing through per-rank mailboxes, so
+/// distributed algorithms are written exactly as they would be against MPI
+/// and their *functional* behaviour (message counts, DAG traversal, data
+/// movement) is real.
 ///
 /// Performance is modeled, not measured: each rank carries a virtual clock.
 /// Compute advances it by flops/rate; a send costs the sender its software
@@ -16,16 +16,11 @@
 /// a receive advances the receiver to `max(own_vt, arrival)`. The reported
 /// solve time of a run is the maximum clock over ranks (modeled makespan).
 ///
-/// Two scheduling modes (selected by RunOptions, see docs/DETERMINISM.md):
-///  - Free-running (default): ranks execute concurrently; a wildcard
-///    receive takes the earliest virtual arrival among *queued* messages,
-///    so OS scheduling can perturb which message wins and makespans carry
-///    a small run-to-run jitter.
-///  - Deterministic: ranks run as fibers on the calling thread, switched in
-///    virtual-time order. A receive only commits to a queued message once
-///    no runnable rank could still produce an earlier virtual arrival, so
-///    makespans, per-category breakdowns and message counts are
-///    bit-reproducible across runs and machines.
+/// Scheduling (docs/DETERMINISM.md): ranks run as fibers on the thread that
+/// called Cluster::run, switched in virtual-time order. A receive only
+/// commits to a queued message once no runnable rank could still produce an
+/// earlier virtual arrival, so makespans, per-category breakdowns and
+/// message counts are bit-reproducible across runs and machines.
 ///
 /// Time is attributed to the paper's breakdown categories (FP operation,
 /// XY/intra-grid communication, Z/inter-grid communication; Fig 5-6),
@@ -51,21 +46,21 @@ namespace sptrsv {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// Stack size of one rank in deterministic mode, where every rank runs as a
-/// fiber on the thread that called Cluster::run (docs/DETERMINISM.md).
+/// Stack size of one rank; every rank runs as a fiber on the thread that
+/// called Cluster::run (docs/DETERMINISM.md).
 /// Stacks are committed lazily and each sits above a guard page, so a rank
 /// that recurses past this dies with SIGSEGV instead of corrupting another
 /// rank's stack.
 inline constexpr std::size_t kFiberStackBytes = 512 * 1024;
 
-/// Grant-order policy for the deterministic scheduler. Every policy keeps
-/// the commit fence of docs/DETERMINISM.md intact — a wildcard receive
-/// still only commits once no runnable rank could produce an earlier
-/// arrival — so clocks, counters and fingerprints must be *identical*
-/// across policies; the policies only permute which legal interleaving is
-/// explored. That makes schedule exploration a bug-finding tool: any
-/// observable difference between two policies is a schedule-dependence bug
-/// in the program under test (see docs/TESTING.md).
+/// Grant-order policy for the scheduler. Every policy keeps the commit
+/// fence of docs/DETERMINISM.md intact — a wildcard receive still only
+/// commits once no runnable rank could produce an earlier arrival — so
+/// clocks, counters and fingerprints must be *identical* across policies;
+/// the policies only permute which legal interleaving is explored. That
+/// makes schedule exploration a bug-finding tool: any observable difference
+/// between two policies is a schedule-dependence bug in the program under
+/// test (see docs/TESTING.md).
 enum class SchedulePolicy {
   /// Token goes to the minimal (virtual-time key, rank) READY rank — the
   /// historical order; free of any seeded choice.
@@ -83,11 +78,11 @@ enum class SchedulePolicy {
 /// "delay_bounded").
 const char* schedule_policy_name(SchedulePolicy p);
 
-/// Compact replayable record of every grant decision a deterministic run
-/// made. `(policy, seed, grants)` pins the interleaving exactly: replaying
-/// it (RunOptions::replay_schedule) reproduces the run bit-for-bit,
-/// including every wildcard tie-break, without re-deriving the policy's
-/// choices. Serializes to one text line for bug reports.
+/// Compact replayable record of every grant decision a run made.
+/// `(policy, seed, grants)` pins the interleaving exactly: replaying it
+/// (RunOptions::replay_schedule) reproduces the run bit-for-bit, including
+/// every wildcard tie-break, without re-deriving the policy's choices.
+/// Serializes to one text line for bug reports.
 struct ScheduleCertificate {
   SchedulePolicy policy = SchedulePolicy::kFifo;
   std::uint64_t seed = 0;
@@ -102,10 +97,11 @@ struct ScheduleCertificate {
 
 /// Per-run scheduling options for Cluster::run.
 struct RunOptions {
-  /// Run every rank as a fiber on the calling thread, switched in
-  /// virtual-time order, so the whole run (makespan, breakdowns, message
-  /// counts) is bit-reproducible.
-  bool deterministic = false;
+  /// Always true: every run executes its ranks as fibers on the calling
+  /// thread, switched in virtual-time order, so the whole run (makespan,
+  /// breakdowns, message counts) is bit-reproducible. Kept only so existing
+  /// writers still compile; false throws std::invalid_argument.
+  bool deterministic = true;
   /// Seed for MachineModel::perturb draws. A given (machine, seed) pair
   /// yields the same perturbations in every run; ignored when the machine's
   /// perturbation model is inactive.
@@ -114,21 +110,11 @@ struct RunOptions {
   /// publish it as Cluster::Result::trace. Recording never changes modeled
   /// results — clock math is identical with tracing on or off.
   bool trace = false;
-  /// Convert would-be infinite hangs (a receive no send will ever match, a
-  /// collective a dead rank never joins) into a structured FaultReport
-  /// (docs/ROBUSTNESS.md). In free-running mode a quiescence watchdog
-  /// declares after the whole cluster sits blocked with no progress for a
-  /// real-time patience window. Deterministic mode ignores the flag: its
-  /// scheduler sees the global blocked state, so detection is exact and
-  /// always on (a wedged run on one thread has nothing left to wait for).
-  bool watchdog = true;
   /// Abort with FaultKind::kVtLimit once any rank's clean virtual clock
   /// passes this bound (infinity = unlimited). A cheap guard against
   /// runaway modeled time under pathological fault schedules.
   double vt_limit = std::numeric_limits<double>::infinity();
-  /// Grant-order exploration policy (deterministic mode only; any other
-  /// value than kFifo with deterministic == false throws
-  /// std::invalid_argument). See docs/TESTING.md.
+  /// Grant-order exploration policy (docs/TESTING.md).
   SchedulePolicy schedule = SchedulePolicy::kFifo;
   /// Seed for the schedule policy's choices. Independent of `seed` (the
   /// fault/perturbation stream) so schedules can be swept without touching
@@ -142,9 +128,9 @@ struct RunOptions {
   /// be >= 0.
   int delay_budget = 8;
   /// Replay a recorded certificate instead of running a policy (the
-  /// certificate's policy/seed take precedence over the fields above).
-  /// Deterministic mode only; the pointed-to certificate must outlive the
-  /// run. Grants out of range for `nranks` throw std::invalid_argument.
+  /// certificate's policy/seed take precedence over the fields above). The
+  /// pointed-to certificate must outlive the run. Grants out of range for
+  /// `nranks` throw std::invalid_argument.
   const ScheduleCertificate* replay_schedule = nullptr;
   /// Maintain the per-rank MetricsRegistry (docs/OBSERVABILITY.md §Metrics)
   /// and publish the merged MetricsReport as Cluster::Result::metrics.
@@ -154,7 +140,7 @@ struct RunOptions {
   /// Virtual-time sampling period (seconds on the modeled clock) for the
   /// metrics time series; 0 = no series, final snapshot only. Requires
   /// `metrics`; samples land on the fixed grid k * metrics_period, so the
-  /// series is schedule- and thread-timing-independent.
+  /// series is schedule-independent.
   double metrics_period = 0.0;
   /// Checksum-augmented (ABFT) solves: verify a running checksum of the
   /// registered solver state at every checkpoint_epoch, localize and
@@ -452,10 +438,9 @@ struct Spread {
 /// Summarizes one value per rank into a Spread.
 Spread spread_over(std::span<const double> values);
 
-/// Runs `rank_fn` on `nranks` ranks (OS threads in free-running mode,
-/// fibers on the calling thread in deterministic mode) and returns the
-/// virtual-clock statistics. Exceptions thrown by any rank are rethrown
-/// (first one wins) after every rank has finished.
+/// Runs `rank_fn` on `nranks` ranks (fibers on the calling thread) and
+/// returns the virtual-clock statistics. Exceptions thrown by any rank are
+/// rethrown (first one wins) after every rank has finished.
 class Cluster {
  public:
   struct Result {
@@ -467,10 +452,9 @@ class Cluster {
     FaultReport fault;
     /// First error message of a failed try_run ("" on success).
     std::string error;
-    /// Grant-decision record of a deterministic run (empty grants
-    /// otherwise). Feed it back through RunOptions::replay_schedule to
-    /// reproduce this exact interleaving — docs/TESTING.md shows the
-    /// one-liner.
+    /// Grant-decision record of the run. Feed it back through
+    /// RunOptions::replay_schedule to reproduce this exact interleaving —
+    /// docs/TESTING.md shows the one-liner.
     ScheduleCertificate schedule;
     /// Merged per-rank metrics; non-null iff RunOptions::metrics was set.
     /// Built even for a faulted run (the counters up to the abort are the
@@ -516,8 +500,8 @@ class Cluster {
     /// Distribution of per-rank total virtual times.
     Spread vtime_spread() const;
     /// Order-sensitive hash of every per-rank *clean-ledger* statistic
-    /// (clock bits, category times, message/byte counts). Two deterministic
-    /// runs of the same program must produce equal fingerprints;
+    /// (clock bits, category times, message/byte counts). Two runs of the
+    /// same program must produce equal fingerprints;
     /// repeatability checks and benches compare this single value. Delivery
     /// faults never move it — that is the reliable transport's contract.
     std::uint64_t fingerprint() const;

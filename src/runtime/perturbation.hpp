@@ -14,7 +14,7 @@
 /// clock and counters still never move, and recovery cost lands on the
 /// parallel fault clock and TransportStats ledger instead. Randomness is a
 /// pure counter-based hash of (seed, rank, draw index), so a draw does not
-/// depend on thread scheduling and a failing seed replays exactly.
+/// depend on the grant order and a failing seed replays exactly.
 ///
 /// The model is attached to MachineModel (a degraded machine is still a
 /// machine); the seed lives in RunOptions so one machine description can be
@@ -249,7 +249,7 @@ inline std::uint64_t hash64(std::uint64_t x) {
 }
 
 /// Uniform draw in [0, 1) as a pure function of (seed, rank, sequence
-/// number) — identical across runs regardless of thread interleaving.
+/// number) — identical across runs regardless of the grant order.
 inline double perturb_uniform(std::uint64_t seed, std::uint64_t rank,
                               std::uint64_t seq) {
   const std::uint64_t h = hash64(hash64(seed ^ (rank << 32)) ^ seq);

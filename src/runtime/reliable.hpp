@@ -11,8 +11,8 @@
 /// receiver-side duplicate suppression. The protocol is simulated
 /// *analytically* at send time (simulate_transport): the sequence of frame
 /// fates is a pure counter-based function of (seed, sender rank, fault draw
-/// index), so a fault schedule replays exactly and is independent of thread
-/// scheduling.
+/// index), so a fault schedule replays exactly and is independent of the
+/// grant order.
 ///
 /// Two-ledger accounting is the load-bearing invariant: the clean virtual
 /// clock, category times and message/byte counters — everything behind

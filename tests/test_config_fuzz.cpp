@@ -110,7 +110,7 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderCrashAndDeliveryFaults) {
   cfg.shape = c.shape;
   cfg.algorithm = c.alg;
   cfg.nrhs = c.nrhs;
-  cfg.run = RunOptions{.deterministic = true, .seed = c.seed};
+  cfg.run = RunOptions{.seed = c.seed};
   const DistSolveOutcome clean =
       solve_system_3d(fs, b, cfg, MachineModel::cori_haswell());
 
@@ -175,7 +175,7 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderElasticDegradation) {
   cfg.shape = c.shape;
   cfg.algorithm = c.alg;
   cfg.nrhs = c.nrhs;
-  cfg.run = RunOptions{.deterministic = true, .seed = c.seed};
+  cfg.run = RunOptions{.seed = c.seed};
   const DistSolveOutcome clean =
       solve_system_3d(fs, b, cfg, MachineModel::cori_haswell());
 
@@ -243,27 +243,19 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConfigFuzzTest, ::testing::ValuesIn(make_cases()
                          [](const auto& info) { return info.param.name; });
 
 /// Invalid schedule-knob combinations must be rejected before any rank
-/// thread spawns, with std::invalid_argument naming the problem — never an
-/// assert, a hang, or a misattributed FaultReport.
-TEST(ScheduleKnobValidation, PolicyWithoutDeterministicModeThrows) {
+/// runs, with std::invalid_argument naming the problem — never an assert, a
+/// hang, or a misattributed FaultReport.
+TEST(ScheduleKnobValidation, NonDeterministicModeThrows) {
+  // The scheduler is the only execution mode; asking for anything else is
+  // a caller bug.
   RunOptions o;
   o.deterministic = false;
-  o.schedule = SchedulePolicy::kRandomPriority;
-  EXPECT_THROW(Cluster::run(2, test::test_machine(), [](Comm&) {}, o),
-               std::invalid_argument);
-}
-
-TEST(ScheduleKnobValidation, ReplayWithoutDeterministicModeThrows) {
-  ScheduleCertificate cert;
-  RunOptions o;
-  o.deterministic = false;
-  o.replay_schedule = &cert;
   EXPECT_THROW(Cluster::run(2, test::test_machine(), [](Comm&) {}, o),
                std::invalid_argument);
 }
 
 TEST(ScheduleKnobValidation, NegativeKnobsThrow) {
-  RunOptions o{.deterministic = true};
+  RunOptions o{};
   o.priority_points = -1;
   EXPECT_THROW(Cluster::run(2, test::test_machine(), [](Comm&) {}, o),
                std::invalid_argument);
@@ -276,7 +268,7 @@ TEST(ScheduleKnobValidation, NegativeKnobsThrow) {
 TEST(ScheduleKnobValidation, ReplayGrantOutOfRangeThrows) {
   ScheduleCertificate cert;
   cert.grants = {0, 1, 7};  // rank 7 does not exist in a world of 2
-  RunOptions o{.deterministic = true};
+  RunOptions o{};
   o.replay_schedule = &cert;
   EXPECT_THROW(Cluster::run(2, test::test_machine(), [](Comm&) {}, o),
                std::invalid_argument);

@@ -38,8 +38,8 @@ using test::message_counts_identical;
 using test::random_rhs;
 using test::test_machine;
 
-constexpr RunOptions kDet{.deterministic = true, .seed = 0};
-constexpr RunOptions kDegradeOpts{.deterministic = true, .seed = 0,
+constexpr RunOptions kDet{.seed = 0};
+constexpr RunOptions kDegradeOpts{.seed = 0,
                                   .degrade = true};
 
 /// Machine with an explicit crash schedule and an empty spare pool — the

@@ -30,7 +30,7 @@ using test::shape_tree;
 using test::stats_identical;
 using test::test_machine;
 
-constexpr RunOptions kDet{.deterministic = true, .seed = 0};
+constexpr RunOptions kDet{.seed = 0};
 
 // ---------------------------------------------------------------------------
 // Scheduler unit tests: the token protocol itself.
@@ -38,9 +38,9 @@ constexpr RunOptions kDet{.deterministic = true, .seed = 0};
 
 TEST(DetScheduler, WildcardTakesGloballyEarliestArrival) {
   // Rank r>0 computes r virtual seconds then sends; rank 0 receives with a
-  // wildcard. In deterministic mode the receive order must be exactly the
-  // virtual-arrival order (1, 2, ..., P-1) in every run — even though the
-  // later senders' messages are often queued before rank 0 first looks.
+  // wildcard. The receive order must be exactly the virtual-arrival order
+  // (1, 2, ..., P-1) in every run — even though the later senders'
+  // messages are often queued before rank 0 first looks.
   const int P = 8;
   for (int run = 0; run < 3; ++run) {
     Cluster::run(
@@ -327,22 +327,17 @@ TEST(DetScheduler, ProbeSpinMakesProgress) {
 
 TEST(ReductionOrder, AllreduceSumsInRankOrder) {
   // 0.1 + 0.2 + 0.3 is not FP-associative; the result must be the exact
-  // left-to-right rank-order sum in free-running and deterministic mode.
+  // left-to-right rank-order sum.
   const Real expected = ((Real{0.1} + Real{0.2}) + Real{0.3});
-  for (const bool det : {false, true}) {
-    Cluster::run(
-        3, test_machine(),
-        [&](Comm& c) {
-          // Stagger clocks so deposit order != rank order in most runs.
-          c.compute(static_cast<double>(2 - c.rank()) * 1e7);
-          const std::vector<Real> mine{Real{0.1} * (c.rank() + 1)};
-          const auto out = c.allreduce_sum(mine, TimeCategory::kOther);
-          const Real got = out.at(0);
-          EXPECT_EQ(std::memcmp(&got, &expected, sizeof(Real)), 0)
-              << "allreduce order not rank-pinned (det=" << det << ")";
-        },
-        RunOptions{.deterministic = det});
-  }
+  Cluster::run(3, test_machine(), [&](Comm& c) {
+    // Stagger clocks so deposit order != rank order.
+    c.compute(static_cast<double>(2 - c.rank()) * 1e7);
+    const std::vector<Real> mine{Real{0.1} * (c.rank() + 1)};
+    const auto out = c.allreduce_sum(mine, TimeCategory::kOther);
+    const Real got = out.at(0);
+    EXPECT_EQ(std::memcmp(&got, &expected, sizeof(Real)), 0)
+        << "allreduce order not rank-pinned";
+  });
 }
 
 TEST(ReductionOrder, LSolvePinnedToPlanOrder) {
@@ -371,7 +366,7 @@ TEST(ReductionOrder, LSolvePinnedToPlanOrder) {
   VecMap b_map;
   for (Idx i = 0; i < n; ++i) b_map[i] = {b[static_cast<size_t>(i)]};
 
-  // Distributed solve (deterministic mode); gather y from the diag owners.
+  // Distributed solve; gather y from the diag owners.
   std::vector<Real> y_dist(static_cast<size_t>(n), 0.0);
   Cluster::run(
       P, test_machine(),
@@ -433,11 +428,6 @@ TEST_P(DeterminismProperty, SolversAreBitReproducible) {
     EXPECT_TRUE(outcomes_identical(out1, out2));
     EXPECT_EQ(out1.run_stats.fingerprint(), out2.run_stats.fingerprint());
     EXPECT_EQ(out1.makespan, out2.makespan);
-    // The solution itself must not depend on arrival order at all: the
-    // free-running mode has to produce the same bits.
-    cfg.run = RunOptions{};
-    const auto out_free = solve_system_3d(sys.fs, b, cfg, test_machine());
-    EXPECT_TRUE(bitwise_equal(out1.x, out_free.x));
   }
 }
 
@@ -455,7 +445,7 @@ TEST_P(DeterminismProperty, PerturbationsMoveOnlyTimings) {
   const MachineModel pm = perturbed_machine();
   bool some_timing_moved = false;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-    cfg.run = RunOptions{.deterministic = true, .seed = seed};
+    cfg.run = RunOptions{.seed = seed};
     const auto out = solve_system_3d(sys.fs, b, cfg, pm);
     // Solutions and message counts are invariant under any perturbation...
     EXPECT_TRUE(bitwise_equal(base.x, out.x)) << "seed " << seed;
@@ -512,7 +502,7 @@ TEST(Determinism, SparseAllreduceBitReproducible) {
   for (size_t r = 0; r < p1.size(); ++r) EXPECT_TRUE(bitwise_equal(p1[r], p2[r]));
   // Perturbed run: same reduced values, same counts, different clock bits.
   const auto [s3, p3] =
-      run_once(perturbed_machine(), RunOptions{.deterministic = true, .seed = 7});
+      run_once(perturbed_machine(), RunOptions{.seed = 7});
   EXPECT_TRUE(message_counts_identical(s1, s3));
   for (size_t r = 0; r < p1.size(); ++r) EXPECT_TRUE(bitwise_equal(p1[r], p3[r]));
 }

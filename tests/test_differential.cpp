@@ -47,7 +47,7 @@ TEST_P(DifferentialOracle, AllSolverPathsAgree) {
   SolveConfig cfg;
   cfg.shape = s.shape;
   cfg.nrhs = s.nrhs;
-  cfg.run = RunOptions{.deterministic = true, .seed = GetParam()};
+  cfg.run = RunOptions{.seed = GetParam()};
   cfg.algorithm = Algorithm3d::kProposed;
   const DistSolveOutcome proposed = solve_system_3d(s.fs, b, cfg, test::test_machine());
   cfg.algorithm = Algorithm3d::kBaseline;
@@ -64,7 +64,7 @@ TEST_P(DifferentialOracle, AllSolverPathsAgree) {
   const std::vector<Real> ref0 = solve_system_seq(fs0, b, s.nrhs);
   const test::Dist2dOutcome d2 = test::solve_system_2d(
       fs0, {2, 2}, b, s.nrhs, test::test_machine(),
-      RunOptions{.deterministic = true, .seed = GetParam()});
+      RunOptions{.seed = GetParam()});
   EXPECT_LE(test::max_ulp_distance(d2.x, ref0), kSameFactorUlp);
 
   // Cross-factorization agreement (different elimination orders, so the
@@ -83,7 +83,7 @@ TEST_P(DifferentialOracle, FaultyRunsReproduceCleanAnswers) {
   SolveConfig cfg;
   cfg.shape = s.shape;
   cfg.nrhs = s.nrhs;
-  cfg.run = RunOptions{.deterministic = true, .seed = GetParam()};
+  cfg.run = RunOptions{.seed = GetParam()};
   for (const Algorithm3d alg : {Algorithm3d::kProposed, Algorithm3d::kBaseline}) {
     cfg.algorithm = alg;
     const DistSolveOutcome clean = solve_system_3d(s.fs, b, cfg, test::test_machine());
@@ -107,7 +107,7 @@ TEST_P(DifferentialOracle, CrashingRunsReproduceCleanAnswers) {
   cfg.shape = s.shape;
   cfg.nrhs = s.nrhs;
   cfg.algorithm = Algorithm3d::kProposed;
-  cfg.run = RunOptions{.deterministic = true, .seed = GetParam()};
+  cfg.run = RunOptions{.seed = GetParam()};
   const DistSolveOutcome clean = solve_system_3d(s.fs, b, cfg, test::test_machine());
 
   MachineModel m = test::test_machine();

@@ -45,7 +45,6 @@ using test::test_machine;
 
 RunOptions det_opts(std::uint64_t seed, bool trace = false) {
   RunOptions o;
-  o.deterministic = true;
   o.seed = seed;
   o.trace = trace;
   return o;
@@ -296,11 +295,10 @@ TEST(FaultInjection, SparseAllreduceCompletesUnderFaults) {
   }
 }
 
-TEST(FaultInjection, FreeRunningModeSolvesUnderFaults) {
-  // Without the deterministic scheduler the clean clocks may differ run to
-  // run, but the solve must still complete and the solution — fixed by
-  // plan-order reductions, not arrival order — must match the sequential
-  // reference.
+TEST(FaultInjection, DefaultOptionsSolveUnderFaults) {
+  // With default run options the solve must complete under faults and the
+  // solution — fixed by plan-order reductions, not arrival order — must
+  // match the sequential reference.
   const CsrMatrix a = make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kTiny);
   const FactoredSystem fs = analyze_and_factor(a, /*nd_levels=*/3);
   const auto b = random_rhs(a.rows(), 1, 42);
@@ -320,28 +318,21 @@ TEST(FaultInjection, RetriesExhaustedProducesFaultReport) {
   MachineModel m = test_machine();
   m.perturb.drop_prob = 1.0;
   m.transport.max_retries = 3;
-  for (const bool det : {true, false}) {
-    RunOptions opts;
-    opts.deterministic = det;
-    const Cluster::Result res = Cluster::try_run(
-        2, m,
-        [](Comm& c) {
-          if (c.rank() == 0) {
-            c.send(1, /*tag=*/7, std::vector<Real>{1.0});
-          } else {
-            c.recv(0, 7);
-            ADD_FAILURE() << "recv of an undeliverable message returned";
-          }
-        },
-        opts);
-    EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.fault.kind, FaultKind::kRetriesExhausted) << "det=" << det;
-    EXPECT_EQ(res.fault.rank, 1);
-    EXPECT_EQ(res.fault.peer, 0);
-    EXPECT_EQ(res.fault.tag, 7);
-    EXPECT_EQ(res.fault.retries, 3);
-    EXPECT_NE(res.error.find("retries-exhausted"), std::string::npos);
-  }
+  const Cluster::Result res = Cluster::try_run(2, m, [](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, /*tag=*/7, std::vector<Real>{1.0});
+    } else {
+      c.recv(0, 7);
+      ADD_FAILURE() << "recv of an undeliverable message returned";
+    }
+  });
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.fault.kind, FaultKind::kRetriesExhausted);
+  EXPECT_EQ(res.fault.rank, 1);
+  EXPECT_EQ(res.fault.peer, 0);
+  EXPECT_EQ(res.fault.tag, 7);
+  EXPECT_EQ(res.fault.retries, 3);
+  EXPECT_NE(res.error.find("retries-exhausted"), std::string::npos);
 }
 
 TEST(FaultInjection, PermanentStallReported) {
@@ -433,75 +424,59 @@ TEST(Watchdog, CyclicWaitReportNamesEveryWaitingPair) {
   // the deadlocked set, each with the exact (src, tag window) it sits on —
   // that text is what a user debugging a wedged solve acts on.
   constexpr int kP = 4;
-  for (const bool det : {true, false}) {
-    RunOptions opts;
-    opts.deterministic = det;
-    const Cluster::Result res = Cluster::try_run(
-        kP, test_machine(),
-        [](Comm& c) { c.recv((c.rank() + 1) % c.size(), 40 + c.rank()); }, opts);
-    EXPECT_FALSE(res.ok()) << "det=" << det;
-    ASSERT_EQ(res.fault.kind, FaultKind::kDeadlock) << "det=" << det;
-    ASSERT_GE(res.fault.rank, 0);
-    ASSERT_LT(res.fault.rank, kP);
-    EXPECT_EQ(res.fault.peer, (res.fault.rank + 1) % kP) << "det=" << det;
-    EXPECT_EQ(res.fault.tag, 40 + res.fault.rank) << "det=" << det;
-    for (int r = 0; r < kP; ++r) {
-      char expect[64];
-      std::snprintf(expect, sizeof(expect), "rank %d waiting on recv(src=%d, tags[%d,%d)",
-                    r, (r + 1) % kP, 40 + r, 41 + r);
-      EXPECT_NE(res.fault.detail.find(expect), std::string::npos)
-          << "det=" << det << ": report does not name rank " << r
-          << "'s wait; detail: " << res.fault.detail;
-    }
-    // Post-mortem flight recorder (docs/OBSERVABILITY.md): the dump rides
-    // on the report and must also name every member's parked receive —
-    // recv waits are recorded *before* parking exactly so a wedged rank
-    // still appears.
-    ASSERT_FALSE(res.fault.flight.empty()) << "det=" << det;
-    for (int r = 0; r < kP; ++r) {
-      char expect[64];
-      std::snprintf(expect, sizeof(expect), "recv-wait(src=%d, tags[%d,%d))",
-                    (r + 1) % kP, 40 + r, 41 + r);
-      bool found = false;
-      for (const std::string& line : res.fault.flight) {
-        if (line.rfind("rank " + std::to_string(r) + ":", 0) == 0 &&
-            line.find(expect) != std::string::npos) {
-          found = true;
-        }
+  const Cluster::Result res = Cluster::try_run(
+      kP, test_machine(),
+      [](Comm& c) { c.recv((c.rank() + 1) % c.size(), 40 + c.rank()); });
+  EXPECT_FALSE(res.ok());
+  ASSERT_EQ(res.fault.kind, FaultKind::kDeadlock);
+  ASSERT_GE(res.fault.rank, 0);
+  ASSERT_LT(res.fault.rank, kP);
+  EXPECT_EQ(res.fault.peer, (res.fault.rank + 1) % kP);
+  EXPECT_EQ(res.fault.tag, 40 + res.fault.rank);
+  for (int r = 0; r < kP; ++r) {
+    char expect[64];
+    std::snprintf(expect, sizeof(expect), "rank %d waiting on recv(src=%d, tags[%d,%d)",
+                  r, (r + 1) % kP, 40 + r, 41 + r);
+    EXPECT_NE(res.fault.detail.find(expect), std::string::npos)
+        << "report does not name rank " << r << "'s wait; detail: " << res.fault.detail;
+  }
+  // Post-mortem flight recorder (docs/OBSERVABILITY.md): the dump rides on
+  // the report and must also name every member's parked receive — recv
+  // waits are recorded *before* parking exactly so a wedged rank still
+  // appears.
+  ASSERT_FALSE(res.fault.flight.empty());
+  for (int r = 0; r < kP; ++r) {
+    char expect[64];
+    std::snprintf(expect, sizeof(expect), "recv-wait(src=%d, tags[%d,%d))",
+                  (r + 1) % kP, 40 + r, 41 + r);
+    bool found = false;
+    for (const std::string& line : res.fault.flight) {
+      if (line.rfind("rank " + std::to_string(r) + ":", 0) == 0 &&
+          line.find(expect) != std::string::npos) {
+        found = true;
       }
-      EXPECT_TRUE(found) << "det=" << det << ": flight dump does not name rank "
-                         << r << "'s wait";
     }
+    EXPECT_TRUE(found) << "flight dump does not name rank " << r << "'s wait";
   }
 }
 
-TEST(Watchdog, FreeRunningRecvDeadlock) {
-  RunOptions opts;  // free-running, watchdog on by default
-  const Cluster::Result res = Cluster::try_run(
-      2, test_machine(),
-      [](Comm& c) {
-        if (c.rank() == 1) c.recv(0, /*tag=*/9);
-      },
-      opts);
+TEST(Watchdog, DefaultOptionsRecvDeadlock) {
+  // Deadlock detection needs no opt-in: default options report it too.
+  const Cluster::Result res = Cluster::try_run(2, test_machine(), [](Comm& c) {
+    if (c.rank() == 1) c.recv(0, /*tag=*/9);
+  });
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.fault.kind, FaultKind::kDeadlock);
   EXPECT_NE(res.fault.detail.find("waiting on recv"), std::string::npos);
 }
 
 TEST(Watchdog, CollectiveDeadlockWhenAMemberExits) {
-  for (const bool det : {true, false}) {
-    RunOptions opts;
-    opts.deterministic = det;
-    const Cluster::Result res = Cluster::try_run(
-        2, test_machine(),
-        [](Comm& c) {
-          if (c.rank() == 0) c.barrier();  // rank 1 returns without joining
-        },
-        opts);
-    EXPECT_FALSE(res.ok()) << "det=" << det;
-    EXPECT_EQ(res.fault.kind, FaultKind::kDeadlock);
-    EXPECT_NE(res.fault.detail.find("collective"), std::string::npos);
-  }
+  const Cluster::Result res = Cluster::try_run(2, test_machine(), [](Comm& c) {
+    if (c.rank() == 0) c.barrier();  // rank 1 returns without joining
+  });
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.fault.kind, FaultKind::kDeadlock);
+  EXPECT_NE(res.fault.detail.find("collective"), std::string::npos);
 }
 
 TEST(Watchdog, VtLimitBoundsRunawayClocks) {
@@ -519,22 +494,15 @@ TEST(Watchdog, VtLimitBoundsRunawayClocks) {
 }
 
 TEST(Watchdog, ExceptionsStillPoisonPeersFirst) {
-  // A rank failure must abort blocked peers (poison), not trip the deadlock
-  // watchdog: the error surfaced is the original one.
-  for (const bool det : {true, false}) {
-    RunOptions opts;
-    opts.deterministic = det;
-    const Cluster::Result res = Cluster::try_run(
-        4, test_machine(),
-        [](Comm& c) {
-          if (c.rank() == 3) throw std::runtime_error("boom");
-          c.recv((c.rank() + 1) % 4, 0);  // everyone else blocks forever
-        },
-        opts);
-    EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.fault.kind, FaultKind::kNone) << res.error;
-    EXPECT_NE(res.error.find("boom"), std::string::npos);
-  }
+  // A rank failure must abort blocked peers (poison), not trip deadlock
+  // detection: the error surfaced is the original one.
+  const Cluster::Result res = Cluster::try_run(4, test_machine(), [](Comm& c) {
+    if (c.rank() == 3) throw std::runtime_error("boom");
+    c.recv((c.rank() + 1) % 4, 0);  // everyone else blocks forever
+  });
+  EXPECT_FALSE(res.ok());
+  EXPECT_EQ(res.fault.kind, FaultKind::kNone) << res.error;
+  EXPECT_NE(res.error.find("boom"), std::string::npos);
 }
 
 TEST(Watchdog, BadSourceIsAnImmediateError) {

@@ -60,7 +60,7 @@ std::map<std::string, std::string> compute_corpus() {
         SolveConfig cfg;
         cfg.shape = {2, 2, 2};
         cfg.algorithm = alg;
-        cfg.run = RunOptions{.deterministic = true, .seed = seed};
+        cfg.run = RunOptions{.seed = seed};
         // Perturbations are seeded, so the perturbed clocks are part of
         // what the fingerprint pins — seeds 0 and 1 are distinct entries.
         const DistSolveOutcome res =
@@ -71,7 +71,7 @@ std::map<std::string, std::string> compute_corpus() {
         SolveConfig cfg;
         cfg.shape = {2, 2, 2};
         cfg.algorithm = alg;
-        cfg.run = RunOptions{.deterministic = true, .seed = 0};
+        cfg.run = RunOptions{.seed = 0};
         cfg.run.abft = true;
         MachineModel machine = test::perturbed_machine();
         if (faulted) machine.perturb.sdc_rate = 5e4;
@@ -92,7 +92,7 @@ std::map<std::string, std::string> compute_corpus() {
         SolveConfig cfg;
         cfg.shape = {2, 2, 2};
         cfg.algorithm = alg;
-        cfg.run = RunOptions{.deterministic = true, .seed = 0};
+        cfg.run = RunOptions{.seed = 0};
         cfg.run.degrade = true;
         MachineModel machine = test::perturbed_machine();
         machine.recovery.spare_ranks = 0;
@@ -113,7 +113,7 @@ std::map<std::string, std::string> compute_corpus() {
         SolveConfig cfg;
         cfg.shape = {2, 2, 2};
         cfg.algorithm = alg;
-        cfg.run = RunOptions{.deterministic = true, .seed = 0};
+        cfg.run = RunOptions{.seed = 0};
         cfg.run.degrade = true;
         MachineModel machine = test::perturbed_machine();
         machine.recovery.spare_ranks = 0;

@@ -61,7 +61,7 @@ TEST(Integration, SolveAfterSolveReusesFactor) {
 }
 
 TEST(Integration, CpuAndGpuModelsShareCorrectness) {
-  // The GPU timing model and the threaded CPU solver consume the same
+  // The GPU timing model and the message-passing CPU solver consume the same
   // factor; the functional answer comes from the CPU path while the GPU
   // model prices the same plan — verify both accept the same system and
   // the timing model's work accounting is consistent with the solve flops.
@@ -82,7 +82,7 @@ TEST(Integration, CpuAndGpuModelsShareCorrectness) {
 
 TEST(Integration, GpuCpuBackendAgreesWithThreadedSolver) {
   // Two independent performance models of the same CPU execution — the
-  // discrete-event model (gpusim kCpu) and the threaded virtual-clock
+  // discrete-event model (gpusim kCpu) and the message-passing virtual-clock
   // solver — must agree within a small factor on 1x1xPz layouts.
   const CsrMatrix a = make_grid2d(32, 32, Stencil2d::kNinePoint);
   const FactoredSystem fs = analyze_and_factor(a, 3);
@@ -96,14 +96,14 @@ TEST(Integration, GpuCpuBackendAgreesWithThreadedSolver) {
     SolveConfig cfg;
     cfg.shape = {1, 1, pz};
     std::vector<Real> b(static_cast<size_t>(a.rows()), 1.0);
-    const double threaded = solve_system_3d(fs, b, cfg, m).makespan;
-    EXPECT_LT(des, threaded * 3.0) << "pz=" << pz;
-    EXPECT_GT(des, threaded / 3.0) << "pz=" << pz;
+    const double cluster = solve_system_3d(fs, b, cfg, m).makespan;
+    EXPECT_LT(des, cluster * 3.0) << "pz=" << pz;
+    EXPECT_GT(des, cluster / 3.0) << "pz=" << pz;
   }
 }
 
 TEST(Integration, LargeRankCountSmoke) {
-  // 512 rank threads end-to-end (benches go to 2048).
+  // 512 ranks end-to-end (benches go to 2048).
   const CsrMatrix a = make_grid2d(24, 24, Stencil2d::kFivePoint);
   const FactoredSystem fs = analyze_and_factor(a, 3);
   SolveConfig cfg;

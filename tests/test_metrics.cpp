@@ -187,7 +187,6 @@ SolveConfig tiny_cfg(Algorithm3d alg = Algorithm3d::kProposed) {
   SolveConfig cfg;
   cfg.shape = {2, 2, 4};
   cfg.algorithm = alg;
-  cfg.run.deterministic = true;
   return cfg;
 }
 
@@ -325,8 +324,7 @@ TEST(MetricsFlight, DeadlockAttachesNonEmptyFlightDump) {
           c.recv(0, 5);
           c.recv(0, /*tag=*/9);  // never sent
         }
-      },
-      RunOptions{.deterministic = true});
+      });
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.fault.kind, FaultKind::kDeadlock);
   ASSERT_FALSE(res.fault.flight.empty());
@@ -347,8 +345,7 @@ TEST(MetricsFlight, SuccessfulRunReportsNoFault) {
       [](Comm& c) {
         if (c.rank() == 0) c.send(1, 5, std::vector<Real>{1.0});
         if (c.rank() == 1) c.recv(0, 5);
-      },
-      RunOptions{.deterministic = true});
+      });
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.fault.kind, FaultKind::kNone);
   EXPECT_TRUE(res.fault.flight.empty());

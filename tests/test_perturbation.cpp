@@ -12,7 +12,7 @@ using test::message_counts_identical;
 using test::random_rhs;
 using test::test_machine;
 
-constexpr RunOptions kDet{.deterministic = true, .seed = 0};
+constexpr RunOptions kDet{.seed = 0};
 
 double mean_cat(const Cluster::Result& r, TimeCategory c) {
   return r.mean_category(c);
@@ -132,7 +132,7 @@ TEST(Perturbation, ComputeSkewInflatesFpOnly) {
 
   SolveConfig cfg;
   cfg.shape = {2, 2, 2};
-  cfg.run = RunOptions{.deterministic = true, .seed = 11};
+  cfg.run = RunOptions{.seed = 11};
 
   MachineModel m = test_machine();
   m.perturb.compute_skew = 1.0;  // up to 2x slower FP per rank

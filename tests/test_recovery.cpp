@@ -12,7 +12,7 @@ using test::bitwise_equal;
 using test::random_rhs;
 using test::test_machine;
 
-constexpr RunOptions kDet{.deterministic = true, .seed = 0};
+constexpr RunOptions kDet{.seed = 0};
 
 /// Test machine with an explicit crash schedule (rank, vt interpreted on the
 /// post-reset_clock solve clock).
@@ -50,30 +50,28 @@ void expect_clean_ledger_invariant(const DistSolveOutcome& clean,
 // ---------------------------------------------------------------------------
 
 TEST(UlfmPrimitives, RevokeFailsPendingAndFutureOps) {
-  for (const bool det : {false, true}) {
-    Cluster::run(3, test_machine(), [](Comm& c) {
-      if (c.rank() == 1) {
-        // Posted before the revoke lands: must fail with a structured
-        // kRevoked report instead of hanging forever.
-        try {
-          c.recv(0, /*tag=*/7);
-          FAIL() << "recv on a revoked communicator returned";
-        } catch (const FaultError& fe) {
-          EXPECT_EQ(fe.report.kind, FaultKind::kRevoked);
-          EXPECT_EQ(fe.report.rank, 1);
-        }
-      } else if (c.rank() == 0) {
-        c.advance(5e-5, TimeCategory::kFp);  // let rank 1 park in its recv first
-        c.revoke();
-      } else {
-        c.advance(1e-4, TimeCategory::kFp);  // arrives after the revoke: fails at entry
-        EXPECT_THROW(c.recv(0, 7), FaultError);
+  Cluster::run(3, test_machine(), [](Comm& c) {
+    if (c.rank() == 1) {
+      // Posted before the revoke lands: must fail with a structured
+      // kRevoked report instead of hanging forever.
+      try {
+        c.recv(0, /*tag=*/7);
+        FAIL() << "recv on a revoked communicator returned";
+      } catch (const FaultError& fe) {
+        EXPECT_EQ(fe.report.kind, FaultKind::kRevoked);
+        EXPECT_EQ(fe.report.rank, 1);
       }
-      EXPECT_TRUE(c.revoked());
-      // Repair collectives still run on the revoked communicator.
-      EXPECT_EQ(c.agree(~std::int64_t{0}), ~std::int64_t{0});
-    }, RunOptions{.deterministic = det});
-  }
+    } else if (c.rank() == 0) {
+      c.advance(5e-5, TimeCategory::kFp);  // let rank 1 park in its recv first
+      c.revoke();
+    } else {
+      c.advance(1e-4, TimeCategory::kFp);  // arrives after the revoke: fails at entry
+      EXPECT_THROW(c.recv(0, 7), FaultError);
+    }
+    EXPECT_TRUE(c.revoked());
+    // Repair collectives still run on the revoked communicator.
+    EXPECT_EQ(c.agree(~std::int64_t{0}), ~std::int64_t{0});
+  });
 }
 
 TEST(UlfmPrimitives, AgreeIsBitwiseAndOverAllMembers) {
@@ -86,21 +84,19 @@ TEST(UlfmPrimitives, AgreeIsBitwiseAndOverAllMembers) {
 }
 
 TEST(UlfmPrimitives, ShrinkRebuildsSurvivorCommunicator) {
-  for (const bool det : {false, true}) {
-    Cluster::run(4, test_machine(), [](Comm& c) {
-      if (c.rank() == 3) return;  // the "dead" rank never joins the repair
-      Comm sub = c.shrink({3});
-      EXPECT_EQ(sub.size(), 3);
-      EXPECT_EQ(sub.rank(), c.rank());  // survivors keep their relative order
-      sub.barrier();
-      // The shrunken communicator is fully functional.
-      if (sub.rank() == 0) {
-        sub.send(2, 11, std::vector<Real>{2.5});
-      } else if (sub.rank() == 2) {
-        EXPECT_EQ(sub.recv(0, 11).data[0], 2.5);
-      }
-    }, RunOptions{.deterministic = det});
-  }
+  Cluster::run(4, test_machine(), [](Comm& c) {
+    if (c.rank() == 3) return;  // the "dead" rank never joins the repair
+    Comm sub = c.shrink({3});
+    EXPECT_EQ(sub.size(), 3);
+    EXPECT_EQ(sub.rank(), c.rank());  // survivors keep their relative order
+    sub.barrier();
+    // The shrunken communicator is fully functional.
+    if (sub.rank() == 0) {
+      sub.send(2, 11, std::vector<Real>{2.5});
+    } else if (sub.rank() == 2) {
+      EXPECT_EQ(sub.recv(0, 11).data[0], 2.5);
+    }
+  });
 }
 
 TEST(UlfmPrimitives, ShrinkValidatesFailedList) {
@@ -286,11 +282,11 @@ TEST(CrashRecovery, MtbfStreamNeverShiftsTimingOrDeliveryDraws) {
   const auto b = random_rhs(s.a.rows(), s.nrhs, 2);
   MachineModel base = test::perturbed_machine();
   const auto without = solve(s, b, Algorithm3d::kProposed, base,
-                             RunOptions{.deterministic = true, .seed = 5});
+                             RunOptions{.seed = 5});
   MachineModel with = base;
   with.perturb.crash_mtbf = 10.0;  // active model, crashes far past the solve
   const auto withm = solve(s, b, Algorithm3d::kProposed, with,
-                           RunOptions{.deterministic = true, .seed = 5});
+                           RunOptions{.seed = 5});
   EXPECT_TRUE(bitwise_equal(without.x, withm.x));
   EXPECT_EQ(without.run_stats.fingerprint(), withm.run_stats.fingerprint());
 }
@@ -298,7 +294,7 @@ TEST(CrashRecovery, MtbfStreamNeverShiftsTimingOrDeliveryDraws) {
 TEST(CrashRecovery, CleanTraceJsonByteIdenticalUnderCrash) {
   const test::RandomSystem s = test::random_system(7);
   const auto b = random_rhs(s.a.rows(), s.nrhs, 3);
-  const RunOptions traced{.deterministic = true, .seed = 0, .trace = true};
+  const RunOptions traced{.seed = 0, .trace = true};
   const auto clean =
       solve(s, b, Algorithm3d::kProposed, test_machine(), traced);
   const int victim = 1 % s.shape.size();

@@ -107,7 +107,6 @@ TEST(Refinement, DeliveryFaultsLeaveTheTrajectoryBitwiseClean) {
   const auto b = random_rhs(a.rows(), 1, 3);
   SolveConfig cfg;
   cfg.shape = {2, 2, 2};
-  cfg.run.deterministic = true;
   cfg.run.seed = 9;
   RefinementOptions opt;
   opt.tolerance = 0;  // fixed-length run: identical iteration counts by design
@@ -131,7 +130,6 @@ TEST(Refinement, MidRefinementCrashRecoversBitwise) {
   const auto b = random_rhs(a.rows(), 1, 3);
   SolveConfig cfg;
   cfg.shape = {2, 2, 2};
-  cfg.run.deterministic = true;
   const RefinementResult clean =
       iterative_refinement(a, fs, b, cfg, test::test_machine());
   ASSERT_TRUE(clean.converged);

@@ -259,7 +259,7 @@ TEST(Runtime, ExceptionInCollectiveUnblocksPeers) {
 }
 
 TEST(Runtime, ManyRanksScale) {
-  // Smoke test that a few hundred rank threads work (benches use 2048).
+  // Smoke test that a few hundred ranks work (benches use 2048).
   const int P = 256;
   const auto res = Cluster::run(P, test_machine(), [](Comm& c) {
     const auto s = c.allreduce_sum(std::vector<Real>{1.0}, TimeCategory::kOther);

@@ -236,7 +236,7 @@ TEST(ScheduleExplore, CatchesPlantedOrderDependentReduction) {
   };
 
   Real fifo_acc = 0.0;
-  const RunOptions fifo{.deterministic = true};
+  const RunOptions fifo{};
   const Cluster::Result fifo_res =
       Cluster::run(kP, test::test_machine(), make_rank_fn(&fifo_acc), fifo);
 
@@ -263,7 +263,7 @@ TEST(ScheduleExplore, CatchesPlantedOrderDependentReduction) {
   // round-trip of the docs/TESTING.md bug-report workflow.
   const ScheduleCertificate parsed =
       ScheduleCertificate::parse(deviant_cert.to_string());
-  RunOptions replay{.deterministic = true};
+  RunOptions replay{};
   replay.replay_schedule = &parsed;
   Real acc = 0.0;
   const Cluster::Result res =
@@ -282,7 +282,7 @@ TEST(ScheduleExplore, CertificateReplayReproducesSolverRun) {
   const std::vector<Real> b = test::random_rhs(a.rows(), 1, 9);
   SolveConfig cfg;
   cfg.shape = {2, 1, 2};
-  cfg.run = RunOptions{.deterministic = true, .seed = 7};
+  cfg.run = RunOptions{.seed = 7};
   cfg.run.schedule = SchedulePolicy::kRandomPriority;
   cfg.run.schedule_seed = 0xBEEF;
   cfg.run.priority_points = 4;
@@ -290,7 +290,7 @@ TEST(ScheduleExplore, CertificateReplayReproducesSolverRun) {
   EXPECT_FALSE(first.run_stats.schedule.grants.empty());
 
   SolveConfig replay_cfg = cfg;
-  replay_cfg.run = RunOptions{.deterministic = true, .seed = 7};
+  replay_cfg.run = RunOptions{.seed = 7};
   replay_cfg.run.replay_schedule = &first.run_stats.schedule;
   const DistSolveOutcome second = solve_system_3d(fs, b, replay_cfg, test::test_machine());
   EXPECT_TRUE(test::outcomes_identical(first, second));

@@ -49,7 +49,6 @@ using MemFault = PerturbationModel::MemFault;
 
 RunOptions det_opts(std::uint64_t seed, bool trace = false) {
   RunOptions o;
-  o.deterministic = true;
   o.seed = seed;
   o.trace = trace;
   return o;

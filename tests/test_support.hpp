@@ -226,7 +226,6 @@ inline std::vector<SchedulePoint> schedule_sweep(int seeds_per_policy,
                                                  std::uint64_t fault_seed = 0) {
   std::vector<SchedulePoint> pts;
   RunOptions base;
-  base.deterministic = true;
   base.seed = fault_seed;
   pts.push_back({base, "fifo"});
   for (const int d : {0, 2, 5}) {

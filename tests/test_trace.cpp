@@ -25,7 +25,7 @@ using test::random_system;
 using test::stats_identical;
 using test::test_machine;
 
-constexpr RunOptions kDetTraced{.deterministic = true, .seed = 0, .trace = true};
+constexpr RunOptions kDetTraced{.seed = 0, .trace = true};
 
 DistSolveOutcome solve_traced(const test::RandomSystem& sys, Algorithm3d alg,
                               const std::vector<Real>& b) {
@@ -48,7 +48,6 @@ TEST(TraceOverhead, OffByDefaultAndTimingInvariant) {
   SolveConfig cfg;
   cfg.shape = sys.shape;
   cfg.nrhs = sys.nrhs;
-  cfg.run = RunOptions{.deterministic = true};
   const auto plain = solve_system_3d(sys.fs, b, cfg, test_machine());
   EXPECT_EQ(plain.run_stats.trace, nullptr) << "trace recorded without opt-in";
 
@@ -126,8 +125,7 @@ TEST(TraceEvents, AnnotateIsNullWhenTracingOff) {
       [](Comm& c) {
         const TraceSpan span = c.annotate("ignored", 1);
         c.compute(1e3);
-      },
-      RunOptions{});
+      });
   EXPECT_EQ(res.trace, nullptr);
 }
 
@@ -305,8 +303,7 @@ TEST(TraceAnalysis, SpreadDegenerateInputs) {
   EXPECT_DOUBLE_EQ(spread_over(zeros).imbalance(), 0.0);
 
   // A zero-work cluster run reports the same degenerate spreads.
-  const auto res = Cluster::run(1, test_machine(), [](Comm&) {},
-                                RunOptions{.deterministic = true});
+  const auto res = Cluster::run(1, test_machine(), [](Comm&) {});
   EXPECT_DOUBLE_EQ(res.vtime_spread().imbalance(), 0.0);
   EXPECT_DOUBLE_EQ(res.category_spread(TimeCategory::kFp).max, 0.0);
 }
@@ -324,8 +321,7 @@ TEST(TraceAnalysis, SpreadHelpers) {
 
   const auto res = Cluster::run(
       4, test_machine(),
-      [](Comm& c) { c.compute(1e6 * (c.rank() + 1)); },
-      RunOptions{.deterministic = true});
+      [](Comm& c) { c.compute(1e6 * (c.rank() + 1)); });
   const Spread fp = res.category_spread(TimeCategory::kFp);
   EXPECT_GT(fp.max, fp.min);
   EXPECT_DOUBLE_EQ(res.vtime_spread().max, res.makespan());
