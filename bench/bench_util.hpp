@@ -56,64 +56,6 @@ inline std::string bench_json_dir() {
 
 inline bool bench_json_enabled() { return !bench_json_dir().empty(); }
 
-/// SPTRSV_BENCH_FAULT=<drop_prob> runs every solve over a lossy network that
-/// drops each data/ack frame with the given probability. The reliable
-/// transport (docs/ROBUSTNESS.md) retransmits until delivery, so the printed
-/// tables are unchanged; each sweep point adds a `# fault:` line reporting
-/// the retransmit traffic and the recovery delay on the fault clock.
-inline double bench_fault_drop() {
-  const char* v = std::getenv("SPTRSV_BENCH_FAULT");
-  if (v == nullptr || v[0] == '\0') return 0.0;
-  return std::atof(v);
-}
-
-/// SPTRSV_BENCH_CRASH=<mtbf_seconds> arms a Poisson crash-stop model with
-/// the given per-rank mean time between failures. Ranks die mid-solve and
-/// are recovered (heartbeat detection, spare adoption, buddy-checkpoint
-/// restore — docs/ROBUSTNESS.md), so the printed tables are unchanged; each
-/// sweep point adds a `# crash:` line reporting the crashes absorbed, the
-/// checkpoint-traffic overhead and the recovery time on the fault clock.
-inline double bench_crash_mtbf() {
-  const char* v = std::getenv("SPTRSV_BENCH_CRASH");
-  if (v == nullptr || v[0] == '\0') return 0.0;
-  return std::atof(v);
-}
-
-/// SPTRSV_BENCH_SDC=<rate> injects silent memory faults (bit flips in live
-/// solver state) as a Poisson process with the given per-rank rate per
-/// virtual second, and arms ABFT so every flip is detected and corrected
-/// in place (docs/ROBUSTNESS.md, SDC section). The printed tables are
-/// unchanged; each sweep point adds a `# sdc:` line with the fault counts
-/// and the ABFT overhead on the fault clock, and the SPTRSV_BENCH_JSON
-/// reports carry the metric.abft.* totals.
-inline double bench_sdc_rate() {
-  const char* v = std::getenv("SPTRSV_BENCH_SDC");
-  if (v == nullptr || v[0] == '\0') return 0.0;
-  return std::atof(v);
-}
-
-/// SPTRSV_BENCH_DEGRADE=1 empties the spare-rank pool and arms elastic
-/// shrink-and-redistribute recovery (RunOptions::degrade), so the crashes
-/// from SPTRSV_BENCH_CRASH shrink the world and redistribute the dead
-/// rank's partition instead of adopting spares (docs/ROBUSTNESS.md,
-/// graceful degradation). The printed tables are unchanged; each sweep
-/// point adds a `# degrade:` line with the shrink ledger.
-inline bool bench_degrade() {
-  const char* v = std::getenv("SPTRSV_BENCH_DEGRADE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// SPTRSV_BENCH_ELASTIC=1 layers spare-return re-expansion on top of the
-/// degrade mode (implies SPTRSV_BENCH_DEGRADE): repaired nodes rejoin as
-/// spares with mean time to repair equal to the crash MTBF, so a shrunk
-/// world grows back mid-solve (docs/ROBUSTNESS.md, elasticity lifecycle).
-/// The printed tables are unchanged; each sweep point adds a `# elastic:`
-/// line with the re-expansion ledger.
-inline bool bench_elastic() {
-  const char* v = std::getenv("SPTRSV_BENCH_ELASTIC");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 /// Run options of every bench solve. The scheduler makes two runs of a
 /// bench print byte-identical tables (docs/DETERMINISM.md).
 inline RunOptions bench_run_options() {
@@ -135,35 +77,6 @@ inline void print_mode_banner() {
   if (bench_json_enabled()) {
     std::printf("# reports: one sptrsv-bench/1 JSON per sweep point under %s/\n",
                 bench_json_dir().c_str());
-  }
-  if (const double drop = bench_fault_drop(); drop > 0.0) {
-    std::printf(
-        "# lossy network: drop_prob=%.3f, reliable transport retransmits "
-        "(tables unchanged; fault-clock overhead per sweep point)\n",
-        drop);
-  }
-  if (const double mtbf = bench_crash_mtbf(); mtbf > 0.0) {
-    std::printf(
-        "# crash-stop: mtbf=%.3e s/rank, buddy-checkpoint recovery "
-        "(tables unchanged; recovery overhead per sweep point)\n",
-        mtbf);
-  }
-  if (const double rate = bench_sdc_rate(); rate > 0.0) {
-    std::printf(
-        "# sdc: rate=%.3e faults/s/rank, ABFT detect+correct "
-        "(tables unchanged; verification overhead per sweep point)\n",
-        rate);
-  }
-  if (bench_degrade() || bench_elastic()) {
-    std::printf(
-        "# degrade: spare pool emptied, crashes shrink the world and "
-        "redistribute (tables unchanged; shrink ledger per sweep point)\n");
-  }
-  if (bench_elastic()) {
-    std::printf(
-        "# elastic: repaired nodes rejoin (repair mtbf = crash mtbf), "
-        "degraded worlds re-expand (tables unchanged; re-expansion ledger "
-        "per sweep point)\n");
   }
 }
 
@@ -303,100 +216,8 @@ inline DistSolveOutcome run_cpu(const FactoredSystem& fs, const Grid3dShape& sha
   cfg.nrhs = nrhs;
   cfg.sparse_zreduce = sparse_zreduce;
   cfg.run = bench_run_options();
-  MachineModel m = machine;
-  if (const double drop = bench_fault_drop(); drop > 0.0) {
-    m.perturb.drop_prob = drop;
-  }
-  if (const double rate = bench_sdc_rate(); rate > 0.0) {
-    m.perturb.sdc_rate = rate;
-    cfg.run.abft = true;  // flips are corrected: tables stay unchanged
-  }
-  if (const double mtbf = bench_crash_mtbf(); mtbf > 0.0) {
-    m.perturb.crash_mtbf = mtbf;
-    if (bench_elastic()) {
-      // Repairs arrive at the same Poisson rate the crashes do, so a
-      // typical sweep point shrinks and re-grows at least once.
-      m.perturb.repair_mtbf = mtbf;
-    }
-    if (bench_degrade() || bench_elastic()) {
-      // Elastic mode: no spares at all — every crash shrinks the world and
-      // redistributes the dead rank's partition. Only a lost survivor
-      // quorum aborts the sweep.
-      m.recovery.spare_ranks = 0;
-      cfg.run.degrade = true;
-    } else {
-      // A sweep wants overhead lines, not unrecoverable-verdict demos (the
-      // tests own those): widen the spare pool to the cluster size so large
-      // points survive several deaths. A buddy-pair loss still aborts the
-      // bench — raise the MTBF if a sweep trips one.
-      m.recovery.spare_ranks = shape.px * shape.py * shape.pz;
-    }
-  }
   const auto b = bench_rhs(fs.lu.n(), nrhs);
-  DistSolveOutcome out = solve_system_3d(fs, b, cfg, m);
-  if (bench_fault_drop() > 0.0) {
-    const TransportStats t = out.run_stats.transport_totals();
-    const double clean = out.run_stats.makespan();
-    const double faulty = out.run_stats.fault_makespan();
-    std::printf("# fault: retransmits=%lld (%lld bytes), acks=%lld (%lld bytes), "
-                "makespan %.3e -> %.3e s (+%.1f%%)\n",
-                static_cast<long long>(t.retransmits),
-                static_cast<long long>(t.retrans_bytes),
-                static_cast<long long>(t.acks),
-                static_cast<long long>(t.ack_bytes), clean, faulty,
-                clean > 0.0 ? 100.0 * (faulty - clean) / clean : 0.0);
-  }
-  if (bench_crash_mtbf() > 0.0) {
-    const RecoveryStats rec = out.run_stats.recovery_stats();
-    const double clean = out.run_stats.makespan();
-    const double recovery = rec.detect_time + rec.repair_time +
-                            rec.restore_time + rec.replay_time;
-    std::printf("# crash: crashes=%lld spares=%lld, checkpoints=%lld "
-                "(%lld bytes, +%.1f%% of makespan), recovery %.3e s\n",
-                static_cast<long long>(rec.crashes),
-                static_cast<long long>(rec.spares_used),
-                static_cast<long long>(rec.checkpoints),
-                static_cast<long long>(rec.checkpoint_bytes),
-                clean > 0.0 ? 100.0 * rec.checkpoint_time / clean : 0.0,
-                recovery);
-  }
-  if (bench_crash_mtbf() > 0.0 && (bench_degrade() || bench_elastic())) {
-    const DegradationStats deg = out.run_stats.degradation_stats();
-    std::printf("# degrade: events=%lld ranks_lost=%lld adopted=%lld "
-                "redistributed=%lld bytes, shrink+agree %.3e s, "
-                "redistribute %.3e s, replay %.3e s, overload %.3e s\n",
-                static_cast<long long>(deg.degrades),
-                static_cast<long long>(deg.ranks_lost),
-                static_cast<long long>(deg.partitions_adopted),
-                static_cast<long long>(deg.redistributed_bytes),
-                deg.agree_time + deg.shrink_time, deg.redistribute_time,
-                deg.replay_time, deg.overload_time);
-  }
-  if (bench_crash_mtbf() > 0.0 && bench_elastic()) {
-    const ElasticityStats el = out.run_stats.elasticity_stats();
-    const double overhead =
-        el.agree_time + el.expand_time + el.transfer_time + el.replay_time;
-    std::printf("# elastic: returns=%lld expansions=%lld transfers=%lld "
-                "(%lld bytes), re-expansion %.3e s\n",
-                static_cast<long long>(el.returns),
-                static_cast<long long>(el.expansions),
-                static_cast<long long>(el.transfers),
-                static_cast<long long>(el.transfer_bytes), overhead);
-  }
-  if (bench_sdc_rate() > 0.0) {
-    const SdcStats s = out.run_stats.sdc_stats();
-    const double clean = out.run_stats.makespan();
-    const double overhead = s.verify_time + s.repair_time;
-    std::printf("# sdc: injected=%lld detected=%lld corrected=%lld "
-                "(escalated=%lld), checks=%lld, abft overhead %.3e s "
-                "(+%.2f%% of makespan)\n",
-                static_cast<long long>(s.injected),
-                static_cast<long long>(s.detected),
-                static_cast<long long>(s.corrected),
-                static_cast<long long>(s.escalated),
-                static_cast<long long>(s.checks), overhead,
-                clean > 0.0 ? 100.0 * overhead / clean : 0.0);
-  }
+  DistSolveOutcome out = solve_system_3d(fs, b, cfg, machine);
   const std::string stem =
       std::string(alg == Algorithm3d::kProposed ? "new" : "base") + "_" +
       std::to_string(shape.px) + "x" + std::to_string(shape.py) + "x" +

@@ -111,12 +111,6 @@ struct SdcEvent {
 /// a failing schedule replays exactly.
 struct SdcPlan {
   std::vector<std::vector<SdcEvent>> by_rank;
-  bool any() const {
-    for (const auto& v : by_rank) {
-      if (!v.empty()) return true;
-    }
-    return false;
-  }
 };
 
 /// Builds the memory-fault plan: explicit PerturbationModel::mem_faults

@@ -145,15 +145,21 @@ std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
   return plan;
 }
 
-CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
-                           std::uint64_t seed, int nranks) {
-  CrashPlan plan;
-  plan.by_rank.resize(static_cast<std::size_t>(nranks));
-  plan.degrade_by_rank.resize(static_cast<std::size_t>(nranks));
-  plan.elastic_by_rank.resize(static_cast<std::size_t>(nranks));
+std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& pm,
+                                                      const RecoveryModel& rm,
+                                                      std::uint64_t seed, int nranks) {
+  std::vector<std::vector<FaultEvent>> plan(static_cast<std::size_t>(nranks));
+  if (pm.sdc_active()) {
+    const SdcPlan sdc = build_sdc_plan(pm, seed, nranks);
+    for (int r = 0; r < nranks; ++r) {
+      const auto& v = sdc.by_rank[static_cast<std::size_t>(r)];
+      plan[static_cast<std::size_t>(r)].assign(v.begin(), v.end());
+    }
+  }
+  std::vector<std::vector<CrashEvent>> crashes(static_cast<std::size_t>(nranks));
   for (const auto& c : pm.crashes) {
     if (c.rank < 0 || c.rank >= nranks || !(c.vt >= 0.0)) continue;
-    plan.by_rank[static_cast<std::size_t>(c.rank)].push_back({c.vt, -1});
+    crashes[static_cast<std::size_t>(c.rank)].push_back({c.vt, -1});
   }
   if (pm.crash_mtbf > 0.0) {
     for (int r = 0; r < nranks; ++r) {
@@ -163,11 +169,11 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
         // Exponential inter-failure gap; 1-u keeps the argument in (0, 1].
         const double u = crash_uniform(seed, r, &cseq);
         t += -pm.crash_mtbf * std::log(1.0 - u);
-        plan.by_rank[static_cast<std::size_t>(r)].push_back({t, -1});
+        crashes[static_cast<std::size_t>(r)].push_back({t, -1});
       }
     }
   }
-  for (auto& v : plan.by_rank) {
+  for (auto& v : crashes) {
     std::sort(v.begin(), v.end(),
               [](const CrashEvent& a, const CrashEvent& b) { return a.vt < b.vt; });
   }
@@ -183,12 +189,13 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
   const double window = rm.heartbeat_period * static_cast<double>(rm.heartbeat_misses);
   // The verdict pass walks crashes and spare returns merged in global
   // (vt, kind, rank, index) order — crashes (kind 0) before returns at equal
-  // times, so a node cannot rejoin at the very instant it dies.
+  // times, so a node cannot rejoin at the very instant it dies. Without a
+  // crash nobody is degraded away, so every return is inert.
   const std::vector<std::vector<double>> repairs =
       build_repair_plan(pm, seed, nranks);
   std::vector<std::tuple<double, int, int, std::size_t>> order;
   for (int r = 0; r < nranks; ++r) {
-    const auto& events = plan.by_rank[static_cast<std::size_t>(r)];
+    const auto& events = crashes[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < events.size(); ++i) {
       order.emplace_back(events[i].vt, 0, r, i);
     }
@@ -227,8 +234,8 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
         rm.rebalance_fanout > 0 ? hosted / work(h) : hosted;
     for (int p = 0; p < nranks; ++p) {
       if (host[static_cast<std::size_t>(p)] != h) continue;
-      plan.degrade_by_rank[static_cast<std::size_t>(p)].push_back(
-          {t, mult, p == h ? delta_on_own : 0});
+      plan[static_cast<std::size_t>(p)].push_back(
+          DegradeEvent{t, mult, p == h ? delta_on_own : 0});
     }
   };
   for (const auto& [vt, kind, r, i] : order) {
@@ -242,18 +249,17 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
       const int from = host[static_cast<std::size_t>(r)];
       host[static_cast<std::size_t>(r)] = r;
       const int survivors = nranks - static_cast<int>(degraded_dead.size());
-      plan.elastic_by_rank[static_cast<std::size_t>(r)].push_back(
-          {vt, from, survivors});
+      plan[static_cast<std::size_t>(r)].push_back(ElasticEvent{vt, from, survivors});
       // The relieved host drops back to its lighter multiplier; the
       // returning partition runs alone again.
       emit_host_mult(from, vt, 0);
       emit_host_mult(r, vt, 0);
       continue;
     }
-    CrashEvent& ev = plan.by_rank[static_cast<std::size_t>(r)][i];
+    CrashEvent& ev = crashes[static_cast<std::size_t>(r)][i];
     const int buddy = (r + 1) % nranks;
     bool buddy_lost = (buddy == r);
-    for (const CrashEvent& be : plan.by_rank[static_cast<std::size_t>(buddy)]) {
+    for (const CrashEvent& be : crashes[static_cast<std::size_t>(buddy)]) {
       if (std::abs(be.vt - vt) <= window) {
         buddy_lost = true;
         break;
@@ -301,6 +307,18 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
       }
     }
     emit_host_mult(dp.adopter, vt, moved);
+  }
+  // One stream per rank. The stable sort keeps each kind's own order among
+  // equal times, so only events of different kinds interleave.
+  for (int r = 0; r < nranks; ++r) {
+    auto& v = plan[static_cast<std::size_t>(r)];
+    const auto& c = crashes[static_cast<std::size_t>(r)];
+    v.insert(v.end(), c.begin(), c.end());
+    std::stable_sort(v.begin(), v.end(), [](const FaultEvent& a, const FaultEvent& b) {
+      const double ta = fault_time(a);
+      const double tb = fault_time(b);
+      return ta != tb ? ta < tb : a.index() < b.index();
+    });
   }
   return plan;
 }

@@ -1,7 +1,7 @@
 #pragma once
 /// \file checkpoint.hpp
 /// \brief Crash-stop failure model: in-memory buddy checkpointing and the
-/// precomputed crash plan behind ULFM-style recovery (docs/ROBUSTNESS.md).
+/// precomputed fault plan behind ULFM-style recovery (docs/ROBUSTNESS.md).
 ///
 /// PR 3 made the runtime survive a lossy *network*; this layer makes it
 /// survive a lossy *membership*. A crash schedule (explicit rank/vt pairs or
@@ -29,8 +29,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "runtime/abft.hpp"
 #include "runtime/perturbation.hpp"
 #include "runtime/reliable.hpp"
 #include "sparse/types.hpp"
@@ -278,25 +280,16 @@ struct ElasticEvent {
   int survivors_after = 0; ///< world size after the re-expansion
 };
 
-/// The full schedule: per-rank crash events sorted by virtual time. A pure
-/// function of (PerturbationModel, RecoveryModel, seed, nranks) — no
-/// wall-clock state — so a failing schedule replays exactly.
-/// `degrade_by_rank` carries the per-partition overload schedule implied by
-/// the unrecoverable-verdict events; it is precomputed unconditionally
-/// (cheap) and consulted only under RunOptions::degrade.
-struct CrashPlan {
-  std::vector<std::vector<CrashEvent>> by_rank;
-  std::vector<std::vector<DegradeEvent>> degrade_by_rank;
-  /// Spare-return schedule per returning rank (empty without repair knobs or
-  /// when every return was inert); consulted only under RunOptions::degrade.
-  std::vector<std::vector<ElasticEvent>> elastic_by_rank;
-  bool any() const {
-    for (const auto& v : by_rank) {
-      if (!v.empty()) return true;
-    }
-    return false;
-  }
-};
+/// One planned fault of one rank, of any class. The variant index is the
+/// event's kind: at equal clean times a crash fires before a spare return,
+/// a return before an overload step, and an overload step before a memory
+/// fault arms.
+using FaultEvent = std::variant<CrashEvent, ElasticEvent, DegradeEvent, SdcEvent>;
+
+/// Clean virtual time a planned fault fires (or, for a memory fault, arms) at.
+inline double fault_time(const FaultEvent& e) {
+  return std::visit([](const auto& ev) { return ev.vt; }, e);
+}
 
 /// Pure geometry of one elastic shrink: who inherits the newest victim's
 /// partition and how many ranks remain. `dead` is the ordered list of ranks
@@ -304,7 +297,7 @@ struct CrashPlan {
 /// the first survivor scanning up the rank ring from victim + 1 — the same
 /// deterministic rule on every rank, so survivors agree without
 /// communication. `image_survives` reflects only the ring state (buddy not
-/// yet degraded away); build_crash_plan additionally clears it for
+/// yet degraded away); build_fault_plan additionally clears it for
 /// kBuddyLoss verdicts, where the buddy died inside the detection window.
 struct DegradePlan {
   int victim = -1;
@@ -334,7 +327,7 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
 /// at repair_max_per_rank). Returns per-rank sorted times; a pure function
 /// of (PerturbationModel, seed, nranks), so arming repair shifts no timing,
 /// delivery, crash or SDC draw. Which returns actually re-expand the world
-/// is decided by build_crash_plan's verdict pass (a return only matters for
+/// is decided by build_fault_plan's verdict pass (a return only matters for
 /// a rank that was degraded away before it fires).
 std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
                                                    std::uint64_t seed,
@@ -413,13 +406,26 @@ void checkpoint_verify(const CheckpointImage& img, const Map& live,
   }
 }
 
-/// Builds the crash plan: explicit PerturbationModel::crashes entries plus,
-/// when crash_mtbf > 0, per-rank Poisson arrivals (exponential inter-failure
-/// times drawn from the salted crash stream, capped at crash_max_per_rank).
-/// Verdicts are assigned here, statically: buddy-pair losses first (both
-/// events inside one detection window are unrecoverable), then spares in
-/// global (vt, rank) order until the pool runs dry.
-CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
-                           std::uint64_t seed, int nranks);
+/// Builds the whole fault schedule of a run: one event stream per rank,
+/// stable-sorted by (clean time, kind). A pure function of
+/// (PerturbationModel, RecoveryModel, seed, nranks) — no wall-clock state —
+/// so a failing schedule replays exactly, and every grant order fires the
+/// same events in the same order.
+///  - Crashes: explicit PerturbationModel::crashes entries plus, when
+///    crash_mtbf > 0, per-rank Poisson arrivals (exponential inter-failure
+///    times drawn from the salted crash stream, capped at
+///    crash_max_per_rank). Verdicts are assigned here, statically:
+///    buddy-pair losses first (both events inside one detection window are
+///    unrecoverable), then spares in global (vt, rank) order until the pool
+///    runs dry.
+///  - Overload steps and spare returns: the elastic alternative of every
+///    unrecoverable verdict, and the returns (build_repair_plan) that
+///    re-expand a degraded world. Planned unconditionally; the runtime
+///    consults them only under RunOptions::degrade.
+///  - Memory faults: build_sdc_plan's events. They arm when the clean clock
+///    crosses them and land at the next checkpoint epoch.
+std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& pm,
+                                                      const RecoveryModel& rm,
+                                                      std::uint64_t seed, int nranks);
 
 }  // namespace sptrsv

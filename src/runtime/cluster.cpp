@@ -16,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <tuple>
 
 #include <cxxabi.h>
 #include <sys/mman.h>
@@ -42,17 +41,6 @@ double log2_ceil(int p) { return p <= 1 ? 0.0 : std::ceil(std::log2(static_cast<
 /// Perturbation draw-stream id reserved for the rank-constant compute skew
 /// (message draws count up from 0 and never reach it).
 constexpr std::uint64_t kSkewDraw = ~std::uint64_t{0};
-
-/// Metric-name suffix of a TimeCategory ("cluster.messages.fp", ...).
-const char* metric_cat(int c) {
-  switch (static_cast<TimeCategory>(c)) {
-    case TimeCategory::kFp: return "fp";
-    case TimeCategory::kXyComm: return "xy";
-    case TimeCategory::kZComm: return "z";
-    case TimeCategory::kOther: return "other";
-  }
-  return "?";
-}
 
 /// Fixed bucket bounds for the runtime's histograms: receive wait seconds
 /// (log-spaced around the modeled latency scale) and peer distance in
@@ -134,42 +122,12 @@ struct RankCtx {
   MetricsRegistry* metrics = nullptr;  ///< owned by ClusterState
   double metrics_period = 0.0;         ///< RunOptions::metrics_period
   double next_sample = 0.0;            ///< next virtual-time sampling point
-  /// Pre-registered handles for the runtime's own hot paths (registered in
-  /// the ClusterState constructor, so bumping them never allocates). All
-  /// null — one predictable branch per bump — when metrics are off.
+  /// The runtime's two histograms (registered in the ClusterState
+  /// constructor, so observing never allocates; null when metrics are off).
+  /// Every counter and gauge is read from the ledgers by export_metrics.
   struct MetricHandles {
-    MetricsRegistry::Counter msgs[kNumTimeCategories];
-    MetricsRegistry::Counter bytes[kNumTimeCategories];
     MetricsRegistry::Histogram wait;       ///< per-receive wait seconds
     MetricsRegistry::Histogram peer_dist;  ///< |dst_grank - src_grank| per send
-    MetricsRegistry::Counter retransmits;
-    MetricsRegistry::Counter timeouts;
-    MetricsRegistry::Counter frames_dropped;
-    MetricsRegistry::Counter acks;
-    MetricsRegistry::Counter duplicates;
-    MetricsRegistry::Counter ckpt_epochs;
-    MetricsRegistry::Counter ckpt_bytes;
-    MetricsRegistry::Counter crashes;
-    MetricsRegistry::Counter recovery_sweeps;
-    MetricsRegistry::Counter abft_checks;
-    MetricsRegistry::Counter abft_injected;
-    MetricsRegistry::Counter abft_detected;
-    MetricsRegistry::Counter abft_corrected;
-    /// Per-target ABFT attribution, indexed by MemFaultTarget (x/l/partial).
-    MetricsRegistry::Counter abft_injected_tgt[3];
-    MetricsRegistry::Counter abft_corrected_tgt[3];
-    MetricsRegistry::Counter image_rejects;
-    MetricsRegistry::Counter degrades;
-    MetricsRegistry::Counter degrade_ranks_lost;
-    MetricsRegistry::Counter degrade_adopted;
-    MetricsRegistry::Counter degrade_bytes;
-    MetricsRegistry::Gauge degrade_overload;
-    MetricsRegistry::Counter elastic_returns;
-    MetricsRegistry::Counter elastic_expansions;
-    MetricsRegistry::Counter elastic_transfers;
-    MetricsRegistry::Counter elastic_bytes;
-    MetricsRegistry::Counter straggler_events;
-    MetricsRegistry::Counter straggler_rebalances;
   } mh;
 
   // --- flight recorder (always on, allocation-free; dumped into
@@ -202,22 +160,25 @@ struct RankCtx {
     ++flight_n;
   }
 
-  // --- crash-stop recovery (docs/ROBUSTNESS.md) ---
+  // --- fault plan (docs/ROBUSTNESS.md) ---
   const MachineModel* mach = nullptr;  ///< owning cluster's machine model
-  /// This rank's slice of the crash plan (null = no crash model configured).
-  const std::vector<CrashEvent>* crash_events = nullptr;
-  std::size_t crash_idx = 0;     ///< next unfired crash event (re-armed by
-                                 ///< reset_clock: crash times are interpreted
+  int nranks = 1;                ///< world size (prices full-world sweeps)
+  /// This rank's slice of the fault plan, in (clean time, kind) order.
+  const std::vector<FaultEvent>* events = nullptr;
+  std::size_t next_event = 0;    ///< next unfired event (re-armed by
+                                 ///< reset_clock: fault times are interpreted
                                  ///< on the post-reset clock)
-  /// Monotone sum of every crash delay charged to fvt. The recv/collective
-  /// fault-clock rewrites capture a before/after delta of this to re-apply a
-  /// delay that landed *inside* their own advance (the rewrite would
-  /// otherwise overwrite it); comparing for inequality keeps the no-crash
+  /// Memory faults the clean clock has crossed, waiting for the next
+  /// checkpoint epoch to land in the live solver state.
+  std::vector<SdcEvent> armed_sdc;
+  /// Monotone sum of every fault delay charged inside an advance. sync_to
+  /// captures a before/after delta of this to re-apply a delay that landed
+  /// *inside* its own advance (its fault-clock rewrite would otherwise
+  /// overwrite it); comparing for inequality keeps the fault-free
   /// arithmetic bitwise untouched.
   double crash_total = 0.0;
   RecoveryStats rstats;          ///< crash-recovery ledger (fault side)
   CheckpointStore* ckpt = nullptr;       ///< buddy store (null = crash model off)
-  double ulfm_sweep = 0.0;       ///< one modeled revoke/shrink/agree tree sweep
   std::int64_t ckpt_epoch_counter = 0;
   /// Checkpoint hook stack (innermost = back). capture serializes the
   /// replayable solve state; restore verifies a fetched image against it.
@@ -231,31 +192,15 @@ struct RankCtx {
 
   // --- graceful degradation (docs/ROBUSTNESS.md §Graceful degradation) ---
   bool degrade = false;          ///< RunOptions::degrade
-  /// This partition's overload schedule (null = degrade off or never
-  /// overloaded): precomputed DegradeEvents raising the compute multiplier
-  /// when the hosting physical rank adopts extra partitions.
-  const std::vector<DegradeEvent>* degrade_events = nullptr;
-  std::size_t degrade_idx = 0;   ///< next unfired event (re-armed by
-                                 ///< reset_clock like crash_idx)
   double degrade_mult = 1.0;     ///< current partitions-per-host multiplier
   DegradationStats dstats;       ///< degradation ledger (fault side)
 
   // --- silent data corruption + ABFT (docs/ROBUSTNESS.md §SDC) ---
-  /// This rank's slice of the memory-fault plan (null = no SDC schedule).
-  const std::vector<SdcEvent>* sdc_events = nullptr;
-  std::size_t sdc_idx = 0;       ///< next unfired event (re-armed by
-                                 ///< reset_clock: fault times are interpreted
-                                 ///< on the post-reset clock)
   bool abft = false;             ///< RunOptions::abft
   SdcStats sdc;                  ///< ABFT/SDC ledger (fault side)
 
   // --- elastic re-expansion + straggler watchdog (docs/ROBUSTNESS.md
   // §Elasticity lifecycle) ---
-  /// This rank's slice of the spare-return schedule (null = no repair knobs,
-  /// degrade off, or every return was inert).
-  const std::vector<ElasticEvent>* elastic_events = nullptr;
-  std::size_t elastic_idx = 0;   ///< next unfired event (re-armed by
-                                 ///< reset_clock like crash_idx)
   bool rebalance = false;        ///< RunOptions::rebalance
   /// Progress-watermark watchdog arming: rank-stall schedules configured
   /// AND RecoveryModel::straggler_lag > 0 (never on clean runs — without
@@ -266,7 +211,8 @@ struct RankCtx {
 
   /// Advances both clocks in lockstep (identical arithmetic keeps fvt
   /// bitwise equal to vt while no faults intervene); receive/collective
-  /// sites then rewrite fvt with the mirrored fault-arrival expression.
+  /// sites go through sync_to, which rewrites fvt with the mirrored
+  /// fault-arrival expression.
   void advance(double seconds, TimeCategory cat) {
     vt += seconds;
     fvt += seconds;
@@ -276,45 +222,21 @@ struct RankCtx {
     // function of the clean clock, so the series is schedule-invariant.
     // Metric storage is written, never read, by clock math — the sample
     // cannot perturb the clean ledger.
-    if (metrics != nullptr && metrics_period > 0.0) {
+    if (metrics != nullptr && metrics_period > 0.0 && vt >= next_sample) {
+      export_metrics();
       while (vt >= next_sample) {
         metrics->sample(next_sample);
         next_sample += metrics_period;
       }
     }
-    if (crash_events != nullptr && crash_idx < crash_events->size() &&
-        vt >= (*crash_events)[crash_idx].vt) {
-      process_crash();
-    }
-    if (elastic_events != nullptr && elastic_idx < elastic_events->size() &&
-        vt >= (*elastic_events)[elastic_idx].vt) {
-      process_elastic();
-    }
+    fire_due();
     // Elastic-degradation overload: once this partition's host adopted extra
     // partitions, every clean compute second really takes `mult` seconds on
-    // the shrunken machine. The extra rides the fault clock only, and also
-    // crash_total so the recv/collective fault-clock rewrites re-apply a
-    // charge that landed inside their own advance (same guard as crashes).
-    if (degrade_events != nullptr) {
-      while (degrade_idx < degrade_events->size() &&
-             vt >= (*degrade_events)[degrade_idx].vt) {
-        const DegradeEvent de = (*degrade_events)[degrade_idx++];
-        degrade_mult = de.mult;
-        // Peak multiplier on the stats (max semantics), live multiplier on
-        // the gauge — a re-expansion lowers the gauge but not the peak.
-        if (de.mult > dstats.overload_mult) dstats.overload_mult = de.mult;
-        mh.degrade_overload.set(de.mult);
-        if (de.adopt_delta > 0) {
-          dstats.partitions_adopted += de.adopt_delta;
-          mh.degrade_adopted.add(de.adopt_delta);
-        }
-      }
-      if (degrade_mult > 1.0 && cat == TimeCategory::kFp) {
-        const double extra = (degrade_mult - 1.0) * seconds;
-        fvt += extra;
-        crash_total += extra;
-        dstats.overload_time += extra;
-      }
+    // the shrunken machine. The extra rides the fault clock only.
+    if (degrade_mult > 1.0 && cat == TimeCategory::kFp) {
+      const double extra = (degrade_mult - 1.0) * seconds;
+      charge(extra);
+      dstats.overload_time += extra;
     }
     if (vt > vt_limit) {
       FaultReport r;
@@ -326,94 +248,156 @@ struct RankCtx {
     }
   }
 
-  /// Fires every crash event the clean clock just crossed: simulated
-  /// analytically at the crossing instant — the victim rank *is* the spare
-  /// that adopts its identity (the clean clock, counters and solve state are
-  /// exactly what the restored spare would recompute bit for bit), so only
-  /// the recovery delay (heartbeat detection, ULFM repair sweeps, buddy
-  /// restore, replay since the last epoch) needs modeling, and it lands on
-  /// the fault clock and RecoveryStats. Unrecoverable verdicts (buddy-pair
-  /// loss, spare-pool exhaustion) throw a structured FaultError instead.
-  void process_crash() {
-    while (crash_idx < crash_events->size() &&
-           vt >= (*crash_events)[crash_idx].vt) {
-      const CrashEvent ev = (*crash_events)[crash_idx++];
-      rstats.crashes += 1;
-      const int buddy = ckpt->buddy_of(grank);
-      if (ev.verdict != FaultKind::kNone) {
-        if (!degrade || ev.survivors_after <= 0 || ev.adopter < 0) {
-          FaultReport r;
-          r.kind = degrade ? FaultKind::kNoSurvivors : ev.verdict;
-          r.rank = grank;
-          r.peer = buddy;
-          r.vt = ev.vt;
-          r.detail =
-              degrade ? "elastic degradation found no survivor to adopt the "
-                        "dead rank's partition"
-              : ev.verdict == FaultKind::kBuddyLoss
-                  ? "rank and its checkpoint buddy died inside one "
-                    "detection window; no image survives to restore from"
-                  : "crash outlived the spare-rank pool; no identity "
-                    "left to adopt";
-          throw FaultError(std::move(r));
+  /// The one event cursor: fires, in (clean time, kind) order, every
+  /// planned fault the clean clock has reached. Crashes and spare returns
+  /// run their recovery now, an overload step changes the compute
+  /// multiplier, and a memory fault arms for the next checkpoint epoch.
+  void fire_due() {
+    while (next_event < events->size() && vt >= fault_time((*events)[next_event])) {
+      const FaultEvent& e = (*events)[next_event++];
+      if (const auto* crash = std::get_if<CrashEvent>(&e)) {
+        process_crash(*crash);
+      } else if (const auto* ret = std::get_if<ElasticEvent>(&e)) {
+        process_elastic(*ret);
+      } else if (const auto* step = std::get_if<DegradeEvent>(&e)) {
+        // Peak multiplier on the ledger (max semantics); the live one in
+        // degrade_mult — a re-expansion lowers it but not the peak.
+        degrade_mult = step->mult;
+        if (step->mult > dstats.overload_mult) dstats.overload_mult = step->mult;
+        dstats.partitions_adopted += step->adopt_delta;
+      } else {
+        armed_sdc.push_back(std::get<SdcEvent>(e));
+      }
+    }
+  }
+
+  /// The one clock-sync rule of receives and collectives: advances the
+  /// clean clock to `arrival` plus `cost`, then rewrites the fault clock
+  /// with the mirrored expression against `fault_arrival` — same ops, same
+  /// order, so fvt == vt bitwise until a fault adds delay. A fault charged
+  /// inside the advance landed on fvt too; it is re-applied after the
+  /// rewrite.
+  void sync_to(double arrival, double fault_arrival, double cost, TimeCategory cat) {
+    const double ft0 = fvt;
+    const double c0 = crash_total;
+    advance(std::max(0.0, arrival - vt) + cost, cat);
+    fvt = ft0;
+    fvt += std::max(0.0, fault_arrival - ft0) + cost;
+    if (crash_total != c0) fvt += crash_total - c0;
+  }
+
+  /// Charges a recovery delay that lands inside an advance.
+  void charge(double delay) {
+    fvt += delay;
+    crash_total += delay;
+  }
+
+  /// Heartbeat detection latency of a crash at clean time t: the rank is
+  /// declared dead `misses` beats after the last heartbeat it answered (the
+  /// beat grid is absolute).
+  double detect_delay(double t) const {
+    const RecoveryModel& rm = mach->recovery;
+    return (std::floor(t / rm.heartbeat_period) +
+            static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+  }
+
+  /// One synchronizing revoke/shrink/agree tree sweep among n ranks.
+  double sweep(int n) const {
+    return 2.0 * log2_ceil(n) * (mach->net.latency + mach->mpi_overhead);
+  }
+
+  /// What recovery pays to resume from this rank's latest checkpoint image.
+  struct Fetch {
+    const CheckpointImage* img = nullptr;  ///< null: replay from solve start
+    double wire = 0.0;                     ///< fetch + install time
+    double replay = 0.0;                   ///< progress recomputed since the image
+    std::int64_t bytes = 0;                ///< image bytes shipped
+  };
+
+  /// Fetches the latest image for a recovery at clean time t. `survives` =
+  /// false means the image died with its holder. An image failing its
+  /// payload checksum was silently corrupted after capture: it is rejected
+  /// (counted in image_rejects) and recovery replays from the start instead
+  /// of resurrecting bad state. With `verify`, the innermost hook whose
+  /// label matches the image checks it against the live state (a mismatch
+  /// is a checkpoint bug, not a modeled fault — it throws logic_error); no
+  /// matching hook (the capturing scope already closed) still counts as a
+  /// restore.
+  Fetch fetch_image(double t, bool survives, bool verify) {
+    const RecoveryModel& rm = mach->recovery;
+    Fetch f;
+    f.img = survives ? ckpt->latest(grank) : nullptr;
+    f.replay = t * rm.replay_factor;
+    if (f.img != nullptr && payload_checksum(f.img->state) != f.img->checksum) {
+      rstats.image_rejects += 1;
+      f.img = nullptr;
+    }
+    if (f.img == nullptr) return f;
+    const double bytes = static_cast<double>(f.img->state.size()) * sizeof(Real);
+    f.bytes = static_cast<std::int64_t>(bytes);
+    f.wire = rm.restore_overhead + mach->net.latency + bytes / mach->net.bandwidth;
+    f.replay = (t - f.img->vt) * rm.replay_factor;
+    if (verify) {
+      for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
+        if (std::strcmp(it->label, f.img->label) == 0) {
+          it->restore(*f.img);
+          break;
         }
-        process_degrade(ev);
-        continue;
       }
-      const RecoveryModel& rm = mach->recovery;
-      const double t = ev.vt;
-      // Heartbeat detection: the rank is declared dead `misses` beats after
-      // the last heartbeat it answered (the beat grid is absolute).
-      const double detect =
-          (std::floor(t / rm.heartbeat_period) +
-           static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
-      // ULFM repair: revoke, shrink and two agreement sweeps among the
-      // survivors, each a logarithmic tree round.
-      const double repair = 4.0 * ulfm_sweep;
-      double restore = 0.0;
-      double replay = t * rm.replay_factor;  // no epoch yet: replay from start
-      const CheckpointImage* img = ckpt->latest(grank);
-      if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-        // The image was silently corrupted after capture: reject it instead
-        // of resurrecting bad state, and fall through to replay-from-start
-        // (the recompute path needs no image).
-        rstats.image_rejects += 1;
-        mh.image_rejects.add();
-        img = nullptr;
+      rstats.restores += 1;
+    }
+    return f;
+  }
+
+  /// A crash the clean clock just crossed, simulated analytically at the
+  /// crossing instant — the victim rank *is* the spare that adopts its
+  /// identity (the clean clock, counters and solve state are exactly what
+  /// the restored spare would recompute bit for bit), so only the recovery
+  /// delay (heartbeat detection, ULFM repair sweeps, buddy restore, replay
+  /// since the last epoch) needs modeling, and it lands on the fault clock
+  /// and RecoveryStats. Unrecoverable verdicts (buddy-pair loss, spare-pool
+  /// exhaustion) degrade under RunOptions::degrade and throw a structured
+  /// FaultError otherwise.
+  void process_crash(const CrashEvent& ev) {
+    rstats.crashes += 1;
+    if (ev.verdict != FaultKind::kNone) {
+      if (!degrade || ev.survivors_after <= 0 || ev.adopter < 0) {
+        FaultReport r;
+        r.kind = degrade ? FaultKind::kNoSurvivors : ev.verdict;
+        r.rank = grank;
+        r.peer = ckpt->buddy_of(grank);
+        r.vt = ev.vt;
+        r.detail =
+            degrade ? "elastic degradation found no survivor to adopt the "
+                      "dead rank's partition"
+            : ev.verdict == FaultKind::kBuddyLoss
+                ? "rank and its checkpoint buddy died inside one "
+                  "detection window; no image survives to restore from"
+                : "crash outlived the spare-rank pool; no identity "
+                  "left to adopt";
+        throw FaultError(std::move(r));
       }
-      if (img != nullptr) {
-        const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-        restore = rm.restore_overhead + mach->net.latency +
-                  bytes / mach->net.bandwidth;
-        replay = (t - img->vt) * rm.replay_factor;
-        // The innermost hook whose label matches the image verifies it
-        // against the live state (a mismatch is a checkpoint bug, not a
-        // modeled fault — it throws logic_error). No matching hook (the
-        // capturing scope already closed) still counts as a restore.
-        for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
-          if (std::strcmp(it->label, img->label) == 0) {
-            it->restore(*img);
-            break;
-          }
-        }
-        rstats.restores += 1;
-      }
-      rstats.spares_used += 1;
-      rstats.detect_time += detect;
-      rstats.repair_time += repair;
-      rstats.restore_time += restore;
-      rstats.replay_time += replay;
-      mh.crashes.add();
-      mh.recovery_sweeps.add(4);  // revoke + shrink + two agreement sweeps
-      flight_record(FlightEntry::kCrash, ev.spare, img ? static_cast<int>(img->epoch) : -1,
-                    0, 0);
-      const double delay = detect + repair + restore + replay;
-      fvt += delay;
-      crash_total += delay;
-      if (tracing) {
-        trace.marks.push_back({"crash", t, static_cast<std::int64_t>(ev.spare)});
-        trace.marks.push_back({"restore", t + delay, img ? img->epoch : -1});
-      }
+      process_degrade(ev);
+      return;
+    }
+    const double t = ev.vt;
+    const double detect = detect_delay(t);
+    // ULFM repair: revoke, shrink and two agreement sweeps among the
+    // survivors.
+    const double repair = 4.0 * sweep(nranks);
+    const Fetch f = fetch_image(t, /*survives=*/true, /*verify=*/true);
+    rstats.spares_used += 1;
+    rstats.detect_time += detect;
+    rstats.repair_time += repair;
+    rstats.restore_time += f.wire;
+    rstats.replay_time += f.replay;
+    flight_record(FlightEntry::kCrash, ev.spare,
+                  f.img ? static_cast<int>(f.img->epoch) : -1, 0, 0);
+    const double delay = detect + repair + f.wire + f.replay;
+    charge(delay);
+    if (tracing) {
+      trace.marks.push_back({"crash", t, static_cast<std::int64_t>(ev.spare)});
+      trace.marks.push_back({"restore", t + delay, f.img ? f.img->epoch : -1});
     }
   }
 
@@ -427,62 +411,26 @@ struct RankCtx {
   /// (the solvers' reduction order is partition-parametric), so the clean
   /// ledger is untouched by construction; every cost lands on the fault
   /// clock and DegradationStats. The adopter's ongoing overload is charged
-  /// separately by the DegradeEvent stream in advance().
+  /// separately by the DegradeEvent steps in the same stream.
   void process_degrade(const CrashEvent& ev) {
-    const RecoveryModel& rm = mach->recovery;
     const double t = ev.vt;
-    const double detect =
-        (std::floor(t / rm.heartbeat_period) +
-         static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+    const double detect = detect_delay(t);
     // Repair sweeps are sized to the surviving world, not the original one.
-    const double sweep = 2.0 * log2_ceil(ev.survivors_after) *
-                         (mach->net.latency + mach->mpi_overhead);
-    const double agree = 2.0 * sweep;
-    const double shrink = sweep;
-    double redistribute = 0.0;
-    double replay = t * rm.replay_factor;  // image lost: replay from start
-    const CheckpointImage* img =
-        ev.image_survives != 0 ? ckpt->latest(grank) : nullptr;
-    if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-      // Same integrity gate as spare restores: a corrupt image escalates to
-      // replay-from-start instead of resurrecting corruption.
-      rstats.image_rejects += 1;
-      mh.image_rejects.add();
-      img = nullptr;
-    }
-    std::int64_t rbytes = 0;
-    if (img != nullptr) {
-      const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-      rbytes = static_cast<std::int64_t>(bytes);
-      redistribute = rm.restore_overhead + mach->net.latency +
-                     bytes / mach->net.bandwidth;
-      replay = (t - img->vt) * rm.replay_factor;
-      for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
-        if (std::strcmp(it->label, img->label) == 0) {
-          it->restore(*img);
-          break;
-        }
-      }
-      rstats.restores += 1;
-    }
+    const double agree = 2.0 * sweep(ev.survivors_after);
+    const double shrink = sweep(ev.survivors_after);
+    const Fetch f = fetch_image(t, ev.image_survives != 0, /*verify=*/true);
     rstats.detect_time += detect;
     dstats.degrades += 1;
     dstats.ranks_lost += 1;
-    dstats.redistributed_bytes += rbytes;
+    dstats.redistributed_bytes += f.bytes;
     dstats.agree_time += agree;
     dstats.shrink_time += shrink;
-    dstats.redistribute_time += redistribute;
-    dstats.replay_time += replay;
-    mh.crashes.add();
-    mh.recovery_sweeps.add(3);  // two agreement sweeps + the shrink
-    mh.degrades.add();
-    mh.degrade_ranks_lost.add();
-    mh.degrade_bytes.add(rbytes);
+    dstats.redistribute_time += f.wire;
+    dstats.replay_time += f.replay;
     flight_record(FlightEntry::kDegrade, ev.adopter, ev.survivors_after,
-                  img ? static_cast<int>(img->epoch) : -1, rbytes);
-    const double delay = detect + agree + shrink + redistribute + replay;
-    fvt += delay;
-    crash_total += delay;
+                  f.img ? static_cast<int>(f.img->epoch) : -1, f.bytes);
+    const double delay = detect + agree + shrink + f.wire + f.replay;
+    charge(delay);
     if (tracing) {
       trace.marks.push_back(
           {"shrink", t, static_cast<std::int64_t>(ev.survivors_after)});
@@ -491,70 +439,36 @@ struct RankCtx {
     }
   }
 
-  /// Fires every spare-return event the clean clock just crossed: the
-  /// repaired node rejoins a degraded world, the survivors re-agree on the
-  /// grown membership (two sweeps), the communicator expands (one sweep) and
-  /// the relieved host hands this partition's checkpoint image back
-  /// (checksum-verified, escalating to replay-from-start on a reject, same
-  /// integrity rules as every other fetch). Modeled analytically at the
-  /// returning partition's context — the partition's rank kept executing
-  /// through the degraded window, so the clean ledger is untouched by
-  /// construction; every cost lands on the fault clock and ElasticityStats.
-  /// The relieved host's lowered multiplier arrives separately through the
-  /// DegradeEvent stream in advance().
-  void process_elastic() {
-    while (elastic_idx < elastic_events->size() &&
-           vt >= (*elastic_events)[elastic_idx].vt) {
-      const ElasticEvent ev = (*elastic_events)[elastic_idx++];
-      const RecoveryModel& rm = mach->recovery;
-      const double t = ev.vt;
-      // Re-expansion sweeps are sized to the grown world.
-      const double sweep = 2.0 * log2_ceil(ev.survivors_after) *
-                           (mach->net.latency + mach->mpi_overhead);
-      const double agree = 2.0 * sweep;
-      const double expand = sweep;
-      double transfer = 0.0;
-      double replay = t * rm.replay_factor;  // image lost: replay from start
-      const CheckpointImage* img = ckpt != nullptr ? ckpt->latest(grank) : nullptr;
-      if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-        // Same integrity gate as restores and degrade fetches: a corrupt
-        // image escalates to replay-from-start instead of resurrecting bad
-        // state on the rejoining node.
-        rstats.image_rejects += 1;
-        mh.image_rejects.add();
-        img = nullptr;
-      }
-      std::int64_t tbytes = 0;
-      if (img != nullptr) {
-        const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-        tbytes = static_cast<std::int64_t>(bytes);
-        transfer = rm.restore_overhead + mach->net.latency +
-                   bytes / mach->net.bandwidth;
-        replay = (t - img->vt) * rm.replay_factor;
-        estats.transfers += 1;
-        mh.elastic_transfers.add();
-      }
-      estats.returns += 1;
-      estats.expansions += 1;
-      estats.transfer_bytes += tbytes;
-      estats.agree_time += agree;
-      estats.expand_time += expand;
-      estats.transfer_time += transfer;
-      estats.replay_time += replay;
-      mh.elastic_returns.add();
-      mh.elastic_expansions.add();
-      mh.elastic_bytes.add(tbytes);
-      mh.recovery_sweeps.add(3);  // two re-agreement sweeps + the expansion
-      flight_record(FlightEntry::kElastic, ev.from, ev.survivors_after, 0,
-                    tbytes);
-      const double delay = agree + expand + transfer + replay;
-      fvt += delay;
-      crash_total += delay;
-      if (tracing) {
-        trace.marks.push_back(
-            {"expand", t, static_cast<std::int64_t>(ev.survivors_after)});
-        trace.marks.push_back({"transfer", t + delay, tbytes});
-      }
+  /// A spare return the clean clock just crossed: the repaired node rejoins
+  /// a degraded world, the survivors re-agree on the grown membership (two
+  /// sweeps), the communicator expands (one sweep) and the relieved host
+  /// hands this partition's checkpoint image back (same integrity gate as
+  /// every other fetch). Modeled analytically at the returning partition's
+  /// context — the partition's rank kept executing through the degraded
+  /// window, so the clean ledger is untouched by construction; every cost
+  /// lands on the fault clock and ElasticityStats. The relieved host's
+  /// lowered multiplier arrives as a DegradeEvent step.
+  void process_elastic(const ElasticEvent& ev) {
+    const double t = ev.vt;
+    // Re-expansion sweeps are sized to the grown world.
+    const double agree = 2.0 * sweep(ev.survivors_after);
+    const double expand = sweep(ev.survivors_after);
+    const Fetch f = fetch_image(t, /*survives=*/true, /*verify=*/false);
+    if (f.img != nullptr) estats.transfers += 1;
+    estats.returns += 1;
+    estats.expansions += 1;
+    estats.transfer_bytes += f.bytes;
+    estats.agree_time += agree;
+    estats.expand_time += expand;
+    estats.transfer_time += f.wire;
+    estats.replay_time += f.replay;
+    flight_record(FlightEntry::kElastic, ev.from, ev.survivors_after, 0, f.bytes);
+    const double delay = agree + expand + f.wire + f.replay;
+    charge(delay);
+    if (tracing) {
+      trace.marks.push_back(
+          {"expand", t, static_cast<std::int64_t>(ev.survivors_after)});
+      trace.marks.push_back({"transfer", t + delay, f.bytes});
     }
   }
 
@@ -577,7 +491,6 @@ struct RankCtx {
     }
     estats.stragglers += 1;
     estats.straggler_time += growth;
-    mh.straggler_events.add();
     flight_record(FlightEntry::kElastic, grank, rebalance ? 1 : 0, 1, 0);
     if (tracing) {
       trace.marks.push_back(
@@ -587,12 +500,10 @@ struct RankCtx {
       // Two agreement sweeps + one repartition sweep, charged at the epoch
       // boundary (outside any receive's advance, so no crash_total echo —
       // the same pattern as checkpoint shipment).
-      const double cost = 3.0 * ulfm_sweep;
+      const double cost = 3.0 * sweep(nranks);
       fvt += cost;
       estats.rebalances += 1;
       estats.straggler_time += cost;
-      mh.straggler_rebalances.add();
-      mh.recovery_sweeps.add(3);
       if (tracing) {
         trace.marks.push_back({"rebalance", vt, estats.rebalances});
       }
@@ -601,20 +512,18 @@ struct RankCtx {
   }
 
   /// Fires at every checkpoint epoch while an SDC schedule or ABFT is
-  /// active: lands every armed memory fault the clean clock has passed as a
-  /// bit flip in the innermost hook's live solver state, then (with ABFT on)
-  /// charges the epoch checksum verification, localizes each flipped word
-  /// and recomputes it from retained inputs — in the analytic model the
-  /// recomputed value is exactly the journaled pre-fault bits, so downstream
-  /// state, the clean clock and every clean counter stay bitwise identical
-  /// to a fault-free run. All detection/repair cost lands on the fault clock
+  /// active: lands every armed memory fault as a bit flip in the innermost
+  /// hook's live solver state, then (with ABFT on) charges the epoch
+  /// checksum verification, localizes each flipped word and recomputes it
+  /// from retained inputs — in the analytic model the recomputed value is
+  /// exactly the journaled pre-fault bits, so downstream state, the clean
+  /// clock and every clean counter stay bitwise identical to a fault-free
+  /// run. All detection/repair cost lands on the fault clock
   /// and SdcStats; with ABFT off the corruption persists for the end-of-
   /// solve residual gate to catch (docs/ROBUSTNESS.md §SDC).
   void process_sdc_epoch() {
     if (hooks.empty() || !hooks.back().sdc_state) return;
-    const bool due = sdc_events != nullptr && sdc_idx < sdc_events->size() &&
-                     vt >= (*sdc_events)[sdc_idx].vt;
-    if (!abft && !due) return;
+    if (!abft && armed_sdc.empty()) return;
     std::vector<std::span<Real>> spans = hooks.back().sdc_state();
     std::size_t words = 0;
     for (const auto& s : spans) words += s.size();
@@ -627,9 +536,7 @@ struct RankCtx {
     };
     Flip flips[8];
     std::size_t nflips = 0;
-    while (sdc_events != nullptr && sdc_idx < sdc_events->size() &&
-           vt >= (*sdc_events)[sdc_idx].vt) {
-      const SdcEvent ev = (*sdc_events)[sdc_idx++];
+    for (const SdcEvent& ev : armed_sdc) {
       if (words == 0 || nflips == sizeof(flips) / sizeof(flips[0])) continue;
       // Probe forward (wrapping) from the drawn word to the next nonzero:
       // flipping a mantissa bit of ±0 yields denormal noise with no
@@ -649,8 +556,6 @@ struct RankCtx {
         v = std::bit_cast<Real>(bits);
         sdc.injected += 1;
         sdc.injected_by[static_cast<int>(ev.target)] += 1;
-        mh.abft_injected.add();
-        mh.abft_injected_tgt[static_cast<int>(ev.target)].add();
         flight_record(FlightEntry::kSdc, -1, static_cast<int>(ev.target),
                       ev.bit, 0);
         if (tracing) {
@@ -660,6 +565,7 @@ struct RankCtx {
         break;
       }
     }
+    armed_sdc.clear();
     if (!abft) return;
     // Checksum verification: one fused multiply-add per live word against
     // the running block checksum, plus a fixed bookkeeping overhead.
@@ -669,7 +575,6 @@ struct RankCtx {
     sdc.checks += 1;
     sdc.verify_time += vcost;
     fvt += vcost;
-    mh.abft_checks.add();
     // Unwind the flip journal in reverse (LIFO) order: when two events of
     // the same epoch land on the same word, the later journal entry's
     // "original" already contains the earlier flip, so forward restoration
@@ -677,7 +582,6 @@ struct RankCtx {
     for (std::size_t i = nflips; i-- > 0;) {
       const Flip& f = flips[i];
       sdc.detected += 1;
-      mh.abft_detected.add();
       if (tracing) {
         trace.marks.push_back(
             {"sdc-detect", vt, static_cast<std::int64_t>(f.bit)});
@@ -695,8 +599,6 @@ struct RankCtx {
       sdc.corrected_by[f.target] += 1;
       sdc.repair_time += rcost;
       fvt += rcost;
-      mh.abft_corrected.add();
-      mh.abft_corrected_tgt[f.target].add();
       if (tracing) {
         trace.marks.push_back(
             {"sdc-correct", vt, static_cast<std::int64_t>(f.bit)});
@@ -719,7 +621,80 @@ struct RankCtx {
       trace.events.push_back(e);
     }
   }
+
+  /// Writes every counter and gauge the runtime owns into the registry,
+  /// read from the ledgers. Runs before every time-series sample and once
+  /// at the end of every run, so the registry cannot drift from them.
+  void export_metrics();
 };
+
+namespace {
+
+/// The registry counters mirrored from the ledgers: one row per metric,
+/// naming the ledger field export_metrics copies into it.
+struct LedgerCounter {
+  const char* name;
+  std::int64_t (*read)(const RankCtx&);
+};
+using Ctx = const RankCtx&;
+constexpr LedgerCounter kLedgerCounters[] = {
+    {"cluster.messages.fp", [](Ctx c) { return c.messages[0]; }},
+    {"cluster.messages.xy", [](Ctx c) { return c.messages[1]; }},
+    {"cluster.messages.z", [](Ctx c) { return c.messages[2]; }},
+    {"cluster.messages.other", [](Ctx c) { return c.messages[3]; }},
+    {"cluster.bytes.fp", [](Ctx c) { return c.bytes[0]; }},
+    {"cluster.bytes.xy", [](Ctx c) { return c.bytes[1]; }},
+    {"cluster.bytes.z", [](Ctx c) { return c.bytes[2]; }},
+    {"cluster.bytes.other", [](Ctx c) { return c.bytes[3]; }},
+    {"transport.retransmits", [](Ctx c) { return c.tstats.retransmits; }},
+    {"transport.timeouts", [](Ctx c) { return c.tstats.timeouts; }},
+    {"transport.frames_dropped", [](Ctx c) { return c.tstats.frames_dropped; }},
+    {"transport.acks", [](Ctx c) { return c.tstats.acks; }},
+    {"transport.duplicates", [](Ctx c) { return c.tstats.duplicates; }},
+    {"checkpoint.epochs", [](Ctx c) { return c.rstats.checkpoints; }},
+    {"checkpoint.bytes", [](Ctx c) { return c.rstats.checkpoint_bytes; }},
+    {"recovery.crashes", [](Ctx c) { return c.rstats.crashes; }},
+    {"recovery.image_rejects", [](Ctx c) { return c.rstats.image_rejects; }},
+    // The ULFM sweeps the ledger's recoveries imply: four per spare
+    // adoption, three per degrade, re-expansion or rebalance.
+    {"recovery.sweeps",
+     [](Ctx c) {
+       return 4 * c.rstats.spares_used +
+              3 * (c.dstats.degrades + c.estats.expansions + c.estats.rebalances);
+     }},
+    {"abft.checks", [](Ctx c) { return c.sdc.checks; }},
+    {"abft.injected", [](Ctx c) { return c.sdc.injected; }},
+    {"abft.detected", [](Ctx c) { return c.sdc.detected; }},
+    {"abft.corrected", [](Ctx c) { return c.sdc.corrected; }},
+    {"abft.injected.x", [](Ctx c) { return c.sdc.injected_by[0]; }},
+    {"abft.injected.l", [](Ctx c) { return c.sdc.injected_by[1]; }},
+    {"abft.injected.partial", [](Ctx c) { return c.sdc.injected_by[2]; }},
+    {"abft.corrected.x", [](Ctx c) { return c.sdc.corrected_by[0]; }},
+    {"abft.corrected.l", [](Ctx c) { return c.sdc.corrected_by[1]; }},
+    {"abft.corrected.partial", [](Ctx c) { return c.sdc.corrected_by[2]; }},
+    {"recovery.degrade.events", [](Ctx c) { return c.dstats.degrades; }},
+    {"recovery.degrade.ranks_lost", [](Ctx c) { return c.dstats.ranks_lost; }},
+    {"recovery.degrade.adopted", [](Ctx c) { return c.dstats.partitions_adopted; }},
+    {"recovery.degrade.bytes", [](Ctx c) { return c.dstats.redistributed_bytes; }},
+    {"recovery.elastic.returns", [](Ctx c) { return c.estats.returns; }},
+    {"recovery.elastic.expansions", [](Ctx c) { return c.estats.expansions; }},
+    {"recovery.elastic.transfers", [](Ctx c) { return c.estats.transfers; }},
+    {"recovery.elastic.bytes", [](Ctx c) { return c.estats.transfer_bytes; }},
+    {"recovery.straggler.events", [](Ctx c) { return c.estats.stragglers; }},
+    {"recovery.straggler.rebalances", [](Ctx c) { return c.estats.rebalances; }},
+};
+
+}  // namespace
+
+void RankCtx::export_metrics() {
+  for (const LedgerCounter& row : kLedgerCounters) {
+    *metrics->counter(row.name).v = row.read(*this);
+  }
+  // The live overload multiplier, once any overload step fired (every step
+  // is >= 1, so a zero peak means none did and the gauge reads 0).
+  metrics->gauge("recovery.degrade.overload")
+      .set(dstats.overload_mult > 0.0 ? degrade_mult : 0.0);
+}
 
 /// Thrown into ranks blocked on a dead cluster.
 struct ClusterAborted : std::runtime_error {
@@ -1135,107 +1110,56 @@ class ClusterState {
     sched_.set_deadlock_callback(
         [this](int witness) { deadlock_ = build_deadlock_report(witness); });
     const bool skewed = machine_.perturb.compute_skew > 0.0;
-    const bool crashing = machine_.perturb.crash_active();
-    if (crashing) {
-      // The whole crash schedule — times and recovery verdicts — is fixed
-      // here, before any rank runs, so every grant order processes the
-      // exact same events in the exact same order.
-      crash_plan_ = build_crash_plan(machine_.perturb, machine_.recovery,
-                                     opts_.seed, nranks);
+    if (machine_.perturb.crash_active()) {
       ckpt_ = std::make_unique<CheckpointStore>(nranks);
     }
-    // The memory-fault plan is likewise fixed before any rank runs; its
-    // draws ride a salted stream of their own (kMemStreamSalt), so enabling
-    // SDC shifts no timing, delivery, or crash draw.
-    const bool sdc = machine_.perturb.sdc_active();
-    if (sdc) sdc_plan_ = build_sdc_plan(machine_.perturb, opts_.seed, nranks);
-    const double sweep = 2.0 * log2_ceil(nranks) *
-                         (machine_.net.latency + machine_.mpi_overhead);
+    // The whole fault schedule — crash times and verdicts, overload steps,
+    // spare returns, memory faults — is fixed here, before any rank runs, so
+    // every grant order fires the exact same events in the exact same order.
+    // Overload steps and returns are the elastic alternative of a terminal
+    // crash and exist only under RunOptions::degrade.
+    plan_ = build_fault_plan(machine_.perturb, machine_.recovery, opts_.seed, nranks);
+    if (!opts_.degrade) {
+      for (auto& events : plan_) {
+        std::erase_if(events, [](const FaultEvent& e) {
+          return std::holds_alternative<ElasticEvent>(e) ||
+                 std::holds_alternative<DegradeEvent>(e);
+        });
+      }
+    }
     for (int r = 0; r < nranks; ++r) {
       RankCtx& ctx = ranks_[static_cast<size_t>(r)];
       ctx.grank = r;
       ctx.tracing = opts_.trace;
       ctx.vt_limit = opts_.vt_limit;
       ctx.mach = &machine_;
-      // The sweep cost is wired unconditionally: crash recovery and the
-      // straggler watchdog's rebalance sweeps both price collective rounds
-      // with it (it is inert while neither fault class is armed).
-      ctx.ulfm_sweep = sweep;
+      ctx.nranks = nranks;
+      ctx.events = &plan_[static_cast<size_t>(r)];
+      ctx.ckpt = ckpt_.get();
+      ctx.degrade = opts_.degrade;
+      ctx.abft = opts_.abft;
       ctx.rebalance = opts_.rebalance;
       // The progress-watermark watchdog arms only while rank-stall
       // schedules exist AND the detector threshold is set: on a clean run
       // fvt tracks vt bitwise, so there is no lag to watch.
       ctx.straggler_armed = !machine_.perturb.stalls.empty() &&
                             machine_.recovery.straggler_lag > 0.0;
-      if (crashing) {
-        ctx.crash_events = &crash_plan_.by_rank[static_cast<size_t>(r)];
-        ctx.ckpt = ckpt_.get();
-        ctx.degrade = opts_.degrade;
-        if (opts_.degrade &&
-            !crash_plan_.degrade_by_rank[static_cast<size_t>(r)].empty()) {
-          ctx.degrade_events =
-              &crash_plan_.degrade_by_rank[static_cast<size_t>(r)];
-        }
-        if (opts_.degrade &&
-            !crash_plan_.elastic_by_rank[static_cast<size_t>(r)].empty()) {
-          ctx.elastic_events =
-              &crash_plan_.elastic_by_rank[static_cast<size_t>(r)];
-        }
-      }
-      if (sdc) ctx.sdc_events = &sdc_plan_.by_rank[static_cast<size_t>(r)];
-      ctx.abft = opts_.abft;
       if (skewed) {
         ctx.skew = 1.0 + machine_.perturb.compute_skew *
                              perturb_uniform(opts_.seed, static_cast<std::uint64_t>(r),
                                              kSkewDraw);
       }
       if (opts_.metrics) {
-        // Register the runtime's own metrics now, in one fixed program
-        // order, so every hot-path bump below is allocation-free and the
-        // name set is identical on every rank.
+        // Register the runtime's histograms now, so every observation is
+        // allocation-free. export_metrics registers the rest before the
+        // first sample.
         metrics_.push_back(std::make_unique<MetricsRegistry>());
         MetricsRegistry* m = metrics_.back().get();
         ctx.metrics = m;
         ctx.metrics_period = opts_.metrics_period;
         ctx.next_sample = opts_.metrics_period;
-        RankCtx::MetricHandles& mh = ctx.mh;
-        for (int c = 0; c < kNumTimeCategories; ++c) {
-          mh.msgs[c] = m->counter(std::string("cluster.messages.") + metric_cat(c));
-          mh.bytes[c] = m->counter(std::string("cluster.bytes.") + metric_cat(c));
-        }
-        mh.wait = m->histogram("cluster.wait_time", kWaitBounds);
-        mh.peer_dist = m->histogram("cluster.peer_distance", kPeerDistBounds);
-        mh.retransmits = m->counter("transport.retransmits");
-        mh.timeouts = m->counter("transport.timeouts");
-        mh.frames_dropped = m->counter("transport.frames_dropped");
-        mh.acks = m->counter("transport.acks");
-        mh.duplicates = m->counter("transport.duplicates");
-        mh.ckpt_epochs = m->counter("checkpoint.epochs");
-        mh.ckpt_bytes = m->counter("checkpoint.bytes");
-        mh.crashes = m->counter("recovery.crashes");
-        mh.recovery_sweeps = m->counter("recovery.sweeps");
-        mh.abft_checks = m->counter("abft.checks");
-        mh.abft_injected = m->counter("abft.injected");
-        mh.abft_detected = m->counter("abft.detected");
-        mh.abft_corrected = m->counter("abft.corrected");
-        mh.abft_injected_tgt[0] = m->counter("abft.injected.x");
-        mh.abft_injected_tgt[1] = m->counter("abft.injected.l");
-        mh.abft_injected_tgt[2] = m->counter("abft.injected.partial");
-        mh.abft_corrected_tgt[0] = m->counter("abft.corrected.x");
-        mh.abft_corrected_tgt[1] = m->counter("abft.corrected.l");
-        mh.abft_corrected_tgt[2] = m->counter("abft.corrected.partial");
-        mh.image_rejects = m->counter("recovery.image_rejects");
-        mh.degrades = m->counter("recovery.degrade.events");
-        mh.degrade_ranks_lost = m->counter("recovery.degrade.ranks_lost");
-        mh.degrade_adopted = m->counter("recovery.degrade.adopted");
-        mh.degrade_bytes = m->counter("recovery.degrade.bytes");
-        mh.degrade_overload = m->gauge("recovery.degrade.overload");
-        mh.elastic_returns = m->counter("recovery.elastic.returns");
-        mh.elastic_expansions = m->counter("recovery.elastic.expansions");
-        mh.elastic_transfers = m->counter("recovery.elastic.transfers");
-        mh.elastic_bytes = m->counter("recovery.elastic.bytes");
-        mh.straggler_events = m->counter("recovery.straggler.events");
-        mh.straggler_rebalances = m->counter("recovery.straggler.rebalances");
+        ctx.mh.wait = m->histogram("cluster.wait_time", kWaitBounds);
+        ctx.mh.peer_dist = m->histogram("cluster.peer_distance", kPeerDistBounds);
       }
     }
     if (opts_.metrics) {
@@ -1395,9 +1319,8 @@ class ClusterState {
   std::vector<std::unique_ptr<MetricsRegistry>> metrics_;  // per rank; metrics on only
   std::uint64_t ctx_counter_ = 0;
   std::optional<FaultReport> deadlock_;  // set once the scheduler proves one
-  CrashPlan crash_plan_;                  // empty unless perturb.crash_active()
+  std::vector<std::vector<FaultEvent>> plan_;  // per rank, (vt, kind) order
   std::unique_ptr<CheckpointStore> ckpt_; // null unless perturb.crash_active()
-  SdcPlan sdc_plan_;                      // empty unless perturb.sdc_active()
 };
 
 /// One communicator: a context id plus the member global ranks. Also hosts
@@ -1520,30 +1443,23 @@ void Comm::reset_clock() {
   for (auto& b : ctx_->bytes) b = 0;
   // fseq (like send_seq below) and seen_seqs survive: fault draws must not
   // collide across phases and accepted sequence numbers stay unique.
-  // Crash-stop recovery re-arms with the clock: crash times are interpreted
-  // on the post-reset clock (= relative to solve start when the solver
-  // resets after its setup barrier), the recovery ledger restarts, and
-  // pre-reset checkpoint images are dropped so replay arithmetic never
-  // mixes clocks. A schedule entry smaller than the setup time fires once
-  // pre-reset too — benign: its ledger entries are discarded here and it
-  // re-fires on the fresh clock.
-  ctx_->rstats = RecoveryStats{};
-  ctx_->crash_idx = 0;
+  // The fault plan re-arms with the clock: fault times are interpreted on
+  // the post-reset clock (= relative to solve start when the solver resets
+  // after its setup barrier), the fault ledgers restart, and pre-reset
+  // checkpoint images are dropped so replay arithmetic never mixes clocks.
+  // A planned event earlier than the setup time fires once pre-reset too —
+  // benign: its ledger entries are discarded here and it re-fires on the
+  // fresh clock. The straggler watermark restarts the same way.
+  ctx_->next_event = 0;
+  ctx_->armed_sdc.clear();
   ctx_->crash_total = 0.0;
   ctx_->ckpt_epoch_counter = 0;
-  // SDC re-arms the same way: memory-fault times are on the post-reset
-  // clock and the ABFT ledger restarts with the run it accounts for.
-  ctx_->sdc = SdcStats{};
-  ctx_->sdc_idx = 0;
-  // Degrade events ride the crash schedule's clock, so they re-arm with it.
-  ctx_->dstats = DegradationStats{};
-  ctx_->degrade_idx = 0;
   ctx_->degrade_mult = 1.0;
-  // Elasticity re-arms the same way: return times and the straggler
-  // watermark are interpreted on the post-reset clock.
-  ctx_->estats = ElasticityStats{};
-  ctx_->elastic_idx = 0;
   ctx_->straggle_hwm = 0.0;
+  ctx_->rstats = RecoveryStats{};
+  ctx_->sdc = SdcStats{};
+  ctx_->dstats = DegradationStats{};
+  ctx_->estats = ElasticityStats{};
   if (ctx_->ckpt != nullptr) ctx_->ckpt->clear(ctx_->grank);
   // Setup-phase events would break the fresh clock's contiguity; drop them.
   // send_seq is deliberately NOT reset: a pre-reset send could otherwise
@@ -1554,8 +1470,8 @@ void Comm::reset_clock() {
     ctx_->trace.marks.clear();
     ++ctx_->trace_epoch;
   }
-  // Metrics mirror the clean counters, so they restart with them; the
-  // sampling grid re-anchors on the fresh clock. The flight-recorder ring
+  // Metrics mirror the ledgers, so they restart with them; the sampling
+  // grid re-anchors on the fresh clock. The flight-recorder ring
   // deliberately survives — "the most recent events" include setup.
   if (ctx_->metrics != nullptr) {
     ctx_->metrics->reset();
@@ -1673,12 +1589,9 @@ void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams&
   // two stay bitwise equal until a delivery fault actually intervenes.
   env.fault_arrival = ctx_->fvt + latency + bytes / bandwidth + extra_delay;
   const int dst_grank = group_->global_rank(dst);
-  // Metrics mirror of the clean bumps above + the send's flight entry.
-  // Mirrors write metric storage only — no clock state — so the clean
-  // ledger is bitwise invariant under metrics on/off.
-  ctx_->mh.msgs[static_cast<int>(cat)].add();
-  ctx_->mh.bytes[static_cast<int>(cat)].add(
-      static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real)));
+  // Peer-distance histogram + the send's flight entry. Both write metric
+  // or recorder storage only — no clock state — so the clean ledger is
+  // bitwise invariant under metrics on/off.
   const int peer_dist = dst_grank >= ctx_->grank ? dst_grank - ctx_->grank
                                                  : ctx_->grank - dst_grank;
   ctx_->mh.peer_dist.observe(static_cast<double>(peer_dist));
@@ -1707,9 +1620,6 @@ void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams&
                         static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real));
     ts.timeouts += outcome->timeouts;
     ts.frames_dropped += outcome->frames_dropped;
-    ctx_->mh.retransmits.add(outcome->attempts - 1);
-    ctx_->mh.timeouts.add(outcome->timeouts);
-    ctx_->mh.frames_dropped.add(outcome->frames_dropped);
     env.transport = std::move(outcome);
   }
   if (ctx_->tracing) {
@@ -1817,8 +1727,6 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
       ts.corrupt_detected += outcome->corrupt;
       ts.duplicates += outcome->duplicates;
       ts.reordered += outcome->reordered ? 1 : 0;
-      ctx_->mh.acks.add(outcome->acks);
-      ctx_->mh.duplicates.add(outcome->duplicates);
       // End-to-end verification on the accepted copy: the whole-frame
       // checksum stamped at send — header (src, dst, tag, seq) before the
       // payload bytes — must match, and the per-sender sequence number must
@@ -1832,20 +1740,10 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
       }
     }
     const double t0 = ctx_->vt;
-    const double ft0 = ctx_->fvt;
-    const double c0 = ctx_->crash_total;
     // One advance covers wait-until-arrival plus software overhead, so the
     // clock math is bit-identical with tracing on or off; the trace splits
     // wait from commit analytically via the recorded arrival.
-    ctx_->advance(std::max(0.0, msg.arrival - t0) + machine().mpi_overhead, cat);
-    // Rewrite the fault clock with the mirrored expression against the
-    // fault arrival: same ops, same order, so fvt == vt bitwise until a
-    // fault actually adds delay. A crash that fired inside the advance above
-    // put its delay on fvt too — re-apply it after the rewrite (the
-    // inequality guard keeps the no-crash arithmetic bitwise untouched).
-    ctx_->fvt = ft0;
-    ctx_->fvt += std::max(0.0, fa - ft0) + machine().mpi_overhead;
-    if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
+    ctx_->sync_to(msg.arrival, fa, machine().mpi_overhead, cat);
     // Per-rank wait time: the receive's blocked span on the clean clock
     // (same expression the advance above charged, recomputed read-only).
     ctx_->mh.wait.observe(std::max(0.0, msg.arrival - t0));
@@ -1912,69 +1810,72 @@ bool Comm::probe(int src, int tag) {
   return scan();
 }
 
-void Comm::barrier(TimeCategory cat) {
-  // The cost model charges 2*ceil(log2 P) tree hops; the message counters
-  // charge the same modeled messages (zero-byte) so collective traffic is
+template <class Deposit, class Finalize, class Extract>
+auto Comm::timed_collective(std::int64_t tree_msgs, std::int64_t payload,
+                            const char* label, TimeCategory cat, Deposit deposit,
+                            Finalize finalize, Extract extract, bool tolerate_revoked,
+                            int expected) {
+  // Every modeled tree message costs a hop plus its payload's wire time,
+  // and the counters charge the same messages so collective traffic is
   // visible next to point-to-point traffic (docs/MODEL.md).
-  const std::int64_t tree_msgs = 2 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
+  double per_msg = machine().net.latency + machine().mpi_overhead;
+  if (payload > 0) per_msg += static_cast<double>(payload) / machine().net.bandwidth;
+  const double cost = static_cast<double>(tree_msgs) * per_msg;
   const std::int64_t gen = coll_gen_++;
   const double my_vt = ctx_->vt;
   const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
-  const auto sync = group_->collective(
+  double sync_vt = 0.0;
+  double sync_fvt = 0.0;
+  auto result = group_->collective(
       gen, ctx_->grank, my_vt,
       [&](auto& slot) {
         slot.max_vt = std::max(slot.max_vt, my_vt);
         slot.max_fvt = std::max(slot.max_fvt, my_fvt);
+        deposit(slot);
       },
-      [](auto&) {},
-      [](auto& slot) { return std::pair<double, double>(slot.max_vt, slot.max_fvt); });
-  const double sync_vt = sync.first;
-  ctx_->advance(std::max(0.0, sync_vt - my_vt) + cost, cat);
-  // Mirrored fault-clock sync (same expression shape; bitwise-equal while
-  // the run is fault-free). A crash fired inside the advance re-applies its
-  // delay after the rewrite.
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, sync.second - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
+      finalize,
+      [&](auto& slot) {
+        sync_vt = slot.max_vt;
+        sync_fvt = slot.max_fvt;
+        return extract(slot);
+      },
+      tolerate_revoked, expected);
+  ctx_->sync_to(sync_vt, sync_fvt, cost, cat);
   ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
+  ctx_->bytes[static_cast<int>(cat)] += tree_msgs * payload;
   ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
+                      static_cast<int>(gen), 0, payload);
   if (ctx_->tracing) {
     TraceEvent e;
     e.kind = TraceEventKind::kCollective;
     e.cat = cat;
     e.t0 = my_vt;
     e.t1 = ctx_->vt;
+    e.bytes = payload;
     e.arrival = sync_vt;
     e.seq = gen;
     e.ctx = group_->ctx();
-    e.label = "barrier";
+    e.label = label;
     ctx_->trace.events.push_back(e);
   }
+  return result;
+}
+
+void Comm::barrier(TimeCategory cat) {
+  // 2*ceil(log2 P) zero-byte tree hops.
+  timed_collective(
+      2 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0, "barrier", cat,
+      [](auto&) {}, [](auto&) {}, [](auto&) { return 0; });
 }
 
 std::vector<Real> Comm::allreduce_sum(std::span<const Real> v, TimeCategory cat) {
-  const double bytes = static_cast<double>(v.size()) * sizeof(Real);
   // Recursive doubling: 2*ceil(log2 P) modeled tree messages, each carrying
-  // the full payload — counted like the cost model charges them.
-  const std::int64_t tree_msgs = 2 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead +
-                       bytes / machine().net.bandwidth);
-  const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
+  // the full payload.
   const int nmembers = size();
-  auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
+  return timed_collective(
+      2 * static_cast<std::int64_t>(detail::log2_ceil(nmembers)),
+      static_cast<std::int64_t>(v.size() * sizeof(Real)), "allreduce", cat,
       [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
         if (slot.contribs.empty()) {
           slot.contribs.resize(static_cast<size_t>(nmembers));
         }
@@ -1992,35 +1893,7 @@ std::vector<Real> Comm::allreduce_sum(std::span<const Real> v, TimeCategory cat)
           for (size_t i = 0; i < c.size(); ++i) slot.reduce[i] += c[i];
         }
       },
-      [](auto& slot) {
-        return std::tuple<std::vector<Real>, double, double>(slot.reduce, slot.max_vt,
-                                                             slot.max_fvt);
-      });
-  ctx_->advance(std::max(0.0, std::get<1>(result) - ctx_->vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<2>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  const std::int64_t payload = static_cast<std::int64_t>(v.size() * sizeof(Real));
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->bytes[static_cast<int>(cat)] += tree_msgs * payload;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->mh.bytes[static_cast<int>(cat)].add(tree_msgs * payload);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, payload);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.bytes = payload;
-    e.arrival = std::get<1>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "allreduce";
-    ctx_->trace.events.push_back(e);
-  }
-  return std::move(std::get<0>(result));
+      [](auto& slot) { return slot.reduce; });
 }
 
 double Comm::allreduce_max(double v) {
@@ -2093,47 +1966,10 @@ bool Comm::revoked() const { return group_->revoked(); }
 std::int64_t Comm::agree(std::int64_t value, TimeCategory cat) {
   // Two synchronizing tree sweeps (a reduce and a confirmation round —
   // ULFM agreement is roughly two barriers' worth of traffic).
-  const std::int64_t tree_msgs = 4 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
-  const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
-  const auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
-      [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
-        slot.agree_and &= value;
-      },
-      [](auto&) {},
-      [](auto& slot) {
-        return std::tuple<std::int64_t, double, double>(slot.agree_and, slot.max_vt,
-                                                        slot.max_fvt);
-      },
-      /*tolerate_revoked=*/true);
-  ctx_->advance(std::max(0.0, std::get<1>(result) - my_vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<2>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.arrival = std::get<1>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "agree";
-    ctx_->trace.events.push_back(e);
-  }
-  return std::get<0>(result);
+  return timed_collective(
+      4 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0, "agree", cat,
+      [&](auto& slot) { slot.agree_and &= value; }, [](auto&) {},
+      [](auto& slot) { return slot.agree_and; }, /*tolerate_revoked=*/true);
 }
 
 Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
@@ -2146,22 +1982,12 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
     dead.insert(f);
   }
   const int expected = size() - static_cast<int>(dead.size());
+  auto group = group_;  // keep alive across the collective
   // Survivor-only synchronizing sweep: completion needs exactly `expected`
   // arrivals — the dead ranks, by definition, never arrive.
-  const std::int64_t tree_msgs =
-      2 * static_cast<std::int64_t>(detail::log2_ceil(expected));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
-  const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
-  auto group = group_;  // keep alive across the collective
-  auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
+  auto result = timed_collective(
+      2 * static_cast<std::int64_t>(detail::log2_ceil(expected)), 0, "shrink", cat,
       [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
         if (slot.color_key.empty()) {
           slot.color_key.assign(static_cast<size_t>(size()), {0, 0});
           slot.split_groups.resize(static_cast<size_t>(size()));
@@ -2186,32 +2012,12 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
         }
       },
       [&](auto& slot) {
-        return std::tuple<std::shared_ptr<detail::CommGroup>, int, double, double>(
+        return std::pair<std::shared_ptr<detail::CommGroup>, int>(
             slot.split_groups[static_cast<size_t>(rank_)],
-            slot.split_rank[static_cast<size_t>(rank_)], slot.max_vt, slot.max_fvt);
+            slot.split_rank[static_cast<size_t>(rank_)]);
       },
       /*tolerate_revoked=*/true, expected);
-  ctx_->advance(std::max(0.0, std::get<2>(result) - my_vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<3>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.arrival = std::get<2>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "shrink";
-    ctx_->trace.events.push_back(e);
-  }
-  return Comm(std::move(std::get<0>(result)), std::get<1>(result), ctx_);
+  return Comm(std::move(result.first), result.second, ctx_);
 }
 
 const RecoveryStats& Comm::recovery_stats() const { return ctx_->rstats; }
@@ -2223,9 +2029,7 @@ CheckpointScope Comm::register_checkpoint(
     std::function<void(const CheckpointImage&)> restore, SdcStateFn sdc_state) {
   // Bypass-free without a crash model, SDC schedule, or ABFT: nothing is
   // pushed, nothing captured.
-  const bool sdc_armed =
-      ctx_->abft || (ctx_->sdc_events != nullptr && !ctx_->sdc_events->empty());
-  if (ctx_->crash_events == nullptr && !sdc_armed) {
+  if (ctx_->ckpt == nullptr && !ctx_->abft && !machine().perturb.sdc_active()) {
     return CheckpointScope(nullptr, 0);
   }
   ctx_->hooks.push_back(
@@ -2242,9 +2046,11 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   if (c->hooks.empty()) return;
   // SDC pass first: armed memory faults land (and, under ABFT, are detected
   // and repaired) before the epoch's buddy image is captured, so a crash
-  // restore never resurrects a corrupted word.
+  // restore never resurrects a corrupted word. A fresh clock's first epoch
+  // can come before its first advance, so fire what is due at this instant.
+  c->fire_due();
   c->process_sdc_epoch();
-  if (c->crash_events == nullptr) return;
+  if (c->ckpt == nullptr) return;
   const auto& hook = c->hooks.back();
   CheckpointImage img;
   img.epoch = c->ckpt_epoch_counter++;
@@ -2274,8 +2080,6 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   c->rstats.checkpoints += 1;
   c->rstats.checkpoint_bytes += static_cast<std::int64_t>(bytes);
   c->rstats.checkpoint_time += cost;
-  c->mh.ckpt_epochs.add();
-  c->mh.ckpt_bytes.add(static_cast<std::int64_t>(bytes));
   c->flight_record(detail::RankCtx::FlightEntry::kCheckpoint,
                    c->ckpt->buddy_of(c->grank), static_cast<int>(img.epoch), 0,
                    static_cast<std::int64_t>(bytes));
@@ -2577,6 +2381,7 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
     report->ranks.resize(static_cast<size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       MetricsReport::Rank& out = report->ranks[static_cast<size_t>(r)];
+      state.rank(r).export_metrics();
       const MetricsRegistry* m = state.rank_metrics(r);
       out.values = m->values();
       out.histograms = m->histograms();

@@ -398,6 +398,20 @@ class Comm {
   Comm(std::shared_ptr<detail::CommGroup> group, int rank, detail::RankCtx* ctx)
       : group_(std::move(group)), rank_(rank), ctx_(ctx) {}
 
+  /// Shared body of barrier, allreduce_sum, agree and shrink: one
+  /// collective whose arrivals also deposit their clocks, after which both
+  /// clocks sync to the group maximum plus the cost of `tree_msgs` modeled
+  /// messages of `payload` bytes each, the messages are counted, and the
+  /// flight and trace entries (labeled `label`) are recorded. `expected`
+  /// overrides the arrival count (-1 = all members) for survivor-only
+  /// collectives; `tolerate_revoked` lets the ULFM repair collectives run
+  /// on a revoked communicator.
+  template <class Deposit, class Finalize, class Extract>
+  auto timed_collective(std::int64_t tree_msgs, std::int64_t payload, const char* label,
+                        TimeCategory cat, Deposit deposit, Finalize finalize,
+                        Extract extract, bool tolerate_revoked = false,
+                        int expected = -1);
+
   std::shared_ptr<detail::CommGroup> group_;
   int rank_ = 0;
   detail::RankCtx* ctx_ = nullptr;  // owned by ClusterState, outlives Comm

@@ -307,6 +307,36 @@ TEST(ElasticReExpansion, CorruptImageEscalatesToReplayFromStart) {
   EXPECT_NE(bad.fault_fingerprint(), good.fault_fingerprint());
 }
 
+TEST(ElasticReExpansion, EventsCrossedByOneAdvanceFireInTimeOrder) {
+  // Rank 1 dies at 1e-5, returns at 2e-5 and dies again at 3e-5, all inside
+  // one 1e-4 s compute call. The three events must fire in clean-time
+  // order — never all crashes first and the return after them.
+  MachineModel m = dry_machine({{1, 1e-5}, {1, 3e-5}});
+  m.perturb.returns = {{1, 2e-5}};
+  RunOptions opts = kDegradeOpts;
+  opts.trace = true;
+  const Cluster::Result res = Cluster::run(
+      4, m,
+      [](Comm& c) {
+        if (c.rank() == 1) c.compute(1e-4 * c.machine().cpu_flop_rate);
+      },
+      opts);
+  ASSERT_EQ(res.degradation_stats().degrades, 2);
+  ASSERT_EQ(res.elasticity_stats().returns, 1);
+  ASSERT_NE(res.trace, nullptr);
+  std::vector<std::string> labels;
+  std::vector<double> onsets;  // clean time of each shrink / expand event
+  for (const TraceMarker& mk : res.trace->rank(1).marks) {
+    labels.emplace_back(mk.label);
+    if (labels.back() == "shrink" || labels.back() == "expand") {
+      onsets.push_back(mk.t);
+    }
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"shrink", "redistribute", "expand",
+                                              "transfer", "shrink", "redistribute"}));
+  EXPECT_TRUE(std::is_sorted(onsets.begin(), onsets.end()));
+}
+
 TEST(ElasticReExpansion, NoSurvivorsStaysTerminalEvenWithRepairArmed) {
   MachineModel m = dry_machine({{0, 1e-5}});
   m.perturb.returns = {{0, 5e-5}};  // too late: the world already died

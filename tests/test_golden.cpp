@@ -18,10 +18,12 @@ namespace {
 /// Golden-fingerprint corpus: the clean-ledger fingerprint of a 2x2x2
 /// deterministic solve of every Table-1 matrix, for both 3D algorithms,
 /// two perturbation seeds, and two ABFT-armed variants (fault-free and
-/// seeded-SDC), pinned in tests/golden_fingerprints.txt. Any
-/// drift — a clock-model change, a reordered reduction, a perturbation
-/// stream change — fails here with the exact (matrix, algorithm, seed)
-/// that moved. Intentional changes regenerate the corpus:
+/// seeded-SDC), pinned in tests/golden_fingerprints.txt, plus the
+/// fault-ledger fingerprint of every fault-armed run. Any drift — a
+/// clock-model change, a reordered reduction, a perturbation stream
+/// change, a recovery cost charged differently — fails here with the exact
+/// (matrix, algorithm, seed) that moved. Intentional changes regenerate
+/// the corpus:
 ///
 ///   SPTRSV_GOLDEN_REGEN=tests/golden_fingerprints.txt ./build/tests/test_golden
 ///
@@ -36,7 +38,7 @@ std::string fp_hex(std::uint64_t fp) {
   return os.str();
 }
 
-/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 72
+/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 120
 /// corpus entries, computed fresh. Seed tokens "0"/"1" are plain perturbed
 /// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
 /// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
@@ -46,7 +48,9 @@ std::string fp_hex(std::uint64_t fp) {
 /// four fault rows must equal the plain "0" row bit for bit — the corpus
 /// pins the docs/ROBUSTNESS.md contract that verification, correction,
 /// shrink-and-redistribute recovery and elastic re-expansion never touch
-/// the clean ledger.
+/// the clean ledger. Each of the four also records its fault_fingerprint()
+/// under "<token>.fault", pinning what the recovery cost on the fault
+/// ledger.
 std::map<std::string, std::string> compute_corpus() {
   std::map<std::string, std::string> out;
   for (const PaperMatrix pm : all_paper_matrices()) {
@@ -84,6 +88,7 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": ABFT-corrected fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        out[key + ".fault"] = fp_hex(res.run_stats.fault_fingerprint());
       }
       {
         // Elastic degradation row: a mid-solve death with no spares left,
@@ -104,6 +109,7 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": degraded fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        out[key + ".fault"] = fp_hex(res.run_stats.fault_fingerprint());
       }
       {
         // Elastic re-expansion row: the same spare-less death, but the
@@ -126,6 +132,7 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": elastic fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        out[key + ".fault"] = fp_hex(res.run_stats.fault_fingerprint());
       }
     }
   }
@@ -141,6 +148,7 @@ TEST(GoldenFingerprints, MatchCorpus) {
     ASSERT_TRUE(out) << "cannot write " << regen;
     out << "# Golden clean-ledger fingerprints (tests/test_golden.cpp).\n"
         << "# <matrix> <algorithm> <seed-token: 0|1|abft0|sdc0|degrade0|elastic0> <fingerprint>\n"
+        << "# A \".fault\" suffix on a token pins that run's fault_fingerprint().\n"
         << "# Regenerate: SPTRSV_GOLDEN_REGEN=<path> ./build/tests/test_golden\n";
     for (const auto& [key, fp] : computed) out << key << " " << fp << "\n";
     GTEST_SKIP() << "regenerated " << computed.size() << " entries into " << regen;

@@ -339,6 +339,24 @@ TEST(MetricsFlight, DeadlockAttachesNonEmptyFlightDump) {
   EXPECT_TRUE(saw_wait) << "flight dump misses the parked receive";
 }
 
+TEST(MetricsFlight, FatalCrashCountsInRecoveryCrashes) {
+  // A crash with no spare left and degrade off kills the run. The metric
+  // must still count it, exactly like the recovery ledger does.
+  MachineModel m = test_machine();
+  m.recovery.spare_ranks = 0;
+  m.perturb.crashes = {{1, 1e-5}};
+  RunOptions opts;
+  opts.metrics = true;
+  const Cluster::Result res = Cluster::try_run(
+      4, m, [](Comm& c) { c.advance(1e-4, TimeCategory::kFp); }, opts);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.fault.kind, FaultKind::kSparesExhausted);
+  EXPECT_EQ(res.recovery_stats().crashes, 1);
+  ASSERT_NE(res.metrics, nullptr);
+  EXPECT_EQ(res.metrics->total("recovery.crashes"), 1.0);
+  EXPECT_EQ(res.metrics->value(1, "recovery.crashes"), 1.0);
+}
+
 TEST(MetricsFlight, SuccessfulRunReportsNoFault) {
   const Cluster::Result res = Cluster::try_run(
       2, test_machine(),
