@@ -11,13 +11,16 @@
 ///              [--return R@T] [--repair-mtbf S] [--fanout K] [--rebalance]
 ///              [--straggler-lag S]
 ///
+/// The fault flags (--crash through --straggler-lag) and --refine need the
+/// CPU backend: the GPU model runs fault-free and reports modeled time only.
+///
 /// Examples:
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 4x4x8 --alg new
 ///   sptrsv_cli --matrix my.mtx --shape 1x1x4 --machine perlmutter --backend gpu
 ///   sptrsv_cli --matrix nlpkkt80 --scale medium --shape 2x2x16 --refine
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --crash 3@1e-4
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --sdc 2e3 --abft
-///   sptrsv_cli --shape 2x2x2 --spares 0 --degrade --crash 3@1e-4 \
+///   sptrsv_cli --shape 2x2x2 --spares 0 --degrade --crash 3@1e-4
 ///              --return 3@5e-4 --fanout 2
 ///
 /// Exit codes: 0 success, 1 numeric/IO failure, 2 usage, 3 structured fault
@@ -25,9 +28,13 @@
 /// stderr on every path), 4 unrecoverable silent data corruption (the
 /// end-of-solve residual gate tripped and no repair path converged).
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "core/refinement.hpp"
 #include "core/sptrsv3d.hpp"
@@ -41,7 +48,9 @@ using namespace sptrsv;
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
+/// Prints `why` (when given) and the usage text, then exits 2.
+[[noreturn]] void usage(const char* argv0, const std::string& why = {}) {
+  if (!why.empty()) std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
   std::fprintf(stderr,
                "usage: %s [--matrix NAME|file.mtx] [--scale tiny|small|medium]\n"
                "          [--shape PXxPYxPZ] [--alg new|baseline] [--tree "
@@ -52,6 +61,9 @@ namespace {
                "          [--sdc RATE] [--abft] [--sdc-repair] [--spares N]\n"
                "          [--degrade] [--return R@T]... [--repair-mtbf S]\n"
                "          [--fanout K] [--rebalance] [--straggler-lag S]\n"
+               "\n"
+               "  fault flags (--crash .. --straggler-lag) and --refine need "
+               "--backend cpu\n"
                "\n"
                "  --metrics FILE  enable the runtime metrics registry and write the\n"
                "                  schema-versioned JSON report (sptrsv-metrics/1) to\n"
@@ -87,6 +99,16 @@ namespace {
                "            4 unrecoverable silent data corruption\n",
                argv0);
   std::exit(2);
+}
+
+/// The value `names` maps `text` to; any other text is a usage error.
+template <class T>
+T parse_choice(const char* argv0, const std::string& flag, const std::string& text,
+               std::initializer_list<std::pair<const char*, T>> names) {
+  for (const auto& [name, value] : names) {
+    if (text == name) return value;
+  }
+  usage(argv0, flag + ": unknown value '" + text + "'");
 }
 
 /// Writes `text` to `path`; false on any IO failure.
@@ -133,7 +155,7 @@ int main(int argc, char** argv) {
   Grid3dShape shape{2, 2, 4};
   Algorithm3d alg = Algorithm3d::kProposed;
   TreeKind tree = TreeKind::kBinary;
-  std::string machine_name = "cori";
+  MachineModel (*make_machine)() = &MachineModel::cori_haswell;
   Idx nrhs = 1;
   bool gpu = false, refine = false, csv = false;
   std::string trace_path;
@@ -148,35 +170,69 @@ int main(int argc, char** argv) {
   int spares = -1;
   int fanout = 0;
   double straggler_lag = 0.0;
+  // Flags the fault-free GPU model cannot honour; `cpu_only` keeps the
+  // first one given.
+  constexpr const char* kCpuOnlyFlags[] = {
+      "--crash", "--mtbf", "--sdc", "--abft", "--sdc-repair", "--spares", "--degrade",
+      "--return", "--repair-mtbf", "--fanout", "--rebalance", "--straggler-lag",
+      "--refine"};
+  std::string cpu_only;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(argv[0]);
+      if (i + 1 >= argc) usage(argv[0], a + ": missing value");
       return argv[++i];
     };
+    // Reads the whole value as a number no smaller than `min`.
+    auto number = [&](auto min) {
+      const std::string s = next();
+      const char* end = s.data() + s.size();
+      decltype(min) value{};
+      const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+      if (ec != std::errc() || ptr != end || !(value >= min)) {
+        usage(argv[0], a + ": invalid value '" + s + "'");
+      }
+      return value;
+    };
+    // Reads the value through sscanf `fmt`; a short match is a usage error.
+    auto scan = [&](const char* fmt, auto*... out) {
+      const std::string s = next();
+      if (std::sscanf(s.c_str(), fmt, out...) != static_cast<int>(sizeof...(out))) {
+        usage(argv[0], a + ": invalid value '" + s + "'");
+      }
+    };
+    if (cpu_only.empty() &&
+        std::find(std::begin(kCpuOnlyFlags), std::end(kCpuOnlyFlags), a) !=
+            std::end(kCpuOnlyFlags)) {
+      cpu_only = a;
+    }
     if (a == "--matrix") {
       matrix = next();
     } else if (a == "--scale") {
-      const std::string s = next();
-      scale = s == "tiny" ? MatrixScale::kTiny
-              : s == "medium" ? MatrixScale::kMedium
-                              : MatrixScale::kSmall;
+      scale = parse_choice<MatrixScale>(argv[0], a, next(),
+                                        {{"tiny", MatrixScale::kTiny},
+                                         {"small", MatrixScale::kSmall},
+                                         {"medium", MatrixScale::kMedium}});
     } else if (a == "--shape") {
-      const std::string s = next();
-      if (std::sscanf(s.c_str(), "%dx%dx%d", &shape.px, &shape.py, &shape.pz) != 3) {
-        usage(argv[0]);
-      }
+      scan("%dx%dx%d", &shape.px, &shape.py, &shape.pz);
     } else if (a == "--alg") {
-      alg = next() == "baseline" ? Algorithm3d::kBaseline : Algorithm3d::kProposed;
+      alg = parse_choice<Algorithm3d>(
+          argv[0], a, next(),
+          {{"new", Algorithm3d::kProposed}, {"baseline", Algorithm3d::kBaseline}});
     } else if (a == "--tree") {
-      tree = next() == "flat" ? TreeKind::kFlat : TreeKind::kBinary;
+      tree = parse_choice<TreeKind>(
+          argv[0], a, next(), {{"binary", TreeKind::kBinary}, {"flat", TreeKind::kFlat}});
     } else if (a == "--machine") {
-      machine_name = next();
+      make_machine = parse_choice<MachineModel (*)()>(
+          argv[0], a, next(),
+          {{"cori", &MachineModel::cori_haswell},
+           {"perlmutter", &MachineModel::perlmutter},
+           {"crusher", &MachineModel::crusher}});
     } else if (a == "--nrhs") {
-      nrhs = static_cast<Idx>(std::atoi(next().c_str()));
+      nrhs = number(Idx{1});
     } else if (a == "--backend") {
-      gpu = (next() == "gpu");
+      gpu = parse_choice<bool>(argv[0], a, next(), {{"cpu", false}, {"gpu", true}});
     } else if (a == "--refine") {
       refine = true;
     } else if (a == "--csv") {
@@ -187,44 +243,41 @@ int main(int argc, char** argv) {
       metrics_path = next();
     } else if (a == "--crash") {
       PerturbationModel::Crash c;
-      if (std::sscanf(next().c_str(), "%d@%lf", &c.rank, &c.vt) != 2) {
-        usage(argv[0]);
-      }
+      scan("%d@%lf", &c.rank, &c.vt);
       crashes.push_back(c);
     } else if (a == "--mtbf") {
-      mtbf = std::atof(next().c_str());
+      mtbf = number(0.0);
     } else if (a == "--sdc") {
-      sdc_rate = std::atof(next().c_str());
+      sdc_rate = number(0.0);
     } else if (a == "--abft") {
       abft = true;
     } else if (a == "--sdc-repair") {
       sdc_repair = true;
     } else if (a == "--spares") {
-      spares = std::atoi(next().c_str());
+      spares = number(0);
     } else if (a == "--degrade") {
       degrade = true;
     } else if (a == "--return") {
       PerturbationModel::NodeReturn nr;
-      if (std::sscanf(next().c_str(), "%d@%lf", &nr.rank, &nr.vt) != 2) {
-        usage(argv[0]);
-      }
+      scan("%d@%lf", &nr.rank, &nr.vt);
       returns.push_back(nr);
     } else if (a == "--repair-mtbf") {
-      repair_mtbf = std::atof(next().c_str());
+      repair_mtbf = number(0.0);
     } else if (a == "--fanout") {
-      fanout = std::atoi(next().c_str());
+      fanout = number(0);
     } else if (a == "--rebalance") {
       rebalance = true;
     } else if (a == "--straggler-lag") {
-      straggler_lag = std::atof(next().c_str());
+      straggler_lag = number(0.0);
     } else {
-      usage(argv[0]);
+      usage(argv[0], a + ": unknown flag");
     }
   }
+  if (gpu && !cpu_only.empty()) {
+    usage(argv[0], cpu_only + ": not supported with --backend gpu");
+  }
 
-  MachineModel machine = machine_name == "perlmutter" ? MachineModel::perlmutter()
-                         : machine_name == "crusher"  ? MachineModel::crusher()
-                                                      : MachineModel::cori_haswell();
+  MachineModel machine = make_machine();
   machine.perturb.crashes = crashes;
   machine.perturb.crash_mtbf = mtbf;
   machine.perturb.returns = returns;
@@ -254,7 +307,6 @@ int main(int argc, char** argv) {
     cfg.backend = GpuBackend::kGpu;
     cfg.trace = !trace_path.empty();
     cfg.metrics = !metrics_path.empty();
-    cfg.abft = abft;
     const GpuSolveTimes t = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
     if (!trace_path.empty() && !t.trace->write_chrome_json_file(trace_path)) {
       std::fprintf(stderr, "failed to write trace %s\n", trace_path.c_str());
@@ -278,14 +330,6 @@ int main(int argc, char** argv) {
                   t.metrics->total("gpu.put_bytes.xy") +
                       t.metrics->total("gpu.put_bytes.z"),
                   t.metrics->total("gpu.tasks"));
-    }
-    if (abft || machine.perturb.sdc_active()) {
-      std::printf("  sdc: injected=%lld detected=%lld corrected=%lld "
-                  "refine_iters=%lld (abft overhead %.3e s)\n",
-                  static_cast<long long>(t.sdc.injected),
-                  static_cast<long long>(t.sdc.detected),
-                  static_cast<long long>(t.sdc.corrected),
-                  static_cast<long long>(t.sdc.refine_iters), t.abft_overhead);
     }
     return 0;
   }

@@ -464,6 +464,9 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
                                  std::span<const Real> b, const SolveConfig& cfg,
                                  const MachineModel& machine) {
   const auto& shape = cfg.shape;
+  if (shape.px < 1 || shape.py < 1) {
+    throw std::invalid_argument("solve_sptrsv_3d: px and py must be at least 1");
+  }
   if (!is_pow2(shape.pz)) {
     throw std::invalid_argument("solve_sptrsv_3d: pz must be a power of two");
   }

@@ -81,9 +81,9 @@ struct DistSolveOutcome {
 
 /// Runs the selected 3D SpTRSV on `machine` and returns the solution (in
 /// permuted order) plus modeled timings. `b` is n x nrhs column-major in
-/// the factor's permuted order. Checks shape constraints (pz must be a
-/// power of two not exceeding the tracked tree's leaves; the machine must
-/// allow the layout).
+/// the factor's permuted order. Checks shape constraints (px and py at
+/// least 1; pz a power of two not exceeding the tracked tree's leaves; the
+/// machine must allow the layout).
 DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
                                  std::span<const Real> b, const SolveConfig& cfg,
                                  const MachineModel& machine);

@@ -69,8 +69,6 @@ struct MetricsSink {
   std::vector<std::unique_ptr<MetricsRegistry>> regs;
   struct Handles {
     MetricsRegistry::Counter tasks, puts, put_bytes_xy, put_bytes_z;
-    MetricsRegistry::Counter abft_checks, abft_injected, abft_detected,
-        abft_corrected;
   };
   std::vector<Handles> h;
 
@@ -84,10 +82,6 @@ struct MetricsSink {
       hh.puts = reg->counter("gpu.puts");
       hh.put_bytes_xy = reg->counter("gpu.put_bytes.xy");
       hh.put_bytes_z = reg->counter("gpu.put_bytes.z");
-      hh.abft_checks = reg->counter("abft.checks");
-      hh.abft_injected = reg->counter("abft.injected");
-      hh.abft_detected = reg->counter("abft.detected");
-      hh.abft_corrected = reg->counter("abft.corrected");
       regs.push_back(std::move(reg));
     }
   }
@@ -369,6 +363,9 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
                                     const GpuSolveConfig& cfg,
                                     const MachineModel& machine) {
   const auto& shape = cfg.shape;
+  if (shape.px < 1) {
+    throw std::invalid_argument("simulate_solve_3d_gpu: px must be at least 1");
+  }
   if (shape.py != 1) {
     throw std::invalid_argument("simulate_solve_3d_gpu: py must be 1 (paper §4.2)");
   }
@@ -533,50 +530,6 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
                        [](const TraceEvent& a, const TraceEvent& b) { return a.t0 < b.t0; });
     }
     out.trace = std::make_shared<const Trace>(Trace::build(std::move(sink->ranks)));
-  }
-  // ---- Analytic SDC/ABFT accounting (docs/ROBUSTNESS.md §SDC). The GPU
-  // sim carries no mutable numeric state, so memory faults here are pure
-  // ledger entries: a scheduled fault "lands" if its virtual time falls
-  // inside the solve, and with cfg.abft each phase boundary (L, Z, U)
-  // charges one checksum verification of the GPU's solution share plus a
-  // recompute per landed fault. The clean phase timings above are final —
-  // everything lands in out.sdc / out.abft_overhead only. ----
-  if (cfg.abft || machine.perturb.sdc_active()) {
-    const SdcPlan plan = build_sdc_plan(machine.perturb, cfg.seed, world);
-    const AbftModel& am = machine.abft;
-    const double words = static_cast<double>(lu.n()) *
-                         static_cast<double>(cfg.nrhs) /
-                         static_cast<double>(world);
-    const double vcost = am.check_overhead + 2.0 * words / machine.gpu_flop_rate;
-    for (int wr = 0; wr < world; ++wr) {
-      double overhead = 0;
-      if (cfg.abft) {
-        out.sdc.checks += 3;  // L, Z and U phase boundaries
-        out.sdc.verify_time += 3 * vcost;
-        overhead += 3 * vcost;
-        if (msink) msink->h[static_cast<size_t>(wr)].abft_checks.add(3);
-      }
-      for (const SdcEvent& ev : plan.by_rank[static_cast<size_t>(wr)]) {
-        if (ev.vt > out.u_finish[static_cast<size_t>(wr)]) continue;
-        out.sdc.injected += 1;
-        if (msink) msink->h[static_cast<size_t>(wr)].abft_injected.add();
-        if (!cfg.abft) continue;
-        out.sdc.detected += 1;
-        out.sdc.corrected += 1;
-        double rcost = am.recompute_overhead;
-        if (ev.refail_draw < am.recompute_refail_prob) {
-          rcost += machine.recovery.restore_overhead;
-          out.sdc.escalated += 1;
-        }
-        out.sdc.repair_time += rcost;
-        overhead += rcost;
-        if (msink) {
-          msink->h[static_cast<size_t>(wr)].abft_detected.add();
-          msink->h[static_cast<size_t>(wr)].abft_corrected.add();
-        }
-      }
-      out.abft_overhead = std::max(out.abft_overhead, overhead);
-    }
   }
 
   if (msink) out.metrics = msink->report();

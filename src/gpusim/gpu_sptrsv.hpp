@@ -47,7 +47,9 @@ enum class GpuScheduleMode {
   kResidentSpin,  ///< naive: blocks admitted in order, spin while resident
 };
 
-/// Configuration of one modeled solve.
+/// Configuration of one modeled solve. The model times a fault-free solve
+/// and holds no numeric state, so it has no fault or ABFT knobs: those run
+/// on the CPU runtime (docs/ROBUSTNESS.md).
 struct GpuSolveConfig {
   Grid3dShape shape;  ///< py must be 1 for the GPU backend
   Idx nrhs = 1;
@@ -62,15 +64,6 @@ struct GpuSolveConfig {
   /// put bytes by category) in the same registry taxonomy as the cluster
   /// runtime. Like the trace flag, it never changes modeled timings.
   bool metrics = false;
-  /// Analytic ABFT accounting (docs/ROBUSTNESS.md §SDC): charge per-phase
-  /// checksum verification (and correction of any scheduled memory faults)
-  /// into GpuSolveTimes::sdc / abft_overhead. The GPU sim has no mutable
-  /// numeric state, so SDC here is pure cost/ledger modeling — the clean
-  /// phase timings are never touched.
-  bool abft = false;
-  /// Seed for the memory-fault plan (same salted kMemStreamSalt stream as
-  /// the CPU runtime, keyed by world GPU rank).
-  std::uint64_t seed = 0;
 };
 
 /// Modeled timings (seconds), makespan-style (max over GPUs/ranks).
@@ -87,18 +80,12 @@ struct GpuSolveTimes {
   /// Per-GPU metrics report; non-null iff GpuSolveConfig::metrics. No time
   /// series (the sim has no sampling clock): final values only.
   std::shared_ptr<const MetricsReport> metrics;
-  /// SDC/ABFT ledger totals over all world GPUs (GpuSolveConfig::abft or an
-  /// armed PerturbationModel SDC schedule); all zero otherwise.
-  SdcStats sdc;
-  /// Worst per-GPU ABFT verification + correction time — the fault-side
-  /// makespan overhead. Never added to l_solve/z_comm/u_solve/total.
-  double abft_overhead = 0;
 };
 
-/// Runs the discrete-event model and returns the phase timings. Enforces
-/// the paper's platform constraints: `py == 1`; on machines without SHMEM
-/// subcommunicator support (Crusher/ROC-SHMEM) the GPU backend requires
-/// `px == 1`.
+/// Runs the discrete-event model and returns the phase timings. Requires
+/// `px >= 1` and enforces the paper's platform constraints: `py == 1`; on
+/// machines without SHMEM subcommunicator support (Crusher/ROC-SHMEM) the
+/// GPU backend requires `px == 1`.
 GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
                                     const GpuSolveConfig& cfg,
                                     const MachineModel& machine);

@@ -1335,36 +1335,13 @@ class CommGroup {
   int size() const { return static_cast<int>(globals_.size()); }
   int global_rank(int r) const { return globals_[static_cast<size_t>(r)]; }
 
-  // --- ULFM revocation (docs/ROBUSTNESS.md) ---
-  bool revoked() const { return revoked_; }
-  void set_revoked() { revoked_ = true; }
-
-  /// Structured failure for an operation attempted on a revoked
-  /// communicator (every member observes the same kind; detail names the
-  /// context id so reports from different comms are distinguishable).
-  [[noreturn]] void throw_revoked(int grank, double vt) const {
-    FaultReport r;
-    r.kind = FaultKind::kRevoked;
-    r.rank = grank;
-    r.vt = vt;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "communicator ctx=%llu was revoked",
-                  static_cast<unsigned long long>(ctx_));
-    r.detail = buf;
-    throw FaultError(std::move(r));
-  }
-
   /// State of one in-flight collective operation.
   struct CollSlot {
     int arrived = 0;
     int consumed = 0;
-    /// Arrivals that complete the operation. Normally size(); shrink() and
-    /// other survivor-only collectives lower it (dead ranks cannot arrive).
-    int expected = 0;
     bool ready = false;
     double max_vt = 0.0;
     double max_fvt = 0.0;  ///< fault-clock sync point (barrier/allreduce_sum)
-    std::int64_t agree_and = ~std::int64_t{0};      // agree() running AND
     std::vector<std::vector<Real>> contribs;        // allreduce inputs (by rank)
     std::vector<Real> reduce;                       // allreduce result
     std::vector<std::pair<int, int>> color_key;     // split inputs (by rank)
@@ -1375,20 +1352,14 @@ class CommGroup {
   /// Runs one collective: `deposit` stores this rank's contribution into
   /// the slot; the last arriver runs `finalize` and wakes the members parked
   /// in the scheduler; everyone then reads via `extract`. `grank`/`vt`
-  /// identify the caller to the scheduler. `tolerate_revoked` lets ULFM
-  /// repair collectives (agree/shrink) proceed on a revoked communicator;
-  /// everything else fails with kRevoked. `expected` overrides the arrival
-  /// count that completes the operation (-1 = all members) for
-  /// survivor-only collectives.
+  /// identify the caller to the scheduler. The operation completes once
+  /// every member has arrived.
   template <class Deposit, class Finalize, class Extract>
   auto collective(std::int64_t gen, int grank, double vt, Deposit deposit,
-                  Finalize finalize, Extract extract,
-                  bool tolerate_revoked = false, int expected = -1) {
-    if (!tolerate_revoked && revoked_) throw_revoked(grank, vt);
+                  Finalize finalize, Extract extract) {
     CollSlot& slot = slots_[gen];
-    if (slot.expected == 0) slot.expected = expected < 0 ? size() : expected;
     deposit(slot);
-    if (++slot.arrived == slot.expected) {
+    if (++slot.arrived == size()) {
       finalize(slot);
       slot.ready = true;
       for (const int g : globals_) {
@@ -1398,13 +1369,12 @@ class CommGroup {
       WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
                    static_cast<int>(gen), 0, 0, ctx_);
       while (!slot.ready) {
-        if (!tolerate_revoked && revoked_) throw_revoked(grank, vt);
         if (cluster_->aborted()) throw ClusterAborted();
         cluster_->sched().block(grank, vt);  // a stray message wake rechecks and re-parks
       }
     }
     auto result = extract(slot);
-    if (++slot.consumed == slot.expected) slots_.erase(gen);
+    if (++slot.consumed == size()) slots_.erase(gen);
     return result;
   }
 
@@ -1412,7 +1382,6 @@ class CommGroup {
   ClusterState* cluster_;
   std::uint64_t ctx_;
   std::vector<int> globals_;
-  bool revoked_ = false;
   std::map<std::int64_t, CollSlot> slots_;
 };
 
@@ -1529,19 +1498,11 @@ std::int64_t Comm::bytes_sent(TimeCategory cat) const {
   return ctx_->bytes[static_cast<int>(cat)];
 }
 
-double Comm::fault_vtime() const { return ctx_->fvt; }
-
-const TransportStats& Comm::transport_stats() const { return ctx_->tstats; }
-
 void Comm::send(int dst, int tag, std::vector<Real> data, TimeCategory cat) {
-  send_link(dst, tag, std::move(data), machine().net, machine().mpi_overhead, cat);
-}
-
-void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams& link,
-                     double overhead, TimeCategory cat) {
   if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::send: bad destination");
-  if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
   detail::ClusterState* cluster = group_->cluster();
+  const LinkParams& link = machine().net;
+  const double overhead = machine().mpi_overhead;
   const double t0 = ctx_->vt;
   ctx_->advance(overhead, cat);
   ++ctx_->messages[static_cast<int>(cat)];
@@ -1776,7 +1737,6 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
   // runnable rank can produce.
   detail::Scheduler& sched = group_->cluster()->sched();
   for (;;) {
-    if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
     if (group_->cluster()->aborted()) throw detail::ClusterAborted();
     auto best = scan();
     if (best == box.end()) {
@@ -1792,29 +1752,10 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
   }
 }
 
-bool Comm::probe(int src, int tag) {
-  auto scan = [&] {
-    for (const auto& e : ctx_->mailbox) {
-      if (e.ctx == group_->ctx() && (src == kAnySource || e.msg.src == src) &&
-          (tag == kAnyTag || e.msg.tag == tag)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  if (scan()) return true;
-  // A miss yields the token at an infinite key so probe-spin loops make
-  // progress (everyone else runs first), then rescans — without this a
-  // spinning rank would hold the token forever.
-  group_->cluster()->sched().yield(ctx_->grank, std::numeric_limits<double>::infinity());
-  return scan();
-}
-
 template <class Deposit, class Finalize, class Extract>
 auto Comm::timed_collective(std::int64_t tree_msgs, std::int64_t payload,
                             const char* label, TimeCategory cat, Deposit deposit,
-                            Finalize finalize, Extract extract, bool tolerate_revoked,
-                            int expected) {
+                            Finalize finalize, Extract extract) {
   // Every modeled tree message costs a hop plus its payload's wire time,
   // and the counters charge the same messages so collective traffic is
   // visible next to point-to-point traffic (docs/MODEL.md).
@@ -1838,8 +1779,7 @@ auto Comm::timed_collective(std::int64_t tree_msgs, std::int64_t payload,
         sync_vt = slot.max_vt;
         sync_fvt = slot.max_fvt;
         return extract(slot);
-      },
-      tolerate_revoked, expected);
+      });
   ctx_->sync_to(sync_vt, sync_fvt, cost, cat);
   ctx_->messages[static_cast<int>(cat)] += tree_msgs;
   ctx_->bytes[static_cast<int>(cat)] += tree_msgs * payload;
@@ -1945,84 +1885,6 @@ Comm Comm::split(int color, int key) {
       });
   return Comm(std::move(result.first), result.second, ctx_);
 }
-
-void Comm::revoke(TimeCategory cat) {
-  detail::ClusterState* cluster = group_->cluster();
-  // One-sided asynchronous notification: costs the revoker one software
-  // overhead, synchronizes nothing.
-  ctx_->advance_traced(machine().mpi_overhead, cat, TraceEventKind::kAdvance);
-  group_->set_revoked();
-  // Wake every member parked on this communicator (receives and collective
-  // waits) so pending operations fail now rather than at their next
-  // natural wakeup.
-  for (int r = 0; r < group_->size(); ++r) {
-    const int g = group_->global_rank(r);
-    if (g != ctx_->grank) cluster->sched().wake(g);
-  }
-}
-
-bool Comm::revoked() const { return group_->revoked(); }
-
-std::int64_t Comm::agree(std::int64_t value, TimeCategory cat) {
-  // Two synchronizing tree sweeps (a reduce and a confirmation round —
-  // ULFM agreement is roughly two barriers' worth of traffic).
-  return timed_collective(
-      4 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0, "agree", cat,
-      [&](auto& slot) { slot.agree_and &= value; }, [](auto&) {},
-      [](auto& slot) { return slot.agree_and; }, /*tolerate_revoked=*/true);
-}
-
-Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
-  std::set<int> dead;
-  for (const int f : failed) {
-    if (f < 0 || f >= size()) throw std::out_of_range("Comm::shrink: bad failed rank");
-    if (f == rank_) {
-      throw std::invalid_argument("Comm::shrink: a survivor cannot be on its own failed list");
-    }
-    dead.insert(f);
-  }
-  const int expected = size() - static_cast<int>(dead.size());
-  auto group = group_;  // keep alive across the collective
-  // Survivor-only synchronizing sweep: completion needs exactly `expected`
-  // arrivals — the dead ranks, by definition, never arrive.
-  auto result = timed_collective(
-      2 * static_cast<std::int64_t>(detail::log2_ceil(expected)), 0, "shrink", cat,
-      [&](auto& slot) {
-        if (slot.color_key.empty()) {
-          slot.color_key.assign(static_cast<size_t>(size()), {0, 0});
-          slot.split_groups.resize(static_cast<size_t>(size()));
-          slot.split_rank.assign(static_cast<size_t>(size()), 0);
-        }
-        slot.color_key[static_cast<size_t>(rank_)] = {1, 0};  // I survived
-      },
-      [&](auto& slot) {
-        // Membership is exactly the callers, in old rank order.
-        std::vector<int> survivors;
-        for (int r = 0; r < size(); ++r) {
-          if (slot.color_key[static_cast<size_t>(r)].first == 1) survivors.push_back(r);
-        }
-        std::vector<int> globals;
-        globals.reserve(survivors.size());
-        for (const int r : survivors) globals.push_back(group->global_rank(r));
-        auto g = std::make_shared<detail::CommGroup>(
-            group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-        for (size_t i = 0; i < survivors.size(); ++i) {
-          slot.split_groups[static_cast<size_t>(survivors[i])] = g;
-          slot.split_rank[static_cast<size_t>(survivors[i])] = static_cast<int>(i);
-        }
-      },
-      [&](auto& slot) {
-        return std::pair<std::shared_ptr<detail::CommGroup>, int>(
-            slot.split_groups[static_cast<size_t>(rank_)],
-            slot.split_rank[static_cast<size_t>(rank_)]);
-      },
-      /*tolerate_revoked=*/true, expected);
-  return Comm(std::move(result.first), result.second, ctx_);
-}
-
-const RecoveryStats& Comm::recovery_stats() const { return ctx_->rstats; }
-
-const SdcStats& Comm::sdc_stats() const { return ctx_->sdc; }
 
 CheckpointScope Comm::register_checkpoint(
     const char* label, std::function<std::vector<Real>()> capture,
@@ -2441,7 +2303,8 @@ ScheduleCertificate ScheduleCertificate::parse(const std::string& text) {
   } else {
     throw std::invalid_argument("ScheduleCertificate::parse: unknown policy '" + name + "'");
   }
-  c.grants.reserve(n);
+  // No reserve(n): n is untrusted text, and a huge count must fail as a
+  // truncated list below rather than as an allocation error.
   for (std::size_t i = 0; i < n; ++i) {
     std::int32_t g = 0;
     if (!(is >> g)) {

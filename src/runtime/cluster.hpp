@@ -246,14 +246,9 @@ class Comm {
 
   /// Buffered, non-blocking-semantics send (like MPI_Isend with an
   /// implicit buffer): charges the sender its software overhead and stamps
-  /// the arrival using the machine's default network link.
+  /// the arrival using the machine's network link.
   void send(int dst, int tag, std::vector<Real> data,
             TimeCategory cat = TimeCategory::kOther);
-
-  /// Send with explicit link parameters and software overhead — the GPU
-  /// layer uses this to model NVSHMEM puts over NVLink vs inter-node links.
-  void send_link(int dst, int tag, std::vector<Real> data, const LinkParams& link,
-                 double overhead, TimeCategory cat);
 
   /// Blocking receive; `src`/`tag` may be kAnySource/kAnyTag. Advances the
   /// virtual clock to max(own, arrival) and attributes the wait to `cat`.
@@ -264,9 +259,6 @@ class Comm {
   /// window) on the same communicator stays queued.
   Message recv_range(int src, int tag_lo, int tag_hi,
                      TimeCategory cat = TimeCategory::kOther);
-
-  /// Non-blocking: true if a matching message is queued.
-  bool probe(int src, int tag);
 
   /// Collective barrier; clocks synchronize to the group maximum plus a
   /// logarithmic tree cost.
@@ -281,31 +273,6 @@ class Comm {
   /// Splits into subcommunicators by color, ranked by (key, old rank).
   /// Setup cost is not charged (grids/trees are precomputed in the paper).
   Comm split(int color, int key);
-
-  // --- ULFM-style recovery primitives (docs/ROBUSTNESS.md) ---
-  /// Marks this communicator revoked (ULFM MPI_Comm_revoke): every pending
-  /// and future point-to-point or collective operation on it, at every
-  /// member, fails with FaultKind::kRevoked — blocked peers are woken to
-  /// unwind. agree() and shrink() still complete on a revoked communicator,
-  /// which is how survivors coordinate the repair. Charges the caller one
-  /// software overhead (the notification is one-sided and asynchronous).
-  void revoke(TimeCategory cat = TimeCategory::kOther);
-  /// True once any member has revoked this communicator.
-  bool revoked() const;
-  /// Fault-tolerant agreement (ULFM MPIX_Comm_agree): returns the bitwise
-  /// AND of every member's `value`, and completes even on a revoked
-  /// communicator. Costs two synchronizing tree sweeps (twice a barrier).
-  /// Every member must call it; exclude dead ranks with shrink() first (the
-  /// in-process model has no asynchronous rank death to tolerate here).
-  std::int64_t agree(std::int64_t value, TimeCategory cat = TimeCategory::kOther);
-  /// Collectively rebuilds the communicator without the `failed` comm-local
-  /// ranks (ULFM MPI_Comm_shrink): only the survivors call (every caller
-  /// must pass an identical `failed` list), completion needs exactly
-  /// size() - failed.size() arrivals, and it works on a revoked
-  /// communicator. Survivors keep their relative order. Costs one
-  /// synchronizing tree sweep (one barrier) among the survivors.
-  Comm shrink(const std::vector<int>& failed,
-              TimeCategory cat = TimeCategory::kOther);
 
   // --- buddy checkpointing + SDC anchoring (docs/ROBUSTNESS.md; no-ops
   // without a crash model, SDC schedule, or RunOptions::abft) ---
@@ -357,22 +324,6 @@ class Comm {
   /// `barrier` messages are zero-byte.
   std::int64_t bytes_sent(TimeCategory cat) const;
 
-  // --- fault ledger (docs/ROBUSTNESS.md; all zero without delivery faults) ---
-  /// This rank's fault clock: the clean clock plus every recovery delay
-  /// (retransmit timeouts, straggler flights) the reliable transport
-  /// absorbed. Bitwise equal to vtime() when no delivery faults are set.
-  double fault_vtime() const;
-  /// This rank's reliable-transport counters since reset_clock.
-  const TransportStats& transport_stats() const;
-  /// This rank's crash-recovery counters since reset_clock (crashes
-  /// absorbed, checkpoint epochs/bytes, detection/repair/restore/replay
-  /// time). All zero without a crash model.
-  const RecoveryStats& recovery_stats() const;
-  /// This rank's SDC/ABFT counters since reset_clock (flips injected /
-  /// detected / corrected, epoch checks, verification and repair time).
-  /// All zero without an SDC schedule or RunOptions::abft.
-  const SdcStats& sdc_stats() const;
-
   /// Opens a zero-cost annotation span labeled `label` (must be a string
   /// literal or otherwise outlive the run) with an optional caller-chosen
   /// discriminator `arg` (level, row id, ...). The span closes when the
@@ -398,19 +349,15 @@ class Comm {
   Comm(std::shared_ptr<detail::CommGroup> group, int rank, detail::RankCtx* ctx)
       : group_(std::move(group)), rank_(rank), ctx_(ctx) {}
 
-  /// Shared body of barrier, allreduce_sum, agree and shrink: one
-  /// collective whose arrivals also deposit their clocks, after which both
-  /// clocks sync to the group maximum plus the cost of `tree_msgs` modeled
-  /// messages of `payload` bytes each, the messages are counted, and the
-  /// flight and trace entries (labeled `label`) are recorded. `expected`
-  /// overrides the arrival count (-1 = all members) for survivor-only
-  /// collectives; `tolerate_revoked` lets the ULFM repair collectives run
-  /// on a revoked communicator.
+  /// Shared body of barrier and allreduce_sum: one collective whose
+  /// arrivals also deposit their clocks, after which both clocks sync to the
+  /// group maximum plus the cost of `tree_msgs` modeled messages of
+  /// `payload` bytes each, the messages are counted, and the flight and
+  /// trace entries (labeled `label`) are recorded.
   template <class Deposit, class Finalize, class Extract>
   auto timed_collective(std::int64_t tree_msgs, std::int64_t payload, const char* label,
                         TimeCategory cat, Deposit deposit, Finalize finalize,
-                        Extract extract, bool tolerate_revoked = false,
-                        int expected = -1);
+                        Extract extract);
 
   std::shared_ptr<detail::CommGroup> group_;
   int rank_ = 0;

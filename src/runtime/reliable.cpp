@@ -44,7 +44,6 @@ const char* fault_kind_name(FaultKind k) {
     case FaultKind::kRankStalled: return "rank-stalled";
     case FaultKind::kDeadlock: return "deadlock";
     case FaultKind::kVtLimit: return "vt-limit";
-    case FaultKind::kRevoked: return "revoked";
     case FaultKind::kBuddyLoss: return "buddy-loss";
     case FaultKind::kSparesExhausted: return "spares-exhausted";
     case FaultKind::kSilentCorruption: return "silent-corruption";

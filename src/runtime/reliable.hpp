@@ -17,7 +17,7 @@
 /// Two-ledger accounting is the load-bearing invariant: the clean virtual
 /// clock, category times and message/byte counters — everything behind
 /// Cluster::Result::fingerprint() — never see a fault. Recovery delay
-/// accrues on a parallel per-rank *fault clock* (Comm::fault_vtime), and
+/// accrues on a parallel per-rank *fault clock* (RankStats::fault_vtime), and
 /// retransmit/ack/duplicate traffic accrues in TransportStats. A run with
 /// no faults configured is bypass-free: both ledgers coincide bit for bit.
 ///
@@ -94,7 +94,6 @@ enum class FaultKind : int {
   kRankStalled,       ///< permanent rank stall swallowed every attempt
   kDeadlock,          ///< watchdog: every live rank blocked, nothing in flight
   kVtLimit,           ///< virtual clock passed RunOptions::vt_limit
-  kRevoked,           ///< operation on a communicator revoked after a crash
   kBuddyLoss,         ///< crashed rank and its checkpoint buddy both died
   kSparesExhausted,   ///< more crashes than the spare-rank pool could absorb
   kSilentCorruption,  ///< residual check caught uncorrected memory faults

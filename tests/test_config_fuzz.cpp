@@ -279,6 +279,10 @@ TEST(ScheduleKnobValidation, CertificateParseRejectsMalformedText) {
   EXPECT_THROW(ScheduleCertificate::parse("bogus 0 0"), std::invalid_argument);
   EXPECT_THROW(ScheduleCertificate::parse("fifo 0 3 1 2"), std::invalid_argument);
   EXPECT_THROW(ScheduleCertificate::parse("fifo 0 1 2 junk"), std::invalid_argument);
+  // A grant count far beyond the text is a truncated list, not an allocation.
+  EXPECT_THROW(ScheduleCertificate::parse("fifo 0 1000000000000"), std::invalid_argument);
+  EXPECT_THROW(ScheduleCertificate::parse("fifo 0 18446744073709551615"),
+               std::invalid_argument);
   const ScheduleCertificate c = ScheduleCertificate::parse("random_priority 42 3 0 1 0");
   EXPECT_EQ(c.policy, SchedulePolicy::kRandomPriority);
   EXPECT_EQ(c.seed, 42u);

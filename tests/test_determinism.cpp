@@ -305,22 +305,6 @@ TEST(DetSchedulerDeathTest, StackOverflowDiesOnTheGuardPage) {
   EXPECT_DEATH(overflow_rank_one(), "fault on the fiber guard page");
 }
 
-TEST(DetScheduler, ProbeSpinMakesProgress) {
-  Cluster::run(
-      2, test_machine(),
-      [](Comm& c) {
-        if (c.rank() == 0) {
-          c.compute(1e6);
-          c.send(1, 3, {1.0});
-        } else {
-          while (!c.probe(0, 3)) {
-          }
-          EXPECT_DOUBLE_EQ(c.recv(0, 3).data.at(0), 1.0);
-        }
-      },
-      kDet);
-}
-
 // ---------------------------------------------------------------------------
 // Collective reduction order is pinned by rank, not arrival.
 // ---------------------------------------------------------------------------

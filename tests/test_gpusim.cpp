@@ -132,6 +132,9 @@ TEST(GpuSim, InvalidShapesThrow) {
   cfg.shape = {1, 1, 32};  // deeper than the tracked tree (levels=4)
   EXPECT_THROW(simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, MachineModel::perlmutter()),
                std::invalid_argument);
+  cfg.shape = {0, 1, 2};  // no GPUs per grid
+  EXPECT_THROW(simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, MachineModel::perlmutter()),
+               std::invalid_argument);
 }
 
 TEST(GpuSim, PerlmutterFasterThanCrusherGpu) {

@@ -46,69 +46,6 @@ void expect_clean_ledger_invariant(const DistSolveOutcome& clean,
 }
 
 // ---------------------------------------------------------------------------
-// ULFM-style primitives (revoke / agree / shrink) as a user-facing API.
-// ---------------------------------------------------------------------------
-
-TEST(UlfmPrimitives, RevokeFailsPendingAndFutureOps) {
-  Cluster::run(3, test_machine(), [](Comm& c) {
-    if (c.rank() == 1) {
-      // Posted before the revoke lands: must fail with a structured
-      // kRevoked report instead of hanging forever.
-      try {
-        c.recv(0, /*tag=*/7);
-        FAIL() << "recv on a revoked communicator returned";
-      } catch (const FaultError& fe) {
-        EXPECT_EQ(fe.report.kind, FaultKind::kRevoked);
-        EXPECT_EQ(fe.report.rank, 1);
-      }
-    } else if (c.rank() == 0) {
-      c.advance(5e-5, TimeCategory::kFp);  // let rank 1 park in its recv first
-      c.revoke();
-    } else {
-      c.advance(1e-4, TimeCategory::kFp);  // arrives after the revoke: fails at entry
-      EXPECT_THROW(c.recv(0, 7), FaultError);
-    }
-    EXPECT_TRUE(c.revoked());
-    // Repair collectives still run on the revoked communicator.
-    EXPECT_EQ(c.agree(~std::int64_t{0}), ~std::int64_t{0});
-  });
-}
-
-TEST(UlfmPrimitives, AgreeIsBitwiseAndOverAllMembers) {
-  Cluster::run(4, test_machine(), [](Comm& c) {
-    const std::int64_t mine = c.rank() == 2 ? 0x6 : 0x7;
-    EXPECT_EQ(c.agree(mine), 0x6);
-    // Deliberate API calls are clean-ledger traffic, like barrier().
-    EXPECT_GT(c.messages_sent(TimeCategory::kOther), 0);
-  }, kDet);
-}
-
-TEST(UlfmPrimitives, ShrinkRebuildsSurvivorCommunicator) {
-  Cluster::run(4, test_machine(), [](Comm& c) {
-    if (c.rank() == 3) return;  // the "dead" rank never joins the repair
-    Comm sub = c.shrink({3});
-    EXPECT_EQ(sub.size(), 3);
-    EXPECT_EQ(sub.rank(), c.rank());  // survivors keep their relative order
-    sub.barrier();
-    // The shrunken communicator is fully functional.
-    if (sub.rank() == 0) {
-      sub.send(2, 11, std::vector<Real>{2.5});
-    } else if (sub.rank() == 2) {
-      EXPECT_EQ(sub.recv(0, 11).data[0], 2.5);
-    }
-  });
-}
-
-TEST(UlfmPrimitives, ShrinkValidatesFailedList) {
-  Cluster::run(2, test_machine(), [](Comm& c) {
-    if (c.rank() == 0) {
-      EXPECT_THROW((void)c.shrink({0}), std::invalid_argument);  // self
-      EXPECT_THROW((void)c.shrink({5}), std::out_of_range);
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint layer: bypass when off, fault-ledger-only cost when on.
 // ---------------------------------------------------------------------------
 

@@ -174,23 +174,6 @@ TEST(Runtime, NestedSplit) {
   });
 }
 
-TEST(Runtime, ProbeSeesOnlyMatching) {
-  Cluster::run(2, test_machine(), [](Comm& c) {
-    if (c.rank() == 0) {
-      c.send(1, 3, {1.0});
-      c.recv(1, 0);  // ack: message 3 definitely delivered
-      EXPECT_FALSE(c.probe(1, 9));
-    } else {
-      while (!c.probe(0, 3)) {
-      }
-      EXPECT_TRUE(c.probe(kAnySource, kAnyTag));
-      EXPECT_FALSE(c.probe(0, 4));
-      c.recv(0, 3);
-      c.send(0, 0, {});
-    }
-  });
-}
-
 TEST(Runtime, SelfSendIsDelivered) {
   Cluster::run(1, test_machine(), [](Comm& c) {
     c.send(0, 5, {42.0});

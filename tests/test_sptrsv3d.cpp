@@ -176,6 +176,12 @@ TEST(Sptrsv3d, InvalidShapesThrow) {
   cfg.shape = {1, 1, 8};  // deeper than the tracked tree (levels=2)
   EXPECT_THROW(solve_system_3d(fs, b, cfg, MachineModel::cori_haswell()),
                std::invalid_argument);
+  for (const Grid3dShape bad : {Grid3dShape{0, 2, 2}, Grid3dShape{2, 0, 2},
+                                 Grid3dShape{-1, 2, 2}}) {
+    cfg.shape = bad;  // an empty process-grid dimension
+    EXPECT_THROW(solve_system_3d(fs, b, cfg, MachineModel::cori_haswell()),
+                 std::invalid_argument);
+  }
   cfg.shape = {1, 1, 2};
   cfg.nrhs = 2;  // b sized for 1 RHS
   EXPECT_THROW(solve_system_3d(fs, b, cfg, MachineModel::cori_haswell()),
