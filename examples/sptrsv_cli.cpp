@@ -13,6 +13,8 @@
 ///
 /// The fault flags (--crash through --straggler-lag) and --refine need the
 /// CPU backend: the GPU model runs fault-free and reports modeled time only.
+/// --backend gpu needs a machine with GPUs (--machine perlmutter|crusher).
+/// --trace and --metrics record one solve, so --refine refuses them.
 ///
 /// Examples:
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 4x4x8 --alg new
@@ -64,6 +66,8 @@ namespace {
                "\n"
                "  fault flags (--crash .. --straggler-lag) and --refine need "
                "--backend cpu\n"
+               "  --backend gpu needs --machine perlmutter|crusher\n"
+               "  --trace and --metrics are not supported with --refine\n"
                "\n"
                "  --metrics FILE  enable the runtime metrics registry and write the\n"
                "                  schema-versioned JSON report (sptrsv-metrics/1) to\n"
@@ -276,6 +280,12 @@ int main(int argc, char** argv) {
   if (gpu && !cpu_only.empty()) {
     usage(argv[0], cpu_only + ": not supported with --backend gpu");
   }
+  if (refine && !trace_path.empty()) {
+    usage(argv[0], "--trace: not supported with --refine");
+  }
+  if (refine && !metrics_path.empty()) {
+    usage(argv[0], "--metrics: not supported with --refine");
+  }
 
   MachineModel machine = make_machine();
   machine.perturb.crashes = crashes;
@@ -339,19 +349,14 @@ int main(int argc, char** argv) {
   cfg.algorithm = alg;
   cfg.tree = tree;
   cfg.nrhs = nrhs;
-  cfg.run.trace = !trace_path.empty() && !refine;
-  cfg.run.metrics = !metrics_path.empty() && !refine;
+  cfg.run.trace = !trace_path.empty();
+  cfg.run.metrics = !metrics_path.empty();
   cfg.run.abft = abft;
   cfg.run.sdc_repair = sdc_repair;
   cfg.run.degrade = degrade;
   cfg.run.rebalance = rebalance;
 
   if (refine) {
-    if (!metrics_path.empty()) {
-      std::fprintf(stderr,
-                   "note: --metrics is ignored with --refine (the refinement "
-                   "result carries no per-solve run stats)\n");
-    }
     const RefinementResult r = iterative_refinement(a, fs, b, cfg, machine);
     if (csv) {
       std::printf("%s,%dx%dx%d,refine,%s,%d,%.6e,%d,%.3e\n", matrix.c_str(), shape.px,

@@ -35,30 +35,17 @@ std::vector<Real> pack(const std::vector<const ReduceSegment*>& segs) {
   return buf;
 }
 
-void unpack_accumulate(const std::vector<const ReduceSegment*>& segs,
-                       std::span<const Real> buf) {
+/// Inverse of pack; `op(local, incoming)` combines each segment with its
+/// slice of `buf` (accumulate when reducing, replace when broadcasting).
+template <class Op>
+void unpack(const std::vector<const ReduceSegment*>& segs, std::span<const Real> buf,
+            Op op) {
   size_t off = 0;
   for (const auto* s : segs) {
     if (off + s->values.size() > buf.size()) {
       throw std::runtime_error("sparse_allreduce: mismatched buffer layout");
     }
-    for (size_t i = 0; i < s->values.size(); ++i) s->values[i] += buf[off + i];
-    off += s->values.size();
-  }
-  if (off != buf.size()) {
-    throw std::runtime_error("sparse_allreduce: trailing buffer data");
-  }
-}
-
-void unpack_replace(const std::vector<const ReduceSegment*>& segs,
-                    std::span<const Real> buf) {
-  size_t off = 0;
-  for (const auto* s : segs) {
-    if (off + s->values.size() > buf.size()) {
-      throw std::runtime_error("sparse_allreduce: mismatched buffer layout");
-    }
-    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off), s->values.size(),
-                s->values.begin());
+    op(s->values, buf.subspan(off, s->values.size()));
     off += s->values.size();
   }
   if (off != buf.size()) {
@@ -165,7 +152,9 @@ void sparse_allreduce(Comm& zcomm, const NdTree& tree,
       zcomm.send(partner, kTagSparseReduce, pack(shared), cat);
     } else {
       const Message m = zcomm.recv(partner, kTagSparseReduce, cat);
-      unpack_accumulate(shared, m.data);
+      unpack(shared, m.data, [](std::span<Real> local, std::span<const Real> in) {
+        for (size_t i = 0; i < in.size(); ++i) local[i] += in[i];
+      });
     }
     ckpt_level = l + 1;
     zcomm.checkpoint_epoch(l);  // reduce-level boundary
@@ -183,7 +172,9 @@ void sparse_allreduce(Comm& zcomm, const NdTree& tree,
     m_bvals.add(count_values(shared));
     if (z & (1 << l)) {
       const Message m = zcomm.recv(partner, kTagSparseBcast, cat);
-      unpack_replace(shared, m.data);
+      unpack(shared, m.data, [](std::span<Real> local, std::span<const Real> in) {
+        std::copy(in.begin(), in.end(), local.begin());
+      });
     } else {
       zcomm.send(partner, kTagSparseBcast, pack(shared), cat);
     }

@@ -8,8 +8,10 @@
 /// then sends y(K) down K's broadcast tree; owners of blocks L(I,K) fold
 /// y(K) into their local lsum(I) and push it up I's reduction tree. All
 /// bookkeeping (`fmod` in the paper) is precomputed in the Solve2dPlan.
-/// The U-solve mirrors the pattern with broadcast and reduction roles
-/// swapped and the elimination order reversed.
+/// The U-solve is the same algorithm with block rows and block columns
+/// swapped: both entry points run one solve body over the roles that
+/// Solve2dPlan::view assigns, and differ only in names, where a block and
+/// its diagonal inverse are stored, and the U-solve's seeded sources.
 ///
 /// The same routine serves both 3D algorithms: the proposed one calls it
 /// once per grid on the whole L^z/U^z, the baseline calls it per

@@ -470,6 +470,9 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
   if (!is_pow2(shape.pz)) {
     throw std::invalid_argument("solve_sptrsv_3d: pz must be a power of two");
   }
+  if (cfg.nrhs < 1) {
+    throw std::invalid_argument("solve_sptrsv_3d: nrhs must be at least 1");
+  }
   const int zlevels = log2_exact(shape.pz);
   if (zlevels > tree.levels()) {
     throw std::invalid_argument(

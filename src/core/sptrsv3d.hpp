@@ -83,7 +83,7 @@ struct DistSolveOutcome {
 /// permuted order) plus modeled timings. `b` is n x nrhs column-major in
 /// the factor's permuted order. Checks shape constraints (px and py at
 /// least 1; pz a power of two not exceeding the tracked tree's leaves; the
-/// machine must allow the layout).
+/// machine must allow the layout) and that nrhs is at least 1.
 DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
                                  std::span<const Real> b, const SolveConfig& cfg,
                                  const MachineModel& machine);

@@ -26,8 +26,21 @@ Idx find_pos(std::span<const Idx> sorted, Idx v) {
 
 }  // namespace
 
-Idx Solve2dPlan::col_pos(Idx k) const { return find_pos(cols_, k); }
-Idx Solve2dPlan::row_pos(Idx i) const { return find_pos(rows_, i); }
+Idx Solve2dPlan::View::target_pos(Idx s) const { return find_pos(targets, s); }
+Idx Solve2dPlan::View::source_pos(Idx s) const { return find_pos(sources, s); }
+
+Solve2dPlan::View Solve2dPlan::view(Triangle tri) const {
+  if (tri == Triangle::kLower) {
+    return {.targets = rows_, .sources = cols_, .seeded_sources = {},
+            .contributors = row_pattern_, .block_index = row_pattern_index_,
+            .dependents = below_, .reduce_members = l_reduce_,
+            .bcast_members = l_bcast_, .kind = kind_};
+  }
+  return {.targets = cols_, .sources = rows_, .seeded_sources = external_rows_,
+          .contributors = below_, .block_index = below_index_,
+          .dependents = row_pattern_, .reduce_members = u_reduce_,
+          .bcast_members = u_bcast_, .kind = kind_};
+}
 
 Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
                                std::vector<Idx> cols, std::vector<Idx> extra_rows) {

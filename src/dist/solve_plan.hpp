@@ -7,8 +7,11 @@
 /// the baseline algorithm, or the whole L^z/U^z of Fig 1(c) for the
 /// proposed algorithm) and the set `rows` of supernodes whose partial sums
 /// are tracked (cols plus replicated ancestors). From the global symbolic
-/// structure it derives, per supernode, the four communication-tree member
-/// lists of §3.3 (L broadcast/reduction, U broadcast/reduction). Plans are
+/// structure it derives, per supernode, the filtered block patterns and the
+/// four communication-tree member lists of §3.3 (L broadcast/reduction, U
+/// broadcast/reduction). The U-solve is the L-solve with block rows and
+/// block columns swapped; `view(Triangle)` binds the arrays to their roles
+/// for one triangle, so the solvers are written once for both. Plans are
 /// built once per grid and shared read-only by the grid's ranks — exactly
 /// the setup precomputation the paper performs on the CPU before the solve.
 
@@ -20,6 +23,9 @@
 #include "ordering/nested_dissection.hpp"
 
 namespace sptrsv {
+
+/// Which triangular factor a 2D solve runs over.
+enum class Triangle { kLower, kUpper };
 
 class Solve2dPlan {
  public:
@@ -44,34 +50,45 @@ class Solve2dPlan {
   Idx num_cols() const { return static_cast<Idx>(cols_.size()); }
   Idx num_rows() const { return static_cast<Idx>(rows_.size()); }
 
-  /// Position of supernode in cols()/rows(); kNoIdx if absent.
-  Idx col_pos(Idx k) const;
-  Idx row_pos(Idx i) const;
+  /// The plan's arrays bound by their role in one triangle's solve; see
+  /// view(). Per-target lists are indexed by position into `targets`,
+  /// per-source lists by position into `sources`.
+  struct View {
+    /// Reduced, then solved or handed back as partial sums, ascending.
+    std::span<const Idx> targets;
+    /// Solved, then broadcast to the ranks holding their blocks, ascending.
+    std::span<const Idx> sources;
+    /// Sources whose solution is an input: broadcast, never solved.
+    std::span<const Idx> seeded_sources;
+    /// Per target: supernodes holding a tracked block in the target's block
+    /// row (L) or block column (U), ascending. Aligned `block_index` gives
+    /// each block's entry in lu.sym.below of the panel that stores it.
+    std::span<const std::vector<Idx>> contributors;
+    std::span<const std::vector<Idx>> block_index;
+    /// Per source: the targets whose partial sums its blocks update.
+    std::span<const std::vector<Idx>> dependents;
+    /// Reduction (per target) and broadcast (per source) tree member lists
+    /// of §3.3: root first, remaining members ascending (see TreeView).
+    std::span<const std::vector<int>> reduce_members;
+    std::span<const std::vector<int>> bcast_members;
+    TreeKind kind = TreeKind::kBinary;
 
-  /// Below-pattern of column `cp` (position into cols), filtered to rows().
-  std::span<const Idx> below(Idx cp) const { return below_[static_cast<size_t>(cp)]; }
-  /// For each entry of below(cp): its index into lu.sym.below[K] (for
-  /// locating the block inside the global panels).
-  std::span<const Idx> below_index(Idx cp) const {
-    return below_index_[static_cast<size_t>(cp)];
-  }
+    /// Position of supernode `s` in targets/sources; kNoIdx if absent.
+    Idx target_pos(Idx s) const;
+    Idx source_pos(Idx s) const;
+    TreeView reduce(Idx tp) const {
+      return {reduce_members[static_cast<size_t>(tp)], kind};
+    }
+    TreeView bcast(Idx sp) const {
+      return {bcast_members[static_cast<size_t>(sp)], kind};
+    }
+  };
 
-  /// Columns K in cols() whose pattern contains row `rp` (position into
-  /// rows()), ascending; aligned `pattern_index` gives the entry's index in
-  /// lu.sym.below[K].
-  std::span<const Idx> row_pattern(Idx rp) const {
-    return row_pattern_[static_cast<size_t>(rp)];
-  }
-  std::span<const Idx> row_pattern_index(Idx rp) const {
-    return row_pattern_index_[static_cast<size_t>(rp)];
-  }
-
-  // Communication trees (paper §3.3). All lists have the root first and the
-  // remaining member ranks ascending (see TreeView).
-  TreeView l_bcast(Idx cp) const { return {l_bcast_[static_cast<size_t>(cp)], kind_}; }
-  TreeView u_reduce(Idx cp) const { return {u_reduce_[static_cast<size_t>(cp)], kind_}; }
-  TreeView l_reduce(Idx rp) const { return {l_reduce_[static_cast<size_t>(rp)], kind_}; }
-  TreeView u_bcast(Idx rp) const { return {u_bcast_[static_cast<size_t>(rp)], kind_}; }
+  /// Binds the plan's arrays to the roles of `tri`'s solve. This is the one
+  /// place the L/U mirror is written down: the L-solve reduces into rows
+  /// and broadcasts columns, the U-solve reduces into columns and
+  /// broadcasts rows, seeded with the external rows' solutions.
+  View view(Triangle tri) const;
 
   /// Flop count of one GEMV/GEMM with block (I,K) of width-of-I rows.
   double block_flops(Idx i, Idx k, Idx nrhs) const {
@@ -90,14 +107,17 @@ class Solve2dPlan {
   std::vector<Idx> cols_;
   std::vector<Idx> rows_;
   std::vector<Idx> external_rows_;
+  // Per column position: its pattern filtered to rows(), with each entry's
+  // index in lu.sym.below[K]. Per row position: the columns whose pattern
+  // holds it, with the same index. view() binds these by role.
   std::vector<std::vector<Idx>> below_;
   std::vector<std::vector<Idx>> below_index_;
   std::vector<std::vector<Idx>> row_pattern_;
   std::vector<std::vector<Idx>> row_pattern_index_;
-  std::vector<std::vector<int>> l_bcast_;
-  std::vector<std::vector<int>> l_reduce_;
-  std::vector<std::vector<int>> u_bcast_;
-  std::vector<std::vector<int>> u_reduce_;
+  std::vector<std::vector<int>> l_bcast_;   // per column
+  std::vector<std::vector<int>> u_reduce_;  // per column
+  std::vector<std::vector<int>> l_reduce_;  // per row
+  std::vector<std::vector<int>> u_bcast_;   // per row
 };
 
 /// Supernode id range [first, last) of a tracked tree node's columns.

@@ -145,68 +145,54 @@ struct PhaseTask {
   bool exists = false;
 };
 
-/// Direction of a phase: L consumes `below` patterns, U mirrors them.
-enum class Phase { kL, kU };
-
-/// Simulates one grid's 2D solve phase; returns per-GPU finish times.
-/// `t0[g]` is GPU g's start clock. `gpu_base` is the world index of this
-/// grid's GPU 0 (node locality for puts).
-std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
+/// Simulates one grid's 2D solve of triangle `tri`; returns per-GPU finish
+/// times. `t0[g]` is GPU g's start clock. `gpu_base` is the world index of
+/// this grid's GPU 0 (node locality for puts).
+std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
                               const GpuExecModel& exec, const GpuFabric& fabric,
                               int gpu_base, std::span<const double> t0,
                               GpuScheduleMode mode, TraceSink* sink,
                               MetricsSink* msink) {
-  const char* const task_label = phase == Phase::kL ? "l_task" : "u_task";
-  const auto& lu = plan.lu();
-  const auto& part = lu.sym.part;
-  const int px = plan.shape().px;
+  const char* const task_label = tri == Triangle::kLower ? "l_task" : "u_task";
+  const Solve2dPlan::View v = plan.view(tri);
+  const auto& part = plan.lu().sym.part;
+  const auto& shape = plan.shape();
+  const int px = shape.px;
   const Idx nc = plan.num_cols();
 
-  // Task table: tasks[g * nc + cp].
+  // Task table: tasks[g * nc + p] for the supernode at position p. Grid
+  // plans solve every row they track (rows == cols), so a supernode's
+  // source and target positions coincide and one p indexes both.
   std::vector<PhaseTask> tasks(static_cast<size_t>(px) * static_cast<size_t>(nc));
-  auto task_at = [&](int g, Idx cp) -> PhaseTask& {
+  auto task_at = [&](int g, Idx p) -> PhaseTask& {
     return tasks[static_cast<size_t>(g) * static_cast<size_t>(nc) +
-                 static_cast<size_t>(cp)];
+                 static_cast<size_t>(p)];
   };
 
-  // Build tasks. In both phases the "column owner set" is the broadcast
-  // tree of the solved supernode: l_bcast for L, u_bcast for U.
-  for (Idx cp = 0; cp < nc; ++cp) {
-    const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const Idx rp = plan.row_pos(k);
+  // Build tasks. A supernode's tasks sit on its broadcast tree: the
+  // diagonal owner and every GPU holding a block its solution multiplies.
+  for (Idx p = 0; p < nc; ++p) {
+    const Idx k = v.sources[static_cast<size_t>(p)];
     const double wk = part.width(k);
     // With py == 1, tree member grid-ranks coincide with process rows.
-    const int diag_gpu = plan.shape().row_of(plan.shape().diag_owner(k));
-    // Dependencies of the diagonal task: one per pattern entry (each is a
+    const int diag_gpu = shape.row_of(shape.diag_owner(k));
+    // Dependencies of the diagonal task: one per contributor (each is a
     // GEMV executed by another task on the same GPU).
-    PhaseTask& dt = task_at(diag_gpu, cp);
+    PhaseTask& dt = task_at(diag_gpu, p);
     dt.exists = true;
     dt.is_diag = true;
     dt.diag_flops = 2.0 * wk * wk * nrhs;
-    dt.deps = static_cast<int>(phase == Phase::kL ? plan.row_pattern(rp).size()
-                                                  : plan.below(cp).size());
+    dt.deps = static_cast<int>(v.contributors[static_cast<size_t>(p)].size());
     dt.ready = t0[static_cast<size_t>(diag_gpu)];
     // GEMV work of every member GPU for this supernode's panel.
-    if (phase == Phase::kL) {
-      for (const Idx i : plan.below(cp)) {
-        const int g = plan.shape().owner_row(i);
-        PhaseTask& t = task_at(g, cp);
-        if (!t.exists) {
-          t.exists = true;
-          t.deps = (g == diag_gpu) ? t.deps : 1;  // off-diag waits for y(K)
-        }
-        t.gemv_flops += 2.0 * part.width(i) * wk * nrhs;
+    for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+      const int g = shape.owner_row(i);
+      PhaseTask& t = task_at(g, p);
+      if (!t.exists) {
+        t.exists = true;
+        t.deps = (g == diag_gpu) ? t.deps : 1;  // off-diag waits for the solution
       }
-    } else {
-      for (const Idx j : plan.row_pattern(rp)) {  // U(J,K) lives on row J
-        const int g = plan.shape().owner_row(j);
-        PhaseTask& t = task_at(g, cp);
-        if (!t.exists) {
-          t.exists = true;
-          t.deps = (g == diag_gpu) ? t.deps : 1;
-        }
-        t.gemv_flops += 2.0 * part.width(j) * wk * nrhs;
-      }
+      t.gemv_flops += 2.0 * part.width(i) * wk * nrhs;
     }
   }
 
@@ -224,11 +210,10 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
     // the y/x put) is outstanding. Processing the columns in launch order
     // keeps every producer's completion computed before its consumers.
     for (Idx step = 0; step < nc; ++step) {
-      const Idx cp = (phase == Phase::kL) ? step : nc - 1 - step;
-      const Idx k = plan.cols()[static_cast<size_t>(cp)];
-      const Idx rp = plan.row_pos(k);
+      const Idx p = tri == Triangle::kLower ? step : nc - 1 - step;
+      const Idx k = v.sources[static_cast<size_t>(p)];
       const double wk = part.width(k);
-      const TreeView bcast = phase == Phase::kL ? plan.l_bcast(cp) : plan.u_bcast(rp);
+      const TreeView bcast = v.bcast(p);
       const double bytes = wk * nrhs * sizeof(Real);
 
       // BFS over the broadcast tree from the diagonal owner so a relay's
@@ -239,7 +224,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
         bcast.for_each_child(order[q], [&](int child) { order.push_back(child); });
       }
       for (const int g : order) {
-        PhaseTask& t = task_at(g, cp);
+        PhaseTask& t = task_at(g, p);
         if (!t.exists) continue;
         const bool is_diag = t.is_diag;
         const double arrival =
@@ -269,19 +254,11 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
                        TimeCategory::kXyComm);
           }
         });
-        // Feed my local rows'/columns' diagonal readiness.
-        if (phase == Phase::kL) {
-          for (const Idx i : plan.below(cp)) {
-            if (plan.shape().owner_row(i) != g) continue;
-            PhaseTask& t2 = task_at(g, plan.col_pos(i));
-            t2.ready = std::max(t2.ready, end);
-          }
-        } else {
-          for (const Idx j : plan.row_pattern(rp)) {
-            if (plan.shape().owner_row(j) != g) continue;
-            PhaseTask& t2 = task_at(g, plan.col_pos(j));
-            t2.ready = std::max(t2.ready, end);
-          }
+        // Feed my local targets' diagonal readiness.
+        for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+          if (shape.owner_row(i) != g) continue;
+          PhaseTask& t2 = task_at(g, v.target_pos(i));
+          t2.ready = std::max(t2.ready, end);
         }
       }
     }
@@ -290,31 +267,30 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
 
   // Event queue over ready tasks (the two-kernel design: a block only
   // occupies a slot while it has work).
-  using QEntry = std::pair<double, std::pair<int, Idx>>;  // (ready, (gpu, cp))
+  using QEntry = std::pair<double, std::pair<int, Idx>>;  // (ready, (gpu, p))
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
 
-  for (Idx cp = 0; cp < nc; ++cp) {
-    const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const int diag_gpu = plan.shape().row_of(plan.shape().diag_owner(k));
-    PhaseTask& dt = task_at(diag_gpu, cp);
-    if (dt.exists && dt.deps == 0) queue.push({dt.ready, {diag_gpu, cp}});
+  for (Idx p = 0; p < nc; ++p) {
+    const Idx k = v.sources[static_cast<size_t>(p)];
+    const int diag_gpu = shape.row_of(shape.diag_owner(k));
+    PhaseTask& dt = task_at(diag_gpu, p);
+    if (dt.exists && dt.deps == 0) queue.push({dt.ready, {diag_gpu, p}});
   }
 
-  auto on_contribution = [&](int g, Idx cp, double t) {
-    PhaseTask& t2 = task_at(g, cp);
+  auto on_contribution = [&](int g, Idx p, double t) {
+    PhaseTask& t2 = task_at(g, p);
     t2.ready = std::max(t2.ready, t);
-    if (--t2.deps == 0) queue.push({t2.ready, {g, cp}});
+    if (--t2.deps == 0) queue.push({t2.ready, {g, p}});
   };
 
   while (!queue.empty()) {
     const auto [ready, id] = queue.top();
     queue.pop();
-    const auto [g, cp] = id;
-    PhaseTask& t = task_at(g, cp);
-    const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const Idx rp = plan.row_pos(k);
+    const auto [g, p] = id;
+    PhaseTask& t = task_at(g, p);
+    const Idx k = v.sources[static_cast<size_t>(p)];
     const double wk = part.width(k);
-    const TreeView bcast = phase == Phase::kL ? plan.l_bcast(cp) : plan.u_bcast(rp);
+    const TreeView bcast = v.bcast(p);
     const double bytes = wk * nrhs * sizeof(Real);
 
     const double dur = exec.task_time(t.diag_flops + t.gemv_flops, nrhs);
@@ -338,20 +314,13 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
         msink->put(gpu_base + g, static_cast<std::int64_t>(bytes),
                    TimeCategory::kXyComm);
       }
-      on_contribution(child, cp, arrival);
+      on_contribution(child, p, arrival);
     });
 
-    // The GEMVs completed here feed the diagonal tasks of my local rows.
-    if (phase == Phase::kL) {
-      for (const Idx i : plan.below(cp)) {
-        if (plan.shape().owner_row(i) != g) continue;
-        on_contribution(g, plan.col_pos(i), end);
-      }
-    } else {
-      for (const Idx j : plan.row_pattern(rp)) {
-        if (plan.shape().owner_row(j) != g) continue;
-        on_contribution(g, plan.col_pos(j), end);
-      }
+    // The GEMVs completed here feed the diagonal tasks of my local targets.
+    for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+      if (shape.owner_row(i) != g) continue;
+      on_contribution(g, v.target_pos(i), end);
     }
   }
   return finish;
@@ -371,6 +340,13 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   }
   if (shape.pz <= 0 || (shape.pz & (shape.pz - 1)) != 0) {
     throw std::invalid_argument("simulate_solve_3d_gpu: pz must be a power of two");
+  }
+  if (cfg.nrhs < 1) {
+    throw std::invalid_argument("simulate_solve_3d_gpu: nrhs must be at least 1");
+  }
+  if (cfg.backend == GpuBackend::kGpu && machine.gpus_per_node < 1) {
+    throw std::invalid_argument("simulate_solve_3d_gpu: " + machine.name +
+                                " has no GPUs; the GPU backend needs gpus_per_node >= 1");
   }
   if (cfg.backend == GpuBackend::kGpu && !machine.shmem_subcomm_support &&
       shape.px > 1) {
@@ -425,10 +401,9 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   std::vector<std::vector<double>> clock(static_cast<size_t>(shape.pz));
   for (int z = 0; z < shape.pz; ++z) {
     const std::vector<double> t0(static_cast<size_t>(shape.px), 0.0);
-    clock[static_cast<size_t>(z)] = run_phase(plans[static_cast<size_t>(z)], Phase::kL,
-                                              cfg.nrhs, exec, fabric,
-                                              /*gpu_base=*/z * shape.px, t0,
-                                              cfg.schedule, sink.get(), msink.get());
+    clock[static_cast<size_t>(z)] =
+        run_phase(plans[static_cast<size_t>(z)], Triangle::kLower, cfg.nrhs, exec, fabric,
+                  /*gpu_base=*/z * shape.px, t0, cfg.schedule, sink.get(), msink.get());
     for (int g = 0; g < shape.px; ++g) {
       out.l_finish[static_cast<size_t>(z * shape.px + g)] =
           clock[static_cast<size_t>(z)][static_cast<size_t>(g)];
@@ -501,8 +476,8 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   // ---- U phase: independent per grid again, starting at the post-
   // allreduce clocks. ----
   for (int z = 0; z < shape.pz; ++z) {
-    const auto fin = run_phase(plans[static_cast<size_t>(z)], Phase::kU, cfg.nrhs, exec,
-                               fabric, z * shape.px, clock[static_cast<size_t>(z)],
+    const auto fin = run_phase(plans[static_cast<size_t>(z)], Triangle::kUpper, cfg.nrhs,
+                               exec, fabric, z * shape.px, clock[static_cast<size_t>(z)],
                                cfg.schedule, sink.get(), msink.get());
     for (int g = 0; g < shape.px; ++g) {
       out.u_finish[static_cast<size_t>(z * shape.px + g)] =

@@ -83,9 +83,11 @@ struct GpuSolveTimes {
 };
 
 /// Runs the discrete-event model and returns the phase timings. Requires
-/// `px >= 1` and enforces the paper's platform constraints: `py == 1`; on
-/// machines without SHMEM subcommunicator support (Crusher/ROC-SHMEM) the
-/// GPU backend requires `px == 1`.
+/// `px >= 1` and `nrhs >= 1`, and enforces the paper's platform
+/// constraints: `py == 1`; the GPU backend needs a machine with GPUs
+/// (`gpus_per_node >= 1`), and on machines without SHMEM subcommunicator
+/// support (Crusher/ROC-SHMEM) it requires `px == 1`. Violations throw
+/// std::invalid_argument.
 GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
                                     const GpuSolveConfig& cfg,
                                     const MachineModel& machine);

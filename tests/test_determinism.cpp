@@ -362,11 +362,12 @@ TEST(ReductionOrder, LSolvePinnedToPlanOrder) {
 
   // Reference: sequential, same order.
   std::vector<Real> y_ref(static_cast<size_t>(n), 0.0);
+  const Solve2dPlan::View lower = plan.view(Triangle::kLower);
   for (Idx i = 0; i < n; ++i) {
-    const Idx rp = plan.row_pos(i);
-    const TreeView t = plan.l_reduce(rp);
-    const auto pat = plan.row_pattern(rp);
-    const auto pidx = plan.row_pattern_index(rp);
+    const Idx rp = lower.target_pos(i);
+    const TreeView t = lower.reduce(rp);
+    const auto& pat = lower.contributors[static_cast<size_t>(rp)];
+    const auto& pidx = lower.block_index[static_cast<size_t>(rp)];
     auto partial = [&](int member) {
       Real s = 0;
       for (size_t pi = 0; pi < pat.size(); ++pi) {

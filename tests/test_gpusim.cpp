@@ -135,6 +135,22 @@ TEST(GpuSim, InvalidShapesThrow) {
   cfg.shape = {0, 1, 2};  // no GPUs per grid
   EXPECT_THROW(simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, MachineModel::perlmutter()),
                std::invalid_argument);
+  for (const int px : {1, 2}) {
+    cfg.shape = {px, 1, 2};  // the GPU backend on a machine without GPUs
+    EXPECT_THROW(simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, MachineModel::cori_haswell()),
+                 std::invalid_argument)
+        << "px=" << px;
+  }
+  cfg.shape = {1, 1, 2};
+  for (const Idx nrhs : {0, -1}) {
+    cfg.nrhs = nrhs;
+    for (const GpuBackend backend : {GpuBackend::kGpu, GpuBackend::kCpu}) {
+      cfg.backend = backend;
+      EXPECT_THROW(simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, MachineModel::perlmutter()),
+                   std::invalid_argument)
+          << "nrhs=" << nrhs;
+    }
+  }
 }
 
 TEST(GpuSim, PerlmutterFasterThanCrusherGpu) {

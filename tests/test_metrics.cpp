@@ -375,12 +375,13 @@ TEST(MetricsFlight, SuccessfulRunReportsNoFault) {
 
 TEST(MetricsGpu, RegistriesPopulateAndLeaveTimesUntouched) {
   const SolveSetup s;
+  const MachineModel m = MachineModel::perlmutter();  // the GPU backend needs GPUs
   GpuSolveConfig cfg;
   cfg.shape = {1, 1, 4};
-  const GpuSolveTimes off = simulate_solve_3d_gpu(s.fs.lu, s.fs.tree, cfg, test_machine());
+  const GpuSolveTimes off = simulate_solve_3d_gpu(s.fs.lu, s.fs.tree, cfg, m);
   EXPECT_EQ(off.metrics, nullptr);
   cfg.metrics = true;
-  const GpuSolveTimes on = simulate_solve_3d_gpu(s.fs.lu, s.fs.tree, cfg, test_machine());
+  const GpuSolveTimes on = simulate_solve_3d_gpu(s.fs.lu, s.fs.tree, cfg, m);
   ASSERT_NE(on.metrics, nullptr);
   // Metrics sit outside the modeled clock on the GPU path too.
   EXPECT_EQ(off.total, on.total);

@@ -104,10 +104,12 @@ TEST(GridPlan, BelowPatternStaysInsidePlan) {
   for (Idx leaf = 0; leaf < fs.tree.num_leaves(); ++leaf) {
     const Solve2dPlan plan =
         make_grid_plan(fs.lu, fs.tree, leaf, shape, TreeKind::kBinary);
+    const auto below = plan.view(Triangle::kLower).dependents;
     for (Idx cp = 0; cp < plan.num_cols(); ++cp) {
       const Idx k = plan.cols()[static_cast<size_t>(cp)];
       // Filtered pattern must equal the full pattern (nothing dropped).
-      EXPECT_EQ(plan.below(cp).size(), fs.lu.sym.below[static_cast<size_t>(k)].size())
+      EXPECT_EQ(below[static_cast<size_t>(cp)].size(),
+                fs.lu.sym.below[static_cast<size_t>(k)].size())
           << "block outside grid index set: leaf " << leaf << " supernode " << k;
     }
   }
@@ -130,21 +132,23 @@ TEST(Plan, TreeMembersOwnBlocks) {
   const FactoredSystem fs = make_system(2);
   const Grid2dShape shape{2, 3};
   const Solve2dPlan plan = make_grid_plan(fs.lu, fs.tree, 0, shape, TreeKind::kBinary);
+  const Solve2dPlan::View lower = plan.view(Triangle::kLower);
   for (Idx cp = 0; cp < plan.num_cols(); ++cp) {
     const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const TreeView t = plan.l_bcast(cp);
+    const TreeView t = lower.bcast(cp);
+    const auto& below = lower.dependents[static_cast<size_t>(cp)];
     EXPECT_EQ(t.root(), shape.diag_owner(k));
     // All members sit in the diagonal owner's process column.
     for (int p = 0; p < t.size(); ++p) {
       // reconstruct members through pos queries
     }
     Idx members_with_blocks = 0;
-    for (const Idx i : plan.below(cp)) {
+    for (const Idx i : below) {
       if (t.contains(shape.rank_of(shape.owner_row(i), shape.owner_col(k)))) {
         ++members_with_blocks;
       }
     }
-    EXPECT_EQ(members_with_blocks, static_cast<Idx>(plan.below(cp).size()));
+    EXPECT_EQ(members_with_blocks, static_cast<Idx>(below.size()));
   }
 }
 

@@ -182,6 +182,59 @@ TEST(Solver2d, ConcurrentSolvesOnOneCommStaySeparated) {
   }
 }
 
+// Flop conservation: a whole-matrix solve of one triangle charges each
+// diagonal inverse and each off-diagonal block exactly once, whatever the
+// grid and tree. The expected FP time comes from the symbolic structure
+// alone, not from the plan the solve runs over.
+class Solver2dFlopTest : public ::testing::TestWithParam<PaperMatrix> {};
+
+TEST_P(Solver2dFlopTest, ChargesEachBlockExactlyOnce) {
+  const FactoredSystem fs =
+      analyze_and_factor(make_paper_matrix(GetParam(), MatrixScale::kTiny), 0);
+  const auto& sym = fs.lu.sym;
+  double flops_per_rhs = 0.0;
+  for (Idx k = 0; k < static_cast<Idx>(fs.lu.num_supernodes()); ++k) {
+    const double wk = sym.part.width(k);
+    flops_per_rhs += 2.0 * wk * wk;
+    for (const Idx i : sym.below[static_cast<size_t>(k)]) {
+      flops_per_rhs += 2.0 * sym.part.width(i) * wk;
+    }
+  }
+  const MachineModel m = MachineModel::cori_haswell();
+  for (const Grid2dShape shape :
+       {Grid2dShape{1, 1}, Grid2dShape{2, 3}, Grid2dShape{4, 4}}) {
+    for (const TreeKind kind : {TreeKind::kBinary, TreeKind::kFlat}) {
+      const Solve2dPlan plan = make_grid_plan(fs.lu, fs.tree, 0, shape, kind);
+      for (const Idx nrhs : {1, 3}) {
+        const auto b = random_rhs(fs.lu.n(), nrhs, 13);
+        for (const bool lower : {true, false}) {
+          const Cluster::Result res = Cluster::run(shape.size(), m, [&](Comm& c) {
+            const VecMap rhs = local_pieces(fs.lu, plan, c.rank(), plan.cols(), b, nrhs);
+            if (lower) {
+              solve_l_2d(c, plan, rhs, {}, nrhs, 0);
+            } else {
+              solve_u_2d(c, plan, rhs, {}, nrhs, 0);
+            }
+          });
+          double fp = 0.0;
+          for (const RankStats& r : res.ranks) {
+            fp += r.category[static_cast<int>(TimeCategory::kFp)];
+          }
+          const double expected = flops_per_rhs * nrhs / m.cpu_flop_rate;
+          EXPECT_NEAR(fp, expected, 1e-12 * expected)
+              << "grid " << shape.px << "x" << shape.py << " tree "
+              << (kind == TreeKind::kBinary ? "binary" : "flat") << " nrhs " << nrhs
+              << (lower ? " L" : " U");
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, Solver2dFlopTest,
+                         ::testing::ValuesIn(all_paper_matrices()),
+                         [](const auto& info) { return paper_matrix_name(info.param); });
+
 TEST(Solver2d, MissingExternalSolutionThrows) {
   const FactoredSystem fs = make_system(1);
   const Grid2dShape shape{1, 1};

@@ -186,6 +186,15 @@ TEST(Sptrsv3d, InvalidShapesThrow) {
   cfg.nrhs = 2;  // b sized for 1 RHS
   EXPECT_THROW(solve_system_3d(fs, b, cfg, MachineModel::cori_haswell()),
                std::invalid_argument);
+  for (const Idx nrhs : {0, -1}) {
+    cfg.nrhs = nrhs;  // no right-hand side to solve for
+    EXPECT_THROW(solve_system_3d(fs, {}, cfg, MachineModel::cori_haswell()),
+                 std::invalid_argument)
+        << "nrhs=" << nrhs;
+    EXPECT_THROW(solve_sptrsv_3d(fs.lu, fs.tree, {}, cfg, MachineModel::cori_haswell()),
+                 std::invalid_argument)
+        << "nrhs=" << nrhs;
+  }
 }
 
 }  // namespace
