@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
@@ -286,6 +287,23 @@ int main(int argc, char** argv) {
   if (refine && !metrics_path.empty()) {
     usage(argv[0], "--metrics: not supported with --refine");
   }
+  // The fault plan drops an entry naming no rank of the grid, or with a
+  // time that is not a finite value >= 0, and the run would go fault-free.
+  // Checked after parsing because --shape may follow the fault flags.
+  const auto check_event = [&](const char* flag, int rank, double vt) {
+    char why[128];
+    if (rank < 0 || rank >= shape.size()) {
+      std::snprintf(why, sizeof why, "%s: rank %d is not a rank of the %dx%dx%d grid",
+                    flag, rank, shape.px, shape.py, shape.pz);
+    } else if (!std::isfinite(vt) || vt < 0.0) {
+      std::snprintf(why, sizeof why, "%s: time %g is not a finite value >= 0", flag, vt);
+    } else {
+      return;
+    }
+    usage(argv[0], why);
+  };
+  for (const auto& c : crashes) check_event("--crash", c.rank, c.vt);
+  for (const auto& r : returns) check_event("--return", r.rank, r.vt);
 
   MachineModel machine = make_machine();
   machine.perturb.crashes = crashes;

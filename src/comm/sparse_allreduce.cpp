@@ -89,52 +89,18 @@ void sparse_allreduce(Comm& zcomm, const NdTree& tree,
   };
 
   // Buddy checkpoint of the in-flight allreduce partials, cut after every
-  // exchange level. Partials mutate in place (that is the whole point of
-  // the reduction), so restore validation checks the layout only — every
-  // checkpointed segment must still exist with its checkpointed length.
+  // exchange level: one entry per segment, in segment order (the order SDC
+  // word draws index into). Partials are summed in place — that is the
+  // whole point of the reduction.
   // The exchange schedule and reduction order are pinned by the virtual
   // rank inside the reduce tree, not by the physical host, so a shrunk
   // world replaying an adopted partition (RunOptions::degrade) sums the
   // same partials in the same order and stays bitwise fault-invariant.
-  int ckpt_level = 0;
-  const CheckpointScope ckpt = zcomm.register_checkpoint(
-      "sparse_allreduce",
-      [&] {
-        std::vector<Real> buf;
-        buf.push_back(static_cast<Real>(segments.size()));
-        buf.push_back(static_cast<Real>(ckpt_level));
-        for (const auto& s : segments) {
-          buf.push_back(static_cast<Real>(s.node));
-          buf.push_back(static_cast<Real>(s.values.size()));
-          buf.insert(buf.end(), s.values.begin(), s.values.end());
-        }
-        return buf;
-      },
-      [&](const CheckpointImage& img) {
-        const std::vector<Real>& s = img.state;
-        const auto count = s.size() < 2 ? 0 : static_cast<std::size_t>(s[0]);
-        if (count != segments.size()) {
-          throw std::logic_error(
-              "sparse_allreduce: checkpoint image disagrees with live state");
-        }
-        std::size_t pos = 2;
-        for (std::size_t e = 0; e < count; ++e) {
-          const auto node = static_cast<Idx>(s[pos]);
-          const auto len = static_cast<std::size_t>(s[pos + 1]);
-          if (segments[e].node != node || segments[e].values.size() != len) {
-            throw std::logic_error(
-                "sparse_allreduce: checkpoint image disagrees with live state");
-          }
-          pos += 2 + len;
-        }
-      },
-      // Live words a memory fault can land in: the in-flight partial sums,
-      // in segment order (already deterministic — no map iteration here).
-      [&] {
-        std::vector<std::span<Real>> spans;
-        spans.reserve(segments.size());
-        for (const auto& s : segments) spans.push_back(s.values);
-        return spans;
+  const CheckpointScope ckpt =
+      zcomm.register_checkpoint("sparse_allreduce", StateKind::kInPlace, [&] {
+        std::vector<StateEntry> entries;
+        for (const auto& s : segments) entries.push_back({s.node, s.values});
+        return entries;
       });
 
   try {
@@ -156,7 +122,6 @@ void sparse_allreduce(Comm& zcomm, const NdTree& tree,
         for (size_t i = 0; i < in.size(); ++i) local[i] += in[i];
       });
     }
-    ckpt_level = l + 1;
     zcomm.checkpoint_epoch(l);  // reduce-level boundary
   }
 
@@ -178,7 +143,6 @@ void sparse_allreduce(Comm& zcomm, const NdTree& tree,
     } else {
       zcomm.send(partner, kTagSparseBcast, pack(shared), cat);
     }
-    ckpt_level = 2 * levels - l;
     zcomm.checkpoint_epoch(levels + (levels - 1 - l));  // bcast-level boundary
   }
   } catch (FaultError& fe) {

@@ -219,22 +219,17 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     process_source(sp, it->second);
   };
 
-  // Buddy-checkpoint hook: the solve state worth surviving a crash is the
-  // append-only solution map plus the remaining-message cursor. Epochs cut
-  // at quarter marks of local diagonal-solve progress (the 2D solve has no
-  // level barriers to hang them on). No-op unless a crash model is active.
+  // Buddy checkpoints: the solve state worth surviving a crash is the
+  // append-only solution map. Epochs cut at quarter marks of local
+  // diagonal-solve progress (the 2D solve has no level barriers to hang them
+  // on). No-op unless a crash model, SDC or ABFT is active.
   // The per-target accumulation order is a pure function of the *partition*
   // (owner rows and their DAG order), not of which physical rank hosts it —
   // so an adopter replaying this partition after an elastic shrink
   // (RunOptions::degrade) reproduces the victim's floating-point results
   // bit for bit.
   const CheckpointScope ckpt = grid.register_checkpoint(
-      names.solve,
-      [&] { return checkpoint_pack(out.solved, static_cast<double>(expected)); },
-      [&](const CheckpointImage& img) {
-        checkpoint_verify(img, out.solved, names.solve);
-      },
-      [&] { return sdc_spans(out.solved); });
+      names.solve, StateKind::kAppendOnly, [&] { return map_state(out.solved); });
   Idx next_mark = 1;
 
   auto drain = [&] {

@@ -172,31 +172,11 @@ void run_proposed(const SolveContext& ctx, Comm& world, Comm& grid, Comm& zline,
 
   // Phase-boundary buddy checkpoints: the y-fragment map is the state worth
   // restoring between the three phases (inside a 2D solve the solve's own
-  // hook is innermost and takes over). The z-phase overwrites y values with
-  // completed sums, so restore validation is layout-only (see the lambda).
+  // registration is innermost and takes over). Its keys are fixed once the
+  // L-solve returns; the z-phase then overwrites the values in place.
   LSolve2dResult lres;
   const CheckpointScope ckpt = world.register_checkpoint(
-      "sptrsv3d proposed",
-      [&] { return checkpoint_pack(lres.y, static_cast<double>(z)); },
-      [&](const CheckpointImage& img) {
-        // Values mutate after capture (z-phase accumulation), so only the
-        // shape is checked: every checkpointed fragment must still exist
-        // with its checkpointed length.
-        const std::vector<Real>& s = img.state;
-        const auto count = s.size() < 2 ? 0 : static_cast<std::size_t>(s[0]);
-        std::size_t pos = 2;
-        for (std::size_t e = 0; e < count; ++e) {
-          const auto k = static_cast<Idx>(s[pos]);
-          const auto len = static_cast<std::size_t>(s[pos + 1]);
-          const auto it = lres.y.find(k);
-          if (it == lres.y.end() || it->second.size() != len) {
-            throw std::logic_error(
-                "sptrsv3d proposed: checkpoint image disagrees with live state");
-          }
-          pos += 2 + len;
-        }
-      },
-      [&] { return sdc_spans(lres.y); });
+      "sptrsv3d proposed", StateKind::kInPlace, [&] { return map_state(lres.y); });
 
   // 2D L-solve of the whole L^z (replicated computation, no inter-grid
   // communication).
@@ -309,17 +289,10 @@ void run_baseline(const SolveContext& ctx, Comm& world, Comm& grid, Comm& zline,
   VecMap y_store;     // solutions of nodes this grid solved
 
   // Level-boundary buddy checkpoints: y_store is append-only (values never
-  // mutate after insertion), so restore validation is a bitwise subset
-  // check; the cursor records the last completed level so recovery replays
-  // from there rather than the phase start.
-  int ckpt_level = 0;
+  // mutate after insertion), so recovery replays from the last completed
+  // level rather than the phase start.
   const CheckpointScope ckpt = world.register_checkpoint(
-      "sptrsv3d baseline",
-      [&] { return checkpoint_pack(y_store, static_cast<double>(ckpt_level)); },
-      [&](const CheckpointImage& img) {
-        checkpoint_verify(img, y_store, "sptrsv3d baseline");
-      },
-      [&] { return sdc_spans(y_store); });
+      "sptrsv3d baseline", StateKind::kAppendOnly, [&] { return map_state(y_store); });
 
   try {
   for (int s = 0; s <= levels; ++s) {
@@ -370,7 +343,6 @@ void run_baseline(const SolveContext& ctx, Comm& world, Comm& grid, Comm& zline,
         accumulate_op(dst, v);
       }
     }
-    ckpt_level = s;
     world.checkpoint_epoch(s);  // L-level boundary
   }
   } catch (FaultError& fe) {
@@ -422,8 +394,7 @@ void run_baseline(const SolveContext& ctx, Comm& world, Comm& grid, Comm& zline,
                       replace_op);
       }
     }
-    ckpt_level = levels + (levels - s);
-    world.checkpoint_epoch(ckpt_level);  // U-level boundary
+    world.checkpoint_epoch(levels + (levels - s));  // U-level boundary
   }
   } catch (FaultError& fe) {
     rethrow_with_phase(fe, "sptrsv3d baseline U-phase");
@@ -506,39 +477,33 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
   ctx.x_out = &x;
   ctx.times = &times;
 
-  // Per-rank static work estimates for load-aware degradation and
-  // straggler rebalancing (RecoveryModel::rank_work): the diagonal flops
-  // each world rank owns under the solve plans. Consulted only while
-  // building crash plans, so deriving them here never perturbs the clean
-  // ledger; a caller-supplied profile wins.
+  // Per-rank static work estimates for load-aware degradation
+  // (RecoveryModel::rank_work): the flops each world rank's 2D solves
+  // charge. Read only by the load-aware degrade plan, so deriving them here
+  // never perturbs the clean ledger; a caller-supplied profile wins.
   MachineModel mach = machine;
-  if ((cfg.run.degrade || cfg.run.rebalance) && mach.recovery.rank_work.empty()) {
+  if (cfg.run.degrade && mach.recovery.rebalance_fanout > 0 &&
+      mach.recovery.rank_work.empty()) {
     std::vector<double>& w = mach.recovery.rank_work;
     w.assign(static_cast<size_t>(shape.size()), 0.0);
-    for (int r = 0; r < shape.size(); ++r) {
-      const int z = shape.z_of(r);
-      const int grid_rank = shape.grid_rank_of(r);
+    const auto add = [&](int z, const Solve2dPlan& plan) {
+      for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
+        const std::vector<double> flops = plan.rank_flops(tri, cfg.nrhs);
+        for (int g = 0; g < shape.px * shape.py; ++g) {
+          w[static_cast<size_t>(shape.world_rank(z, g))] += flops[static_cast<size_t>(g)];
+        }
+      }
+    };
+    for (int z = 0; z < shape.pz; ++z) {
       if (cfg.algorithm == Algorithm3d::kProposed) {
-        const Solve2dPlan& plan = ctx.leaf_plans[static_cast<size_t>(z)];
-        for (const Idx k : plan.cols()) {
-          if (plan.shape().diag_owner(k) == grid_rank) {
-            w[static_cast<size_t>(r)] += plan.diag_flops(k, cfg.nrhs);
-          }
-        }
-      } else {
-        // Baseline: a z-plane solves at L/U level s only while
-        // z % 2^s == 0 (see run_baseline); count both phases.
-        const auto path = ctx.coarse.path_to_root(ctx.coarse.leaf_node_id(z));
-        for (int s = 0; s <= ctx.coarse.levels(); ++s) {
-          if (z % (1 << s) != 0) break;
-          const Solve2dPlan& plan =
-              ctx.node_plans[static_cast<size_t>(path[static_cast<size_t>(s)])];
-          for (const Idx k : plan.cols()) {
-            if (plan.shape().diag_owner(k) == grid_rank) {
-              w[static_cast<size_t>(r)] += 2.0 * plan.diag_flops(k, cfg.nrhs);
-            }
-          }
-        }
+        add(z, ctx.leaf_plans[static_cast<size_t>(z)]);
+        continue;
+      }
+      // Baseline: a z-plane solves level s, in both phases, only while
+      // z % 2^s == 0 (see run_baseline).
+      const auto path = ctx.coarse.path_to_root(ctx.coarse.leaf_node_id(z));
+      for (int s = 0; s <= ctx.coarse.levels() && z % (1 << s) == 0; ++s) {
+        add(z, ctx.node_plans[static_cast<size_t>(path[static_cast<size_t>(s)])]);
       }
     }
   }

@@ -103,6 +103,24 @@ struct MetricsSink {
   }
 };
 
+/// Records every task and put into whichever of the two sinks is armed
+/// (both null: nothing is recorded).
+struct Recorder {
+  TraceSink* trace = nullptr;
+  MetricsSink* metrics = nullptr;
+
+  void task(int grank, double start, double end, const char* label, int tag) const {
+    if (trace) trace->task(grank, start, end, label, tag);
+    if (metrics) metrics->task(grank);
+  }
+  void put(int src, int dst, double send_at, double arrival, double bytes,
+           TimeCategory cat) const {
+    const auto b = static_cast<std::int64_t>(bytes);
+    if (trace) trace->put(src, dst, send_at, arrival, b, cat);
+    if (metrics) metrics->put(src, b, cat);
+  }
+};
+
 /// Min-heap of SM slot free times for one GPU.
 class SlotHeap {
  public:
@@ -151,8 +169,7 @@ struct PhaseTask {
 std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
                               const GpuExecModel& exec, const GpuFabric& fabric,
                               int gpu_base, std::span<const double> t0,
-                              GpuScheduleMode mode, TraceSink* sink,
-                              MetricsSink* msink) {
+                              GpuScheduleMode mode, const Recorder& rec) {
   const char* const task_label = tri == Triangle::kLower ? "l_task" : "u_task";
   const Solve2dPlan::View v = plan.view(tri);
   const auto& part = plan.lu().sym.part;
@@ -237,22 +254,15 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
         const double end = start + dur;
         slots[static_cast<size_t>(g)].release(end);
         finish[static_cast<size_t>(g)] = std::max(finish[static_cast<size_t>(g)], end);
-        if (sink) sink->task(gpu_base + g, start, end, task_label, static_cast<int>(k));
-        if (msink) msink->task(gpu_base + g);
+        rec.task(gpu_base + g, start, end, task_label, static_cast<int>(k));
         const double send_at =
             is_diag ? start + exec.task_time(t.diag_flops, nrhs) : start;
         bcast.for_each_child(g, [&](int child) {
           const double arrive =
               send_at + fabric.put_time(gpu_base + g, gpu_base + child, bytes);
           fwd[static_cast<size_t>(child)] = arrive;
-          if (sink) {
-            sink->put(gpu_base + g, gpu_base + child, send_at, arrive,
-                      static_cast<std::int64_t>(bytes), TimeCategory::kXyComm);
-          }
-          if (msink) {
-            msink->put(gpu_base + g, static_cast<std::int64_t>(bytes),
-                       TimeCategory::kXyComm);
-          }
+          rec.put(gpu_base + g, gpu_base + child, send_at, arrive, bytes,
+                  TimeCategory::kXyComm);
         });
         // Feed my local targets' diagonal readiness.
         for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
@@ -296,8 +306,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     const double dur = exec.task_time(t.diag_flops + t.gemv_flops, nrhs);
     const auto [start, end] = slots[static_cast<size_t>(g)].schedule(ready, dur);
     finish[static_cast<size_t>(g)] = std::max(finish[static_cast<size_t>(g)], end);
-    if (sink) sink->task(gpu_base + g, start, end, task_label, static_cast<int>(k));
-    if (msink) msink->task(gpu_base + g);
+    rec.task(gpu_base + g, start, end, task_label, static_cast<int>(k));
 
     // Forward the solution down the broadcast tree. The diagonal task has
     // the value only after its inverse-apply; a relay forwards as soon as
@@ -306,14 +315,8 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     bcast.for_each_child(g, [&](int child) {
       const double arrival =
           send_at + fabric.put_time(gpu_base + g, gpu_base + child, bytes);
-      if (sink) {
-        sink->put(gpu_base + g, gpu_base + child, send_at, arrival,
-                  static_cast<std::int64_t>(bytes), TimeCategory::kXyComm);
-      }
-      if (msink) {
-        msink->put(gpu_base + g, static_cast<std::int64_t>(bytes),
-                   TimeCategory::kXyComm);
-      }
+      rec.put(gpu_base + g, gpu_base + child, send_at, arrival, bytes,
+              TimeCategory::kXyComm);
       on_contribution(child, p, arrival);
     });
 
@@ -396,6 +399,7 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   if (cfg.trace) sink = std::make_unique<TraceSink>(world);
   std::unique_ptr<MetricsSink> msink;
   if (cfg.metrics) msink = std::make_unique<MetricsSink>(world);
+  const Recorder rec{sink.get(), msink.get()};
 
   // ---- L phase: independent per grid. ----
   std::vector<std::vector<double>> clock(static_cast<size_t>(shape.pz));
@@ -403,7 +407,7 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
     const std::vector<double> t0(static_cast<size_t>(shape.px), 0.0);
     clock[static_cast<size_t>(z)] =
         run_phase(plans[static_cast<size_t>(z)], Triangle::kLower, cfg.nrhs, exec, fabric,
-                  /*gpu_base=*/z * shape.px, t0, cfg.schedule, sink.get(), msink.get());
+                  /*gpu_base=*/z * shape.px, t0, cfg.schedule, rec);
     for (int g = 0; g < shape.px; ++g) {
       out.l_finish[static_cast<size_t>(z * shape.px + g)] =
           clock[static_cast<size_t>(z)][static_cast<size_t>(g)];
@@ -436,14 +440,8 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
         const int hi = z + (1 << l);
         auto& lo_c = clock[static_cast<size_t>(z)][static_cast<size_t>(g)];
         const double hi_c = clock[static_cast<size_t>(hi)][static_cast<size_t>(g)];
-        if (sink) {
-          sink->put(hi * shape.px + g, z * shape.px + g, hi_c, hi_c + cost,
-                    static_cast<std::int64_t>(lvl_bytes), TimeCategory::kZComm);
-        }
-        if (msink) {
-          msink->put(hi * shape.px + g, static_cast<std::int64_t>(lvl_bytes),
-                     TimeCategory::kZComm);
-        }
+        rec.put(hi * shape.px + g, z * shape.px + g, hi_c, hi_c + cost, lvl_bytes,
+                TimeCategory::kZComm);
         lo_c = std::max(lo_c, hi_c + cost);
       }
     }
@@ -455,14 +453,8 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
         const int hi = z + (1 << l);
         auto& hi_c = clock[static_cast<size_t>(hi)][static_cast<size_t>(g)];
         const double lo_c = clock[static_cast<size_t>(z)][static_cast<size_t>(g)];
-        if (sink) {
-          sink->put(z * shape.px + g, hi * shape.px + g, lo_c, lo_c + cost,
-                    static_cast<std::int64_t>(lvl_bytes), TimeCategory::kZComm);
-        }
-        if (msink) {
-          msink->put(z * shape.px + g, static_cast<std::int64_t>(lvl_bytes),
-                     TimeCategory::kZComm);
-        }
+        rec.put(z * shape.px + g, hi * shape.px + g, lo_c, lo_c + cost, lvl_bytes,
+                TimeCategory::kZComm);
         hi_c = std::max(hi_c, lo_c + cost);
       }
     }
@@ -478,7 +470,7 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   for (int z = 0; z < shape.pz; ++z) {
     const auto fin = run_phase(plans[static_cast<size_t>(z)], Triangle::kUpper, cfg.nrhs,
                                exec, fabric, z * shape.px, clock[static_cast<size_t>(z)],
-                               cfg.schedule, sink.get(), msink.get());
+                               cfg.schedule, rec);
     for (int g = 0; g < shape.px; ++g) {
       out.u_finish[static_cast<size_t>(z * shape.px + g)] =
           fin[static_cast<size_t>(g)];

@@ -28,6 +28,12 @@ double repair_uniform(std::uint64_t seed, int rank, std::uint64_t* rseq) {
                                  static_cast<std::uint64_t>(rank), (*rseq)++);
 }
 
+/// Work estimate of partition p for load-aware choices (rank_work, or 1).
+double partition_work(const RecoveryModel& rm, int p) {
+  const auto i = static_cast<std::size_t>(p);
+  return i < rm.rank_work.size() && rm.rank_work[i] > 0.0 ? rm.rank_work[i] : 1.0;
+}
+
 }  // namespace
 
 DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
@@ -64,12 +70,6 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
   // work estimates. Every choice is a pure function of (rm, dead, host), so
   // survivors agree on the assignment without communication.
   if (rm.rebalance_fanout > 0 && plan.adopter >= 0) {
-    const auto work = [&rm](int p) {
-      return static_cast<std::size_t>(p) < rm.rank_work.size() &&
-                     rm.rank_work[static_cast<std::size_t>(p)] > 0.0
-                 ? rm.rank_work[static_cast<std::size_t>(p)]
-                 : 1.0;
-    };
     const auto host_of = [&host](int p) {
       return host.empty() ? p : host[static_cast<std::size_t>(p)];
     };
@@ -77,13 +77,14 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
     for (int p = 0; p < nranks; ++p) {
       if (host_of(p) == plan.victim) moving.push_back(p);
     }
-    std::stable_sort(moving.begin(), moving.end(),
-                     [&](int a, int b) { return work(a) > work(b); });
+    std::stable_sort(moving.begin(), moving.end(), [&](int a, int b) {
+      return partition_work(rm, a) > partition_work(rm, b);
+    });
     std::vector<double> load(static_cast<std::size_t>(nranks), 0.0);
     for (int p = 0; p < nranks; ++p) {
       const int h = host_of(p);
       if (!is_dead[static_cast<std::size_t>(h)]) {
-        load[static_cast<std::size_t>(h)] += work(p);
+        load[static_cast<std::size_t>(h)] += partition_work(rm, p);
       }
     }
     std::vector<int> cands;
@@ -105,7 +106,7 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
           best = h;
         }
       }
-      load[static_cast<std::size_t>(best)] += work(p);
+      load[static_cast<std::size_t>(best)] += partition_work(rm, p);
       plan.moved_partitions.push_back(p);
       plan.adopters.push_back(best);
     }
@@ -213,12 +214,6 @@ std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& p
   std::vector<int> host(static_cast<std::size_t>(nranks));
   for (int p = 0; p < nranks; ++p) host[static_cast<std::size_t>(p)] = p;
   std::vector<int> degraded_dead;
-  const auto work = [&rm](int p) {
-    return static_cast<std::size_t>(p) < rm.rank_work.size() &&
-                   rm.rank_work[static_cast<std::size_t>(p)] > 0.0
-               ? rm.rank_work[static_cast<std::size_t>(p)]
-               : 1.0;
-  };
   // Refreshes host h's overload multiplier: a DegradeEvent at time t on
   // every partition h currently hosts. Classic ring mode keeps the original
   // partitions-per-host count; load-aware mode weights by the work
@@ -227,11 +222,11 @@ std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& p
     double hosted = 0.0;
     for (int p = 0; p < nranks; ++p) {
       if (host[static_cast<std::size_t>(p)] == h) {
-        hosted += rm.rebalance_fanout > 0 ? work(p) : 1.0;
+        hosted += rm.rebalance_fanout > 0 ? partition_work(rm, p) : 1.0;
       }
     }
     const double mult =
-        rm.rebalance_fanout > 0 ? hosted / work(h) : hosted;
+        rm.rebalance_fanout > 0 ? hosted / partition_work(rm, h) : hosted;
     for (int p = 0; p < nranks; ++p) {
       if (host[static_cast<std::size_t>(p)] != h) continue;
       plan[static_cast<std::size_t>(p)].push_back(

@@ -25,10 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -70,8 +67,10 @@ struct RecoveryModel {
   /// (bitwise-identical plans to earlier releases).
   int rebalance_fanout = 0;
   /// Per-world-rank relative work estimates for load-aware choices (the
-  /// solve plan's diagonal-block flops, filled by the solver front ends).
-  /// Empty = uniform work. Indexed by partition id (== original world rank).
+  /// flops each rank's 2D solves charge, filled by solve_sptrsv_3d when
+  /// degrade and rebalance_fanout are set). Empty = uniform work; a
+  /// nonpositive entry counts as 1. Indexed by partition id (== original
+  /// world rank).
   std::vector<double> rank_work;
   /// Straggler watchdog threshold: at every checkpoint epoch each rank
   /// compares its fault-clock lag (fvt − vt) against the high-water mark of
@@ -185,51 +184,35 @@ struct ElasticityStats {
   bool any() const { return returns != 0 || stragglers != 0; }
 };
 
-/// One captured solve-state image, conceptually resident at the owner's
-/// buddy. `state` is the hook's serialized solve state (fragment values,
-/// progress cursors); `checksum` is verified before any restore.
-struct CheckpointImage {
-  std::int64_t epoch = -1;   ///< monotone per-owner epoch counter
-  double vt = 0.0;           ///< owner's clean clock at capture
-  const char* label = "";    ///< registering hook's label (string literal)
-  std::uint64_t checksum = 0;
-  std::vector<Real> state;
+/// One entry of a solver's live checkpoint state: the values stored under
+/// `key` (a supernode or tree-node id).
+struct StateEntry {
+  Idx key;
+  std::span<Real> values;
 };
 
-/// In-memory buddy checkpoint store: one latest-image slot per owner rank,
-/// conceptually stored at buddy_of(owner) = (owner + 1) mod P (a ring, so
-/// every rank buddies exactly one other). Each owner rank is the sole
-/// writer and reader of its own slot; the buddy
-/// placement is a cost/feasibility model (shipment and fetch are charged to
-/// the fault ledger, and a buddy that dies inside the owner's detection
-/// window makes the owner's crash unrecoverable), not a data-movement one.
-class CheckpointStore {
- public:
-  explicit CheckpointStore(int nranks)
-      : nranks_(nranks), slots_(static_cast<std::size_t>(nranks)) {}
-
-  int buddy_of(int rank) const { return (rank + 1) % nranks_; }
-
-  /// Installs `img` as the owner's latest image (previous epoch discarded —
-  /// recovery only ever replays from the most recent complete epoch).
-  void save(int owner, CheckpointImage img) {
-    slots_[static_cast<std::size_t>(owner)] = std::move(img);
-  }
-
-  /// Latest image for `owner`, or nullptr if no epoch completed yet.
-  const CheckpointImage* latest(int owner) const {
-    const CheckpointImage& img = slots_[static_cast<std::size_t>(owner)];
-    return img.epoch >= 0 ? &img : nullptr;
-  }
-
-  /// Drops the owner's image (reset_clock: pre-solve epochs must not leak a
-  /// stale clock into post-reset replay arithmetic).
-  void clear(int owner) { slots_[static_cast<std::size_t>(owner)] = CheckpointImage{}; }
-
- private:
-  int nranks_;
-  std::vector<CheckpointImage> slots_;
+/// How registered state evolves between epochs, which fixes what a restored
+/// image must agree with (Comm::register_checkpoint).
+enum class StateKind {
+  /// Entries are only added, never changed, and listed in ascending key
+  /// order: an image must be a bitwise subset of the live entries.
+  kAppendOnly,
+  /// The entries are fixed and their values are updated in place: an image
+  /// must list the live keys and lengths in the live order.
+  kInPlace,
 };
+
+/// A map's entries in ascending key order, so images, restore checks and
+/// SDC word draws do not depend on hash-map iteration order.
+template <class Map>
+std::vector<StateEntry> map_state(Map& m) {
+  std::vector<StateEntry> out;
+  out.reserve(m.size());
+  for (auto& [key, values] : m) out.push_back({key, values});
+  std::sort(out.begin(), out.end(),
+            [](const StateEntry& a, const StateEntry& b) { return a.key < b.key; });
+  return out;
+}
 
 /// One planned crash of a rank, with its recovery verdict precomputed from
 /// the static schedule (so every grant order agrees on it bit for bit).
@@ -332,79 +315,6 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
 std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
                                                    std::uint64_t seed,
                                                    int nranks);
-
-/// Deterministic serialization of an (index -> value-vector) map plus a
-/// progress cursor — the common shape of solver checkpoint state (x/y
-/// fragments keyed by supernode, partial sums keyed by node). Keys are
-/// visited in sorted order so two captures of equal state are bitwise equal
-/// regardless of hash-map iteration order. Layout:
-///   [entry count, cursor, (key, length, values...)*]
-/// Idx keys and lengths are stored as Real — exact for anything below 2^53.
-template <class Map>
-std::vector<Real> checkpoint_pack(const Map& m, double cursor) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  std::vector<Real> out;
-  out.push_back(static_cast<Real>(keys.size()));
-  out.push_back(cursor);
-  for (const auto k : keys) {
-    const auto& v = m.at(k);
-    out.push_back(static_cast<Real>(k));
-    out.push_back(static_cast<Real>(v.size()));
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  return out;
-}
-
-/// Deterministic span exposure of an (index -> value-vector) map for the SDC
-/// layer (Comm::SdcStateFn): one span per entry, keys visited in sorted
-/// order, so the flat word index a memory-fault plan draws into is invariant
-/// under hash-map iteration order (docs/ROBUSTNESS.md §SDC).
-template <class Map>
-std::vector<std::span<Real>> sdc_spans(Map& m) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  std::vector<std::span<Real>> spans;
-  spans.reserve(keys.size());
-  for (const auto k : keys) spans.push_back(std::span<Real>(m.at(k)));
-  return spans;
-}
-
-/// Restore-side validation for checkpoint_pack images. In the analytic crash
-/// model the victim's live state already sits at the crash point, so a
-/// correct image — captured at an earlier epoch of append-only solve state —
-/// must be a bitwise *subset* of the live map: every entry present, every
-/// value bit-identical. A mismatch means the checkpoint layer corrupted
-/// state, which is a bug (std::logic_error), not a modeled fault.
-template <class Map>
-void checkpoint_verify(const CheckpointImage& img, const Map& live,
-                       const char* who) {
-  const auto fail = [who] {
-    throw std::logic_error(std::string(who) +
-                           ": checkpoint image disagrees with live solve state");
-  };
-  const std::vector<Real>& s = img.state;
-  if (s.size() < 2) fail();
-  const std::size_t count = static_cast<std::size_t>(s[0]);
-  std::size_t pos = 2;
-  for (std::size_t e = 0; e < count; ++e) {
-    if (pos + 2 > s.size()) fail();
-    const auto key = static_cast<typename Map::key_type>(s[pos]);
-    const std::size_t len = static_cast<std::size_t>(s[pos + 1]);
-    pos += 2;
-    if (pos + len > s.size()) fail();
-    const auto it = live.find(key);
-    if (it == live.end() || it->second.size() != len) fail();
-    for (std::size_t i = 0; i < len; ++i) {
-      if (!(std::memcmp(&it->second[i], &s[pos + i], sizeof(Real)) == 0)) fail();
-    }
-    pos += len;
-  }
-}
 
 /// Builds the whole fault schedule of a run: one event stream per rank,
 /// stable-sorted by (clean time, kind). A pure function of

@@ -87,6 +87,23 @@ struct WaitScope {
   ~WaitScope() { w.kind = 0; }
 };
 
+/// One captured solve-state image, conceptually resident at the owner's
+/// buddy (owner + 1) mod P. The buddy placement is a cost and feasibility
+/// model, not a data-movement one: each rank keeps its own latest image,
+/// shipment and fetch are charged to the fault ledger, and a buddy that dies
+/// inside the owner's detection window makes the owner's crash
+/// unrecoverable. RankCtx::capture_image writes `state` and
+/// RankCtx::check_image reads it; its layout is [entry count, epoch, (key,
+/// length, values...)*], keys and lengths stored as Real (exact below
+/// 2^53). `checksum` is verified before any restore.
+struct CheckpointImage {
+  std::int64_t epoch = -1;   ///< monotone per-owner epoch counter
+  double vt = 0.0;           ///< owner's clean clock at capture
+  const char* label = "";    ///< registration label (string literal)
+  std::uint64_t checksum = 0;
+  std::vector<Real> state;
+};
+
 /// Per-rank runtime context (virtual clock + accounting + mailbox).
 struct RankCtx {
   /// Every communicator delivers here; receives filter by (ctx, src, tag).
@@ -178,17 +195,20 @@ struct RankCtx {
   /// arithmetic bitwise untouched.
   double crash_total = 0.0;
   RecoveryStats rstats;          ///< crash-recovery ledger (fault side)
-  CheckpointStore* ckpt = nullptr;       ///< buddy store (null = crash model off)
-  std::int64_t ckpt_epoch_counter = 0;
-  /// Checkpoint hook stack (innermost = back). capture serializes the
-  /// replayable solve state; restore verifies a fetched image against it.
-  struct CheckpointHook {
+  bool crash_model = false;      ///< perturb.crash_active(): images ship
+  /// This rank's latest buddy image (epoch < 0: none since reset_clock).
+  /// The rank is the only writer and reader of its own image.
+  CheckpointImage image;
+  /// Checkpoint registration stack (innermost = back).
+  struct Registration {
     const char* label;
-    std::function<std::vector<Real>()> capture;
-    std::function<void(const CheckpointImage&)> restore;
-    std::function<std::vector<std::span<Real>>()> sdc_state;
+    StateKind kind;
+    Comm::StateFn state;
   };
-  std::vector<CheckpointHook> hooks;
+  std::vector<Registration> registrations;
+
+  /// The rank holding this rank's checkpoint images.
+  int buddy() const { return (grank + 1) % nranks; }
 
   // --- graceful degradation (docs/ROBUSTNESS.md §Graceful degradation) ---
   bool degrade = false;          ///< RunOptions::degrade
@@ -318,15 +338,14 @@ struct RankCtx {
   /// false means the image died with its holder. An image failing its
   /// payload checksum was silently corrupted after capture: it is rejected
   /// (counted in image_rejects) and recovery replays from the start instead
-  /// of resurrecting bad state. With `verify`, the innermost hook whose
-  /// label matches the image checks it against the live state (a mismatch
-  /// is a checkpoint bug, not a modeled fault — it throws logic_error); no
-  /// matching hook (the capturing scope already closed) still counts as a
-  /// restore.
+  /// of resurrecting bad state. With `verify`, the innermost registration
+  /// whose label matches the image checks it against the live state; no
+  /// matching registration (the capturing scope already closed) still
+  /// counts as a restore.
   Fetch fetch_image(double t, bool survives, bool verify) {
     const RecoveryModel& rm = mach->recovery;
     Fetch f;
-    f.img = survives ? ckpt->latest(grank) : nullptr;
+    f.img = survives && image.epoch >= 0 ? &image : nullptr;
     f.replay = t * rm.replay_factor;
     if (f.img != nullptr && payload_checksum(f.img->state) != f.img->checksum) {
       rstats.image_rejects += 1;
@@ -338,15 +357,66 @@ struct RankCtx {
     f.wire = rm.restore_overhead + mach->net.latency + bytes / mach->net.bandwidth;
     f.replay = (t - f.img->vt) * rm.replay_factor;
     if (verify) {
-      for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
+      for (auto it = registrations.rbegin(); it != registrations.rend(); ++it) {
         if (std::strcmp(it->label, f.img->label) == 0) {
-          it->restore(*f.img);
+          check_image(*it);
           break;
         }
       }
       rstats.restores += 1;
     }
     return f;
+  }
+
+  /// Writes the innermost registration's `entries` into this rank's image,
+  /// reusing its storage.
+  void capture_image(const Registration& reg, const std::vector<StateEntry>& entries) {
+    std::size_t words = 2;
+    for (const StateEntry& e : entries) words += 2 + e.values.size();
+    image.epoch += 1;
+    image.vt = vt;
+    image.label = reg.label;
+    image.state.clear();
+    image.state.reserve(words);
+    image.state.push_back(static_cast<Real>(entries.size()));
+    image.state.push_back(static_cast<Real>(image.epoch));
+    for (const StateEntry& e : entries) {
+      image.state.push_back(static_cast<Real>(e.key));
+      image.state.push_back(static_cast<Real>(e.values.size()));
+      image.state.insert(image.state.end(), e.values.begin(), e.values.end());
+    }
+    image.checksum = payload_checksum(image.state);
+  }
+
+  /// Restore check. In the analytic crash model the live state already sits
+  /// at the crash point, so a correct image, captured at an earlier epoch,
+  /// agrees with it: kAppendOnly images are a bitwise subset of the live
+  /// entries, kInPlace images list the live keys and lengths in the live
+  /// order. Both lists are walked once, together. A mismatch means the
+  /// checkpoint layer corrupted state — a bug (std::logic_error), not a
+  /// modeled fault.
+  void check_image(const Registration& reg) const {
+    const std::vector<StateEntry> live = reg.state();
+    const std::vector<Real>& s = image.state;
+    const auto count = static_cast<std::size_t>(s[0]);
+    const bool append_only = reg.kind == StateKind::kAppendOnly;
+    bool ok = append_only || count == live.size();
+    std::size_t pos = 2;
+    std::size_t j = 0;
+    for (std::size_t e = 0; ok && e < count; ++e, ++j) {
+      const auto key = static_cast<Idx>(s[pos]);
+      const auto len = static_cast<std::size_t>(s[pos + 1]);
+      pos += 2;
+      while (append_only && j < live.size() && live[j].key < key) ++j;
+      ok = j < live.size() && live[j].key == key && live[j].values.size() == len &&
+           (!append_only ||
+            std::memcmp(live[j].values.data(), s.data() + pos, len * sizeof(Real)) == 0);
+      pos += len;
+    }
+    if (!ok) {
+      throw std::logic_error(std::string(reg.label) +
+                             ": checkpoint image disagrees with live solve state");
+    }
   }
 
   /// A crash the clean clock just crossed, simulated analytically at the
@@ -365,7 +435,7 @@ struct RankCtx {
         FaultReport r;
         r.kind = degrade ? FaultKind::kNoSurvivors : ev.verdict;
         r.rank = grank;
-        r.peer = ckpt->buddy_of(grank);
+        r.peer = buddy();
         r.vt = ev.vt;
         r.detail =
             degrade ? "elastic degradation found no survivor to adopt the "
@@ -512,23 +582,21 @@ struct RankCtx {
   }
 
   /// Fires at every checkpoint epoch while an SDC schedule or ABFT is
-  /// active: lands every armed memory fault as a bit flip in the innermost
-  /// hook's live solver state, then (with ABFT on) charges the epoch
-  /// checksum verification, localizes each flipped word and recomputes it
-  /// from retained inputs — in the analytic model the recomputed value is
+  /// active: lands every armed memory fault as a bit flip in `entries` (the
+  /// innermost registration's live state), then (with ABFT on) charges the
+  /// epoch checksum verification, localizes each flipped word and recomputes
+  /// it from retained inputs — in the analytic model the recomputed value is
   /// exactly the journaled pre-fault bits, so downstream state, the clean
   /// clock and every clean counter stay bitwise identical to a fault-free
   /// run. All detection/repair cost lands on the fault clock
   /// and SdcStats; with ABFT off the corruption persists for the end-of-
   /// solve residual gate to catch (docs/ROBUSTNESS.md §SDC).
-  void process_sdc_epoch() {
-    if (hooks.empty() || !hooks.back().sdc_state) return;
+  void process_sdc_epoch(const std::vector<StateEntry>& entries) {
     if (!abft && armed_sdc.empty()) return;
-    std::vector<std::span<Real>> spans = hooks.back().sdc_state();
     std::size_t words = 0;
-    for (const auto& s : spans) words += s.size();
+    for (const StateEntry& e : entries) words += e.values.size();
     struct Flip {
-      std::size_t span, off;
+      std::size_t entry, off;
       Real original;
       int bit;
       double refail_draw;
@@ -546,8 +614,8 @@ struct RankCtx {
       for (std::size_t probe = 0; probe < words; ++probe) {
         std::size_t idx = (w0 + probe) % words;
         std::size_t si = 0;
-        while (idx >= spans[si].size()) idx -= spans[si++].size();
-        Real& v = spans[si][idx];
+        while (idx >= entries[si].values.size()) idx -= entries[si++].values.size();
+        Real& v = entries[si].values[idx];
         if (v == 0.0) continue;
         flips[nflips++] = {si,     idx,           v,
                            ev.bit, ev.refail_draw, static_cast<int>(ev.target)};
@@ -589,7 +657,7 @@ struct RankCtx {
       // The checksum mismatch localizes the corrupt block; recomputing it
       // from retained inputs restores the exact pre-fault bits. A re-failed
       // recomputation escalates to the buddy-checkpoint restore path.
-      spans[f.span][f.off] = f.original;
+      entries[f.entry].values[f.off] = f.original;
       double rcost = am.recompute_overhead;
       if (f.refail_draw < am.recompute_refail_prob) {
         rcost += mach->recovery.restore_overhead;
@@ -1110,9 +1178,6 @@ class ClusterState {
     sched_.set_deadlock_callback(
         [this](int witness) { deadlock_ = build_deadlock_report(witness); });
     const bool skewed = machine_.perturb.compute_skew > 0.0;
-    if (machine_.perturb.crash_active()) {
-      ckpt_ = std::make_unique<CheckpointStore>(nranks);
-    }
     // The whole fault schedule — crash times and verdicts, overload steps,
     // spare returns, memory faults — is fixed here, before any rank runs, so
     // every grant order fires the exact same events in the exact same order.
@@ -1135,7 +1200,7 @@ class ClusterState {
       ctx.mach = &machine_;
       ctx.nranks = nranks;
       ctx.events = &plan_[static_cast<size_t>(r)];
-      ctx.ckpt = ckpt_.get();
+      ctx.crash_model = machine_.perturb.crash_active();
       ctx.degrade = opts_.degrade;
       ctx.abft = opts_.abft;
       ctx.rebalance = opts_.rebalance;
@@ -1320,7 +1385,6 @@ class ClusterState {
   std::uint64_t ctx_counter_ = 0;
   std::optional<FaultReport> deadlock_;  // set once the scheduler proves one
   std::vector<std::vector<FaultEvent>> plan_;  // per rank, (vt, kind) order
-  std::unique_ptr<CheckpointStore> ckpt_; // null unless perturb.crash_active()
 };
 
 /// One communicator: a context id plus the member global ranks. Also hosts
@@ -1422,14 +1486,13 @@ void Comm::reset_clock() {
   ctx_->next_event = 0;
   ctx_->armed_sdc.clear();
   ctx_->crash_total = 0.0;
-  ctx_->ckpt_epoch_counter = 0;
   ctx_->degrade_mult = 1.0;
   ctx_->straggle_hwm = 0.0;
   ctx_->rstats = RecoveryStats{};
   ctx_->sdc = SdcStats{};
   ctx_->dstats = DegradationStats{};
   ctx_->estats = ElasticityStats{};
-  if (ctx_->ckpt != nullptr) ctx_->ckpt->clear(ctx_->grank);
+  ctx_->image = detail::CheckpointImage{};
   // Setup-phase events would break the fresh clock's contiguity; drop them.
   // send_seq is deliberately NOT reset: a pre-reset send could otherwise
   // alias a post-reset one under the same (rank, seq) matching key.
@@ -1455,17 +1518,6 @@ TraceSpan Comm::annotate(const char* label, std::int64_t arg) const {
 MetricsRegistry::Counter Comm::metric_counter(const char* name) const {
   return ctx_->metrics != nullptr ? ctx_->metrics->counter(name)
                                   : MetricsRegistry::Counter{};
-}
-
-MetricsRegistry::Gauge Comm::metric_gauge(const char* name) const {
-  return ctx_->metrics != nullptr ? ctx_->metrics->gauge(name)
-                                  : MetricsRegistry::Gauge{};
-}
-
-MetricsRegistry::Histogram Comm::metric_histogram(
-    const char* name, std::span<const double> bounds) const {
-  return ctx_->metrics != nullptr ? ctx_->metrics->histogram(name, bounds)
-                                  : MetricsRegistry::Histogram{};
 }
 
 TraceSpan::TraceSpan(detail::RankCtx* ctx, const char* label, std::int64_t arg)
@@ -1886,45 +1938,41 @@ Comm Comm::split(int color, int key) {
   return Comm(std::move(result.first), result.second, ctx_);
 }
 
-CheckpointScope Comm::register_checkpoint(
-    const char* label, std::function<std::vector<Real>()> capture,
-    std::function<void(const CheckpointImage&)> restore, SdcStateFn sdc_state) {
+CheckpointScope Comm::register_checkpoint(const char* label, StateKind kind,
+                                          StateFn state) {
   // Bypass-free without a crash model, SDC schedule, or ABFT: nothing is
   // pushed, nothing captured.
-  if (ctx_->ckpt == nullptr && !ctx_->abft && !machine().perturb.sdc_active()) {
+  if (!ctx_->crash_model && !ctx_->abft && !machine().perturb.sdc_active()) {
     return CheckpointScope(nullptr, 0);
   }
-  ctx_->hooks.push_back(
-      {label, std::move(capture), std::move(restore), std::move(sdc_state)});
-  return CheckpointScope(ctx_, ctx_->hooks.size() - 1);
+  ctx_->registrations.push_back({label, kind, std::move(state)});
+  return CheckpointScope(ctx_, ctx_->registrations.size() - 1);
 }
 
 void Comm::checkpoint_epoch(std::int64_t arg) {
   detail::RankCtx* c = ctx_;
-  // Straggler watchdog first, and before the hook gate: stall-only runs
-  // register no checkpoint hooks, but epoch boundaries are still the
+  // Straggler watchdog first, and before the registration gate: stall-only
+  // runs register no checkpoint state, but epoch boundaries are still the
   // progress watermarks the watchdog samples.
   if (c->straggler_armed) c->process_straggler_epoch();
-  if (c->hooks.empty()) return;
+  if (c->registrations.empty()) return;
   // SDC pass first: armed memory faults land (and, under ABFT, are detected
   // and repaired) before the epoch's buddy image is captured, so a crash
   // restore never resurrects a corrupted word. A fresh clock's first epoch
   // can come before its first advance, so fire what is due at this instant.
   c->fire_due();
-  c->process_sdc_epoch();
-  if (c->ckpt == nullptr) return;
-  const auto& hook = c->hooks.back();
-  CheckpointImage img;
-  img.epoch = c->ckpt_epoch_counter++;
-  img.vt = c->vt;
-  img.label = hook.label;
-  img.state = hook.capture();
-  img.checksum = payload_checksum(img.state);
+  if (!c->crash_model && !c->abft && c->armed_sdc.empty()) return;
+  const auto& reg = c->registrations.back();
+  const std::vector<StateEntry> entries = reg.state();
+  c->process_sdc_epoch(entries);
+  if (!c->crash_model) return;
+  c->capture_image(reg, entries);
+  detail::CheckpointImage& img = c->image;
   // Latent image corruption (PerturbationModel::ckpt_faults): the bit flips
   // *after* the checksum is stamped, so the damage stays invisible until a
   // restore or degrade fetch validates the image and rejects it.
   for (const auto& cf : machine().perturb.ckpt_faults) {
-    if (cf.rank == c->grank && cf.epoch == img.epoch && !img.state.empty()) {
+    if (cf.rank == c->grank && cf.epoch == img.epoch) {
       std::uint64_t bits = std::bit_cast<std::uint64_t>(img.state[0]);
       bits ^= std::uint64_t{1} << 46;
       img.state[0] = std::bit_cast<Real>(bits);
@@ -1942,11 +1990,9 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   c->rstats.checkpoints += 1;
   c->rstats.checkpoint_bytes += static_cast<std::int64_t>(bytes);
   c->rstats.checkpoint_time += cost;
-  c->flight_record(detail::RankCtx::FlightEntry::kCheckpoint,
-                   c->ckpt->buddy_of(c->grank), static_cast<int>(img.epoch), 0,
-                   static_cast<std::int64_t>(bytes));
+  c->flight_record(detail::RankCtx::FlightEntry::kCheckpoint, c->buddy(),
+                   static_cast<int>(img.epoch), 0, static_cast<std::int64_t>(bytes));
   if (c->tracing) c->trace.marks.push_back({"checkpoint", c->vt, arg});
-  c->ckpt->save(c->grank, std::move(img));
 }
 
 CheckpointScope::CheckpointScope(CheckpointScope&& other) noexcept
@@ -1957,8 +2003,8 @@ CheckpointScope::CheckpointScope(CheckpointScope&& other) noexcept
 CheckpointScope::~CheckpointScope() {
   if (ctx_ == nullptr) return;
   // Strictly LIFO: popping back to the registration depth also drops any
-  // hooks a misnested inner scope leaked (they could only dangle).
-  if (ctx_->hooks.size() > index_) ctx_->hooks.resize(index_);
+  // registrations a misnested inner scope leaked (they could only dangle).
+  if (ctx_->registrations.size() > index_) ctx_->registrations.resize(index_);
 }
 
 Spread spread_over(std::span<const double> values) {

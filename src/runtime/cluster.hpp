@@ -212,14 +212,14 @@ class TraceSpan {
   std::uint64_t epoch_ = 0;         // guards against reset_clock in between
 };
 
-/// RAII registration of a checkpoint/restore hook pair opened by
-/// Comm::register_checkpoint. Hooks form a per-rank stack (strictly LIFO —
-/// destroy in reverse registration order): Comm::checkpoint_epoch captures
-/// through the innermost hook, and crash recovery verifies a restored image
-/// against the innermost hook whose label matches the image. The optional
-/// sdc_state exposure additionally anchors memory-fault injection and ABFT
-/// verification at the same epochs. No-op (and cost-free) unless the
-/// machine's crash model, an SDC schedule, or RunOptions::abft is active.
+/// RAII registration of a solver's checkpoint state opened by
+/// Comm::register_checkpoint. Registrations form a per-rank stack (strictly
+/// LIFO — destroy in reverse registration order): Comm::checkpoint_epoch
+/// captures, injects memory faults into and ABFT-verifies the innermost
+/// registration's state, and crash recovery checks a restored image against
+/// the innermost registration whose label matches the image. No-op (and
+/// cost-free) unless the machine's crash model, an SDC schedule, or
+/// RunOptions::abft is active.
 class CheckpointScope {
  public:
   CheckpointScope(CheckpointScope&& other) noexcept;
@@ -232,8 +232,8 @@ class CheckpointScope {
   friend class Comm;
   CheckpointScope(detail::RankCtx* ctx, std::size_t index)
       : ctx_(ctx), index_(index) {}
-  detail::RankCtx* ctx_ = nullptr;  // null when the crash model is off
-  std::size_t index_ = 0;           // hook-stack depth to pop back to
+  detail::RankCtx* ctx_ = nullptr;  // null when the layer is bypassed
+  std::size_t index_ = 0;           // registration-stack depth to pop back to
 };
 
 /// Per-rank communicator handle (value type; cheap to copy). Created by
@@ -276,26 +276,20 @@ class Comm {
 
   // --- buddy checkpointing + SDC anchoring (docs/ROBUSTNESS.md; no-ops
   // without a crash model, SDC schedule, or RunOptions::abft) ---
-  /// Live mutable solver state exposed for memory-fault injection and ABFT
-  /// verification: spans over the words a bit flip could land in, in a
-  /// deterministic order (sort map keys before building them). The spans
-  /// must stay valid for the duration of the checkpoint_epoch call that
-  /// fetches them.
-  using SdcStateFn = std::function<std::vector<std::span<Real>>()>;
-  /// Pushes a checkpoint/restore hook pair for the enclosing algorithm
-  /// phase. `capture` serializes this rank's replayable solve state (called
-  /// at each checkpoint_epoch); `restore` is handed the latest image during
-  /// crash recovery and must verify it against the live state (throw
-  /// std::logic_error on a mismatch — a broken image is a checkpoint bug,
-  /// not a modeled fault). `sdc_state`, when provided, exposes the live
-  /// words the SDC layer may flip and the ABFT layer checksums at each
-  /// epoch. `label` must outlive the run (string literal).
-  CheckpointScope register_checkpoint(
-      const char* label, std::function<std::vector<Real>()> capture,
-      std::function<void(const CheckpointImage&)> restore,
-      SdcStateFn sdc_state = {});
+  /// The live solver state a checkpoint covers, as (key, values) entries.
+  /// kAppendOnly state must list its entries in ascending key order
+  /// (map_state does). The spans must stay valid for the duration of the
+  /// checkpoint_epoch or recovery step that fetches them.
+  using StateFn = std::function<std::vector<StateEntry>()>;
+  /// Declares the replayable state of the enclosing algorithm phase. The
+  /// runtime captures it into a buddy image at each checkpoint_epoch, lands
+  /// memory faults in its words and checksums them under ABFT, and on crash
+  /// recovery checks the restored image against it as `kind` prescribes (a
+  /// mismatch is a checkpoint bug, not a modeled fault: std::logic_error).
+  /// `label` must outlive the run (string literal).
+  CheckpointScope register_checkpoint(const char* label, StateKind kind, StateFn state);
   /// Level-boundary epoch: runs the SDC injection/ABFT verification pass
-  /// over the innermost hook's exposed state, then captures that state and
+  /// over the innermost registration's state, then captures that state and
   /// ships it to this rank's buddy. All cost rides the fault ledger only —
   /// the clean clock never moves — so epoch cadence cannot perturb the
   /// modeled solve. `arg` tags the trace marker (level id, row count).
@@ -337,11 +331,6 @@ class Comm {
   /// the bump never allocates. With metrics off the handle is null and
   /// add() is one branch.
   MetricsRegistry::Counter metric_counter(const char* name) const;
-  /// Find-or-register a gauge (point-in-time double).
-  MetricsRegistry::Gauge metric_gauge(const char* name) const;
-  /// Find-or-register a fixed-bucket histogram; `bounds` must ascend.
-  MetricsRegistry::Histogram metric_histogram(
-      const char* name, std::span<const double> bounds) const;
 
  private:
   friend class Cluster;

@@ -259,7 +259,8 @@ TEST(ImageIntegrity, CorruptImageIsRejectedOnSpareRestore) {
     return Cluster::run(2, m, [](Comm& c) {
       std::vector<Real> state{1.0, 2.0, 3.0};
       const CheckpointScope scope = c.register_checkpoint(
-          "t", [&] { return state; }, [](const CheckpointImage&) {});
+          "t", StateKind::kAppendOnly,
+          [&]() -> std::vector<StateEntry> { return {{0, state}}; });
       c.advance(1e-6, TimeCategory::kFp);
       c.checkpoint_epoch();
       c.advance(1e-4, TimeCategory::kFp);  // rank 0's crash fires in here

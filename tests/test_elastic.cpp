@@ -286,7 +286,8 @@ TEST(ElasticReExpansion, CorruptImageEscalatesToReplayFromStart) {
     return Cluster::run(4, m, [](Comm& c) {
       std::vector<Real> state{1.0, 2.0, 3.0};
       const CheckpointScope scope = c.register_checkpoint(
-          "t", [&] { return state; }, [](const CheckpointImage&) {});
+          "t", StateKind::kAppendOnly,
+          [&]() -> std::vector<StateEntry> { return {{0, state}}; });
       for (int e = 0; e < 8; ++e) {
         c.advance(1e-4, TimeCategory::kFp);
         c.checkpoint_epoch(e);
@@ -394,6 +395,52 @@ TEST(LoadAwareRebalance, SolverPopulatesWorkEstimatesAndStaysBitwiseClean) {
   EXPECT_TRUE(bitwise_equal(split.x, clean.x));
   EXPECT_EQ(split.run_stats.fingerprint(), clean.run_stats.fingerprint());
   EXPECT_TRUE(message_counts_identical(split.run_stats, clean.run_stats));
+}
+
+TEST(LoadAwareRebalance, OverloadMultiplierIsTheCleanFpRatio) {
+  // The derived work estimates price each partition at the flops its 2D
+  // solves charge. With no spares and fanout 2, one crash moves the
+  // victim's partition v onto the least-loaded survivor a, which then runs
+  // at (fp[a] + fp[v]) / fp[a] of its clean FP time.
+  const CsrMatrix a =
+      make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kTiny);
+  const FactoredSystem fs = analyze_and_factor(a, /*nd_levels=*/3);
+  const auto b = random_rhs(a.rows(), 1, 42);
+  for (const Grid3dShape shape :
+       {Grid3dShape{2, 2, 2}, Grid3dShape{4, 4, 2}, Grid3dShape{2, 4, 4}}) {
+    for (const Algorithm3d alg : {Algorithm3d::kProposed, Algorithm3d::kBaseline}) {
+      SolveConfig cfg;
+      cfg.shape = shape;
+      cfg.algorithm = alg;
+      cfg.run = kDet;
+      const DistSolveOutcome clean = solve_system_3d(fs, b, cfg, test_machine());
+      const auto& ranks = clean.run_stats.ranks;
+      const auto fp = [&](int r) {
+        const RankStats& rs = ranks[static_cast<size_t>(r)];
+        return rs.category[static_cast<int>(TimeCategory::kFp)];
+      };
+      for (const int victim : {1, 3}) {
+        int adopter = victim == 0 ? 1 : 0;
+        for (int r = 0; r < shape.size(); ++r) {
+          if (r != victim && fp(r) < fp(adopter)) adopter = r;
+        }
+        const double expected = (fp(adopter) + fp(victim)) / fp(adopter);
+        MachineModel m =
+            dry_machine({{victim, 0.3 * ranks[static_cast<size_t>(victim)].vtime}});
+        m.recovery.rebalance_fanout = 2;
+        SolveConfig dcfg = cfg;
+        dcfg.run = kDegradeOpts;
+        const DistSolveOutcome degraded = solve_system_3d(fs, b, dcfg, m);
+        const DegradationStats deg = degraded.run_stats.degradation_stats();
+        const std::string where =
+            std::to_string(shape.px) + "x" + std::to_string(shape.py) + "x" +
+            std::to_string(shape.pz) + " victim " + std::to_string(victim) +
+            (alg == Algorithm3d::kProposed ? " new" : " baseline");
+        ASSERT_EQ(deg.degrades, 1) << where;
+        EXPECT_NEAR(deg.overload_mult, expected, 1e-12 * expected) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +551,8 @@ TEST(ArmedInert, ReturnsAreInertWhenSparesAbsorbTheCrash) {
   auto work = [](Comm& c) {
     std::vector<Real> state{1.0};
     const CheckpointScope scope = c.register_checkpoint(
-        "t", [&] { return state; }, [](const CheckpointImage&) {});
+        "t", StateKind::kAppendOnly,
+        [&]() -> std::vector<StateEntry> { return {{0, state}}; });
     for (int e = 0; e < 4; ++e) {
       c.advance(1e-4, TimeCategory::kFp);
       c.checkpoint_epoch(e);

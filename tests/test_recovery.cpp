@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "test_support.hpp"
@@ -53,7 +55,8 @@ TEST(Checkpointing, BypassedWithoutCrashModel) {
   const auto r = Cluster::run(2, test_machine(), [](Comm& c) {
     std::vector<Real> state{1.0, 2.0};
     const CheckpointScope scope = c.register_checkpoint(
-        "t", [&] { return state; }, [](const CheckpointImage&) {});
+        "t", StateKind::kAppendOnly,
+        [&]() -> std::vector<StateEntry> { return {{0, state}}; });
     c.checkpoint_epoch();
     c.advance(1e-6, TimeCategory::kFp);
   }, kDet);
@@ -68,7 +71,8 @@ TEST(Checkpointing, TrafficLandsOnFaultLedgerOnly) {
   const auto clean = Cluster::run(2, test_machine(), [](Comm& c) {
     std::vector<Real> state{1.0, 2.0, 3.0};
     const CheckpointScope scope = c.register_checkpoint(
-        "t", [&] { return state; }, [](const CheckpointImage&) {});
+        "t", StateKind::kAppendOnly,
+        [&]() -> std::vector<StateEntry> { return {{0, state}}; });
     c.advance(1e-6, TimeCategory::kFp);
     c.checkpoint_epoch(7);
     c.barrier();
@@ -76,7 +80,8 @@ TEST(Checkpointing, TrafficLandsOnFaultLedgerOnly) {
   const auto ckpt = Cluster::run(2, crashy_machine({{0, 1e3}}), [](Comm& c) {
     std::vector<Real> state{1.0, 2.0, 3.0};
     const CheckpointScope scope = c.register_checkpoint(
-        "t", [&] { return state; }, [](const CheckpointImage&) {});
+        "t", StateKind::kAppendOnly,
+        [&]() -> std::vector<StateEntry> { return {{0, state}}; });
     c.advance(1e-6, TimeCategory::kFp);
     c.checkpoint_epoch(7);
     c.barrier();
@@ -86,6 +91,63 @@ TEST(Checkpointing, TrafficLandsOnFaultLedgerOnly) {
   EXPECT_GT(ckpt.recovery_stats().checkpoint_bytes, 0);
   EXPECT_GT(ckpt.fault_makespan(), ckpt.makespan());
   EXPECT_NE(clean.fault_fingerprint(), ckpt.fault_fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// Restore check: an image that disagrees with the live state is a bug.
+// ---------------------------------------------------------------------------
+
+/// Two ranks register a two-entry state under `kind` and cut an epoch;
+/// `change` then edits the live state before rank 0 crashes, so the spare's
+/// restore checks that epoch's image against the edited state.
+template <class Change>
+Cluster::Result crash_after_epoch(StateKind kind, Change change) {
+  return Cluster::run(2, crashy_machine({{0, 5e-5}}), [&](Comm& c) {
+    VecMap state{{1, {1.0, 2.0}}, {4, {3.0}}};
+    const CheckpointScope scope = c.register_checkpoint(
+        "restore-test", kind, [&] { return map_state(state); });
+    c.advance(1e-5, TimeCategory::kFp);
+    c.checkpoint_epoch();
+    change(state);
+    c.advance(1e-4, TimeCategory::kFp);  // rank 0's crash fires in here
+  }, kDet);
+}
+
+/// The message of the std::logic_error `run` throws ("" if it throws none).
+template <class Run>
+std::string logic_error_of(Run run) {
+  try {
+    run();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kDisagrees =
+    "restore-test: checkpoint image disagrees with live solve state";
+
+TEST(RestoreCheck, AppendOnlyValueChangedAfterItsEpochThrows) {
+  EXPECT_EQ(logic_error_of([] {
+              crash_after_epoch(StateKind::kAppendOnly,
+                                [](VecMap& s) { s.at(4)[0] = 5.0; });
+            }),
+            kDisagrees);
+}
+
+TEST(RestoreCheck, InPlaceStateThatGainsAnEntryThrows) {
+  EXPECT_EQ(logic_error_of([] {
+              crash_after_epoch(StateKind::kInPlace,
+                                [](VecMap& s) { s.emplace(7, std::vector<Real>{1.0}); });
+            }),
+            kDisagrees);
+}
+
+TEST(RestoreCheck, InPlaceValueChangedInPlaceRestores) {
+  const auto r =
+      crash_after_epoch(StateKind::kInPlace, [](VecMap& s) { s.at(4)[0] = 5.0; });
+  EXPECT_EQ(r.recovery_stats().crashes, 1);
+  EXPECT_EQ(r.recovery_stats().restores, 1);
 }
 
 // ---------------------------------------------------------------------------
