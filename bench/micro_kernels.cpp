@@ -1,12 +1,14 @@
 /// \file micro_kernels.cpp
-/// \brief google-benchmark microbenchmarks of the kernels the solve spends
-/// its time in: dense block GEMM/TRSM/LU, tree construction, and a SpMV
-/// bandwidth probe.
+/// \brief google-benchmark microbenchmarks of the kernels the factorization
+/// and the solve spend their time in: dense block GEMM/TRSM/LU, tree
+/// construction, and a SpMV bandwidth probe.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <span>
 
 #include "bench/bench_util.hpp"
 #include "comm/trees.hpp"
@@ -100,6 +102,47 @@ void BM_TrsmRightUpper(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrsmRightUpper)->Arg(8)->Arg(32)->Arg(96);
+
+void BM_TrsmLeftUnitLower(benchmark::State& state) {
+  // U(K,:) = inv(L_KK) * A(K,:): the factor's U-panel solve, 4w RHS columns.
+  const Idx w = static_cast<Idx>(state.range(0));
+  const Idx cols = 4 * w;
+  auto lu = random_matrix(w, w, 9);
+  for (Idx i = 0; i < w; ++i) lu[static_cast<size_t>(i) * w + i] += w;
+  lu_unpivoted_inplace(w, lu);
+  const auto base = random_matrix(w, cols, 10);
+  for (auto _ : state) {
+    auto b = base;
+    trsm_left_unit_lower(w, cols, lu, b);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TrsmLeftUnitLower)->Arg(8)->Arg(32)->Arg(96);
+
+void BM_SchurUpdate(benchmark::State& state) {
+  // (I,J) -= L(I,K) * U(K,J): the factor's Schur update of a w x w block at
+  // row offset w of a 4w-row panel, with a third of U's columns all zero
+  // (as in a padded U panel). Items count the full 2*w^3 flops.
+  const Idx w = static_cast<Idx>(state.range(0));
+  const Idx rows = 4 * w;
+  const auto l = random_matrix(rows, w, 11);
+  auto u = random_matrix(w, w, 12);
+  for (Idx j = 2; j < w; j += 3) {
+    std::fill_n(u.begin() + static_cast<std::ptrdiff_t>(j) * w, w, 0.0);
+  }
+  std::vector<Real> panel(static_cast<size_t>(rows) * w, 0.0);
+  const auto off = static_cast<size_t>(w);  // block rows [w, 2w) of the panels
+  const std::span<const Real> lik = std::span<const Real>(l).subspan(off);
+  const std::span<Real> target = std::span<Real>(panel).subspan(off);
+  for (auto _ : state) {
+    gemm_minus_ld(w, w, w, lik, rows, u, w, target, rows);
+    benchmark::DoNotOptimize(panel.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * w * w * w);
+}
+BENCHMARK(BM_SchurUpdate)->Arg(1)->Arg(16)->Arg(96);
 
 void BM_BinaryTreeBuild(benchmark::State& state) {
   // Tree construction happens once per supernode during setup.

@@ -62,8 +62,9 @@ SupernodalLU factor_supernodal_distributed(const CsrMatrix& a, SymbolicStructure
       if (i_am_diag) {
         auto& d = f.diag[static_cast<size_t>(k)];
         if (!lu_unpivoted_inplace(w, d)) {
-          throw std::runtime_error("factor_supernodal_distributed: zero pivot in " +
-                                   std::to_string(k));
+          throw std::runtime_error(
+              "factor_supernodal_distributed: zero or non-finite pivot in " +
+              std::to_string(k));
         }
         auto& linv = f.diag_linv[static_cast<size_t>(k)];
         auto& uinv = f.diag_uinv[static_cast<size_t>(k)];

@@ -32,7 +32,8 @@ struct DistFactorStats {
 /// Factorizes `a` (symmetric pattern, full diagonal) under the symbolic
 /// structure `sym` on a modeled `shape.px x shape.py` process grid of
 /// `machine`. Returns the factors; `stats`, if non-null, receives the
-/// modeled cost. Throws on zero pivots like the sequential factorization.
+/// modeled cost. Throws on zero or non-finite pivots and on non-finite
+/// input values, like the sequential factorization.
 SupernodalLU factor_supernodal_distributed(const CsrMatrix& a, SymbolicStructure sym,
                                            Grid2dShape shape,
                                            const MachineModel& machine,

@@ -1,39 +1,143 @@
 #include "factor/dense.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 namespace sptrsv {
 
 namespace {
 
-/// Shared jki-ordered kernel: C +/-= A*B with arbitrary leading dimensions.
-template <int Sign>
-void gemm_ld(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ldb,
-             Real* c, Idx ldc) {
-  for (Idx j = 0; j < n; ++j) {
-    Real* cj = c + static_cast<size_t>(j) * ldc;
-    const Real* bj = b + static_cast<size_t>(j) * ldb;
-    for (Idx p = 0; p < k; ++p) {
-      const Real bpj = Sign * bj[p];
-      if (bpj == 0.0) continue;
-      const Real* ap = a + static_cast<size_t>(p) * lda;
-      for (Idx i = 0; i < m; ++i) {
-        cj[i] += ap[i] * bpj;
-      }
+// Register tiles. A GCC/Clang generic vector of kLanes doubles needs no ISA
+// flags: on x86-64 it compiles to SSE2. A GEMM tile holds kMr rows by kNr
+// columns of C in kMr / kLanes * kNr vector registers. The `GCC unroll`
+// pragmas flatten the loops over a tile's vectors and columns; without them
+// GCC at -O2 keeps the accumulators on the stack.
+using Vec = Real __attribute__((vector_size(16)));
+constexpr int kLanes = sizeof(Vec) / sizeof(Real);
+constexpr int kMr = 8;
+constexpr int kNr = 2;
+static_assert(kMr % kLanes == 0);
+
+/// A tile of `Rows` rows is held in vectors when `Rows` fills whole vectors
+/// and in scalars otherwise (the last odd row of a remainder).
+template <int Rows>
+using TileReg = std::conditional_t<Rows % kLanes == 0, Vec, Real>;
+
+template <class V>
+V load(const Real* p) {
+  V v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class V>
+void store(Real* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// C(i:i+Rows, j) += A(i:i+Rows, :) * (Sign * B(:, j)) for the `Cols`
+/// columns j whose B and C columns are `b[0..Cols)` and `c[0..Cols)`. The
+/// tile stays in registers across the whole k loop, and each element adds
+/// its products one at a time in ascending p.
+template <int Sign, int Rows, int Cols>
+void gemm_tile(Idx k, const Real* a, Idx lda, const Real* const* b, Real* const* c,
+               Idx i) {
+  using V = TileReg<Rows>;
+  constexpr int kWidth = sizeof(V) / sizeof(Real);
+  constexpr int kVecs = Rows / kWidth;
+  const Real* bj[Cols]{};
+  Real* cj[Cols]{};
+  V acc[Cols][kVecs]{};
+#pragma GCC unroll 16
+  for (int j = 0; j < Cols; ++j) {
+    bj[j] = b[j];
+    cj[j] = c[j] + i;
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) acc[j][v] = load<V>(cj[j] + v * kWidth);
+  }
+  const Real* ap = a + i;
+  for (Idx p = 0; p < k; ++p, ap += lda) {
+    V av[kVecs]{};
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) av[v] = load<V>(ap + v * kWidth);
+#pragma GCC unroll 16
+    for (int j = 0; j < Cols; ++j) {
+      const Real bpj = Sign * bj[j][p];
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) acc[j][v] += av[v] * bpj;
     }
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < Cols; ++j) {
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) store(cj[j] + v * kWidth, acc[j][v]);
   }
 }
 
-}  // namespace
-
-void gemm_minus(Idx m, Idx k, Idx n, std::span<const Real> a, std::span<const Real> b,
-                std::span<Real> c) {
-  assert(a.size() >= static_cast<size_t>(m) * k);
-  assert(b.size() >= static_cast<size_t>(k) * n);
-  assert(c.size() >= static_cast<size_t>(m) * n);
-  gemm_ld<-1>(m, k, n, a.data(), m, b.data(), k, c.data(), m);
+/// All m rows of C for `Cols` gathered columns: full kMr-row tiles, then
+/// pairs of rows, then the last odd row.
+template <int Sign, int Cols>
+void gemm_columns(Idx m, Idx k, const Real* a, Idx lda, const Real* const* b,
+                  Real* const* c) {
+  Idx i = 0;
+  for (; i + kMr <= m; i += kMr) gemm_tile<Sign, kMr, Cols>(k, a, lda, b, c, i);
+  for (; i + kLanes <= m; i += kLanes) gemm_tile<Sign, kLanes, Cols>(k, a, lda, b, c, i);
+  for (; i < m; ++i) gemm_tile<Sign, 1, Cols>(k, a, lda, b, c, i);
 }
+
+/// C +/-= A*B with arbitrary leading dimensions: the one body behind every
+/// public GEMM. Element C(i,j) becomes C(i,j) + A(i,p) * (Sign * B(p,j))
+/// added one p at a time in ascending order. A column of B that is all
+/// zero leaves C unchanged and is skipped; the others are gathered kNr at a
+/// time.
+template <int Sign>
+void gemm_ld(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ldb,
+             Real* c, Idx ldc) {
+  const Real* bcols[kNr]{};
+  Real* ccols[kNr]{};
+  int gathered = 0;
+  for (Idx j = 0; j < n; ++j) {
+    const Real* bj = b + static_cast<size_t>(j) * ldb;
+    if (std::all_of(bj, bj + k, [](Real v) { return v == 0.0; })) continue;
+    bcols[gathered] = bj;
+    ccols[gathered] = c + static_cast<size_t>(j) * ldc;
+    if (++gathered == kNr) {
+      gemm_columns<Sign, kNr>(m, k, a, lda, bcols, ccols);
+      gathered = 0;
+    }
+  }
+  for (int j = 0; j < gathered; ++j) {
+    gemm_columns<Sign, 1>(m, k, a, lda, bcols + j, ccols + j);
+  }
+}
+
+/// X(i:i+Rows, j) of X * U = B, in place over B (m rows): subtract
+/// X(:,k) * U(k,j) for ascending k < j with U(k,j) != 0, then multiply by
+/// `inv` = 1 / U(j,j).
+template <int Rows>
+void trsm_right_upper_tile(Idx m, Idx j, const Real* uj, Real inv, Real* x, Idx i) {
+  using V = TileReg<Rows>;
+  constexpr int kWidth = sizeof(V) / sizeof(Real);
+  constexpr int kVecs = Rows / kWidth;
+  Real* xj = x + static_cast<size_t>(j) * m + i;
+  V acc[kVecs]{};
+#pragma GCC unroll 16
+  for (int v = 0; v < kVecs; ++v) acc[v] = load<V>(xj + v * kWidth);
+  for (Idx k = 0; k < j; ++k) {
+    const Real ukj = uj[k];
+    if (ukj == 0.0) continue;
+    const Real* xk = x + static_cast<size_t>(k) * m + i;
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) acc[v] -= load<V>(xk + v * kWidth) * ukj;
+  }
+#pragma GCC unroll 16
+  for (int v = 0; v < kVecs; ++v) store(xj + v * kWidth, acc[v] * inv);
+}
+
+}  // namespace
 
 void gemm_plus(Idx m, Idx k, Idx n, std::span<const Real> a, std::span<const Real> b,
                std::span<Real> c) {
@@ -57,7 +161,7 @@ bool lu_unpivoted_inplace(Idx n, std::span<Real> a) {
   assert(a.size() >= static_cast<size_t>(n) * n);
   for (Idx k = 0; k < n; ++k) {
     const Real pivot = a[static_cast<size_t>(k) * n + k];
-    if (pivot == 0.0) return false;
+    if (pivot == 0.0 || !std::isfinite(pivot)) return false;
     const Real inv_pivot = 1.0 / pivot;
     for (Idx i = k + 1; i < n; ++i) {
       a[static_cast<size_t>(k) * n + i] *= inv_pivot;  // L(i,k)
@@ -113,27 +217,26 @@ void invert_upper(Idx n, std::span<const Real> a, std::span<Real> out) {
 void trsm_right_upper(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b) {
   // Solve X * U = B column by column of U: X(:,j) = (B(:,j) - X(:,0:j)*U(0:j,j)) / U(j,j).
   for (Idx j = 0; j < n; ++j) {
-    Real* bj = b.data() + static_cast<size_t>(j) * m;
     const Real* uj = lu.data() + static_cast<size_t>(j) * n;
-    for (Idx k = 0; k < j; ++k) {
-      const Real ukj = uj[k];
-      if (ukj == 0.0) continue;
-      const Real* bk = b.data() + static_cast<size_t>(k) * m;
-      for (Idx i = 0; i < m; ++i) bj[i] -= bk[i] * ukj;
-    }
     const Real inv = 1.0 / uj[j];
-    for (Idx i = 0; i < m; ++i) bj[i] *= inv;
+    Idx i = 0;
+    for (; i + kMr <= m; i += kMr) trsm_right_upper_tile<kMr>(m, j, uj, inv, b.data(), i);
+    for (; i + kLanes <= m; i += kLanes) {
+      trsm_right_upper_tile<kLanes>(m, j, uj, inv, b.data(), i);
+    }
+    for (; i < m; ++i) trsm_right_upper_tile<1>(m, j, uj, inv, b.data(), i);
   }
 }
 
 void trsm_left_unit_lower(Idx n, Idx m, std::span<const Real> lu, std::span<Real> b) {
-  // Solve L * X = B: forward substitution down the rows, all RHS columns.
-  for (Idx k = 0; k < n; ++k) {
-    const Real* lk = lu.data() + static_cast<size_t>(k) * n;
-    for (Idx j = 0; j < m; ++j) {
-      Real* bj = b.data() + static_cast<size_t>(j) * n;
+  // Solve L * X = B by forward substitution, one RHS column at a time so
+  // the column stays in L1.
+  for (Idx j = 0; j < m; ++j) {
+    Real* bj = b.data() + static_cast<size_t>(j) * n;
+    for (Idx k = 0; k < n; ++k) {
       const Real v = bj[k];
       if (v == 0.0) continue;
+      const Real* lk = lu.data() + static_cast<size_t>(k) * n;
       for (Idx i = k + 1; i < n; ++i) {
         bj[i] -= lk[i] * v;
       }

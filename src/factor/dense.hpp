@@ -3,19 +3,30 @@
 /// \brief Small dense kernels used inside supernodal panels.
 ///
 /// All matrices are column-major and packed (leading dimension = number of
-/// rows) unless an explicit `ld` parameter says otherwise. Kernel sizes are
-/// bounded by the supernode width cap, so simple register-blocked loops are
-/// appropriate; no external BLAS is required (none is installed offline).
+/// rows) unless an explicit `ld` parameter says otherwise. Operands are
+/// bounded by the supernode width cap, so the GEMM and TRSM kernels tile
+/// registers but not caches, and no external BLAS is needed.
+///
+/// Every kernel fixes its summation order, so results are bitwise
+/// reproducible and independent of the tile shape:
+///  - GEMM: C(i,j) adds A(i,p) * (+/-B(p,j)) one p at a time, in ascending
+///    p. A column of B that is all zero is skipped, since it leaves C(:,j)
+///    unchanged. Zero entries inside other columns are not skipped: for
+///    finite A, adding A(i,p) * 0 leaves C(i,j) as it was unless C(i,j) is
+///    -0.0, which only an input matrix that stores -0.0 can produce.
+///  - trsm_right_upper: X(i,j) subtracts X(i,k) * U(k,j) for ascending
+///    k < j, skipping U(k,j) == 0, then multiplies by 1 / U(j,j).
+///  - trsm_left_unit_lower: X(i,j) subtracts L(i,k) * X(k,j) for ascending
+///    k < i, skipping X(k,j) == 0.
+///
+/// tests/test_dense.cpp checks each kernel bit for bit against plain
+/// reference loops with these orders.
 
 #include <span>
 
 #include "sparse/types.hpp"
 
 namespace sptrsv {
-
-/// C (m x n) -= A (m x k) * B (k x n); packed column-major.
-void gemm_minus(Idx m, Idx k, Idx n, std::span<const Real> a, std::span<const Real> b,
-                std::span<Real> c);
 
 /// C (m x n) += A (m x k) * B (k x n); packed column-major.
 void gemm_plus(Idx m, Idx k, Idx n, std::span<const Real> a, std::span<const Real> b,
@@ -32,7 +43,8 @@ void gemm_plus_ld(Idx m, Idx k, Idx n, std::span<const Real> a, Idx lda,
 
 /// In-place unpivoted LU (Doolittle): on return the strict lower triangle
 /// holds L (unit diagonal implied) and the upper triangle holds U.
-/// Returns false if a zero pivot is hit (caller treats as singular).
+/// Returns false if a zero or non-finite pivot is hit (caller treats as
+/// singular).
 bool lu_unpivoted_inplace(Idx n, std::span<Real> a);
 
 /// inv(L) for the unit-lower factor packed in `a` (strict lower + implied
@@ -48,12 +60,6 @@ void trsm_right_upper(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b)
 
 /// B (n x m) := inv(L) * B where L is the unit-lower triangle of `lu` (n x n).
 void trsm_left_unit_lower(Idx n, Idx m, std::span<const Real> lu, std::span<Real> b);
-
-/// y (m x nrhs) -= A (m x k) * x (k x nrhs); panel-of-vectors update.
-inline void block_update_minus(Idx m, Idx k, Idx nrhs, std::span<const Real> a,
-                               std::span<const Real> x, std::span<Real> y) {
-  gemm_minus(m, k, nrhs, a, x, y);
-}
 
 /// Frobenius-norm of the difference of two packed matrices (test helper).
 Real frob_diff(std::span<const Real> a, std::span<const Real> b);

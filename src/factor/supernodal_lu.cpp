@@ -1,7 +1,9 @@
 #include "factor/supernodal_lu.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "ordering/etree.hpp"
 #include "symbolic/colcounts.hpp"
@@ -90,6 +92,10 @@ SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym) 
     for (size_t t = 0; t < cs.size(); ++t) {
       const Idx j = cs[t];
       const Real v = vs[t];
+      if (!std::isfinite(v)) {
+        throw std::invalid_argument("init_supernodal_storage: non-finite value at row " +
+                                    std::to_string(i) + ", column " + std::to_string(j));
+      }
       const Idx kj = part.col_to_sn[static_cast<size_t>(j)];
       if (ki == kj) {
         const Idx w = part.width(ki);
@@ -123,13 +129,13 @@ SupernodalLU factor_supernodal(const CsrMatrix& a, SymbolicStructure sym0) {
   const Idx nsup = sym.num_supernodes();
 
   // Right-looking factorization over the block structure.
-  std::vector<Real> prod;  // scratch for Schur products
   for (Idx k = 0; k < nsup; ++k) {
     const Idx w = part.width(k);
     auto& d = f.diag[static_cast<size_t>(k)];
     if (!lu_unpivoted_inplace(w, d)) {
-      throw std::runtime_error("factor_supernodal: zero pivot in supernode " +
-                               std::to_string(k));
+      throw std::runtime_error(
+          "factor_supernodal: zero or non-finite pivot in supernode " +
+          std::to_string(k));
     }
     auto& linv = f.diag_linv[static_cast<size_t>(k)];
     auto& uinv = f.diag_uinv[static_cast<size_t>(k)];

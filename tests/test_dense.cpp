@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "factor/dense.hpp"
+#include "test_support.hpp"
 
 namespace sptrsv {
 namespace {
@@ -30,13 +32,165 @@ std::vector<Real> matmul(Idx m, Idx k, Idx n, const std::vector<Real>& a,
   return c;
 }
 
+// Reference loops: the plain kernels the tiled ones must match bit for bit.
+// Each fixes the per-element order that dense.hpp states.
+
+/// j-p-i GEMM, C +/-= A * B, skipping each zero entry of B.
+template <int Sign>
+void ref_gemm(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ldb,
+              Real* c, Idx ldc) {
+  for (Idx j = 0; j < n; ++j) {
+    Real* cj = c + static_cast<size_t>(j) * ldc;
+    const Real* bj = b + static_cast<size_t>(j) * ldb;
+    for (Idx p = 0; p < k; ++p) {
+      const Real bpj = Sign * bj[p];
+      if (bpj == 0.0) continue;
+      const Real* ap = a + static_cast<size_t>(p) * lda;
+      for (Idx i = 0; i < m; ++i) {
+        cj[i] += ap[i] * bpj;
+      }
+    }
+  }
+}
+
+/// B (m x n) := B * inv(U), column by column of U.
+void ref_trsm_right_upper(Idx m, Idx n, const std::vector<Real>& lu,
+                          std::vector<Real>& b) {
+  for (Idx j = 0; j < n; ++j) {
+    Real* bj = b.data() + static_cast<size_t>(j) * m;
+    const Real* uj = lu.data() + static_cast<size_t>(j) * n;
+    for (Idx k = 0; k < j; ++k) {
+      const Real ukj = uj[k];
+      if (ukj == 0.0) continue;
+      const Real* bk = b.data() + static_cast<size_t>(k) * m;
+      for (Idx i = 0; i < m; ++i) bj[i] -= bk[i] * ukj;
+    }
+    const Real inv = 1.0 / uj[j];
+    for (Idx i = 0; i < m; ++i) bj[i] *= inv;
+  }
+}
+
+/// B (n x m) := inv(L) * B, down the rows for all RHS columns at once.
+void ref_trsm_left_unit_lower(Idx n, Idx m, const std::vector<Real>& lu,
+                              std::vector<Real>& b) {
+  for (Idx k = 0; k < n; ++k) {
+    const Real* lk = lu.data() + static_cast<size_t>(k) * n;
+    for (Idx j = 0; j < m; ++j) {
+      Real* bj = b.data() + static_cast<size_t>(j) * n;
+      const Real v = bj[k];
+      if (v == 0.0) continue;
+      for (Idx i = k + 1; i < n; ++i) {
+        bj[i] -= lk[i] * v;
+      }
+    }
+  }
+}
+
+/// Runs gemm_minus_ld (Sign -1) or gemm_plus_ld (Sign +1) and the reference
+/// on the same operands, with every leading dimension padded past its row
+/// count, and requires identical bits in all of C, padding included.
+template <int Sign>
+::testing::AssertionResult gemm_matches_reference(Idx m, Idx k, Idx n,
+                                                  const std::vector<Real>& b,
+                                                  std::uint64_t seed) {
+  const Idx lda = m + 3, ldb = k + 2, ldc = m + 5;
+  const auto a = random_matrix(lda, k, seed);
+  const auto c0 = random_matrix(ldc, n, seed + 1);
+  auto c = c0;
+  auto expect = c0;
+  ref_gemm<Sign>(m, k, n, a.data(), lda, b.data(), ldb, expect.data(), ldc);
+  if (Sign < 0) {
+    gemm_minus_ld(m, k, n, a, lda, b, ldb, c, ldc);
+  } else {
+    gemm_plus_ld(m, k, n, a, lda, b, ldb, c, ldc);
+  }
+  return test::bitwise_equal(c, expect);
+}
+
+TEST(DenseBitwise, GemmMatchesReferenceAtEveryShape) {
+  const Idx sizes[] = {0, 1, 2, 3, 7, 8, 9, 17, 96};
+  std::uint64_t seed = 100;
+  for (const Idx m : sizes) {
+    for (const Idx k : sizes) {
+      for (const Idx n : sizes) {
+        const auto b = random_matrix(k + 2, n, seed++);
+        EXPECT_TRUE(gemm_matches_reference<-1>(m, k, n, b, seed++))
+            << "minus m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(gemm_matches_reference<+1>(m, k, n, b, seed++))
+            << "plus m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(DenseBitwise, GemmSkipsZeroColumnsAndKeepsZeroEntries) {
+  const Idx m = 19, k = 9, n = 11, ldb = k + 2;
+  auto b = random_matrix(ldb, n, 7);
+  for (const Idx j : {0, 1, 5, 9, 10}) {  // zero columns at start, middle and end
+    for (Idx p = 0; p < k; ++p) b[static_cast<size_t>(j) * ldb + p] = 0.0;
+  }
+  for (const Idx j : {2, 3, 6, 8}) {  // scattered zeros inside nonzero columns
+    b[static_cast<size_t>(j) * ldb + static_cast<size_t>(j % k)] = 0.0;
+    b[static_cast<size_t>(j) * ldb + static_cast<size_t>((3 * j + 1) % k)] = -0.0;
+  }
+  EXPECT_TRUE(gemm_matches_reference<-1>(m, k, n, b, 8));
+  EXPECT_TRUE(gemm_matches_reference<+1>(m, k, n, b, 9));
+}
+
+TEST(DenseBitwise, GemmPlusPackedMatchesReference) {
+  const Idx m = 13, k = 10, n = 5;
+  const auto a = random_matrix(m, k, 10);
+  const auto b = random_matrix(k, n, 11);
+  auto c = random_matrix(m, n, 12);
+  auto expect = c;
+  ref_gemm<+1>(m, k, n, a.data(), m, b.data(), k, expect.data(), m);
+  gemm_plus(m, k, n, a, b, c);
+  EXPECT_TRUE(test::bitwise_equal(c, expect));
+}
+
+/// Factored w x w diagonal block with exact zeros set in both triangles
+/// afterwards, so trsm_right_upper's U(k,j) == 0 skip is exercised.
+std::vector<Real> sparse_lu(Idx w, std::uint64_t seed) {
+  auto lu = random_dd(w, seed);
+  EXPECT_TRUE(lu_unpivoted_inplace(w, lu));
+  for (Idx j = 0; j < w; ++j) {
+    for (Idx i = 0; i < w; ++i) {
+      if (i != j && (i + 2 * j) % 5 == 0) lu[static_cast<size_t>(j) * w + i] = 0.0;
+    }
+  }
+  return lu;
+}
+
+TEST(DenseBitwise, TrsmsMatchReference) {
+  for (const Idx w : {1, 2, 5, 96}) {
+    const auto lu = sparse_lu(w, 60 + static_cast<std::uint64_t>(w));
+    for (const Idx rows : {1, 7, 8, 9, 300}) {
+      auto b = random_matrix(rows, w, 70 + static_cast<std::uint64_t>(rows));
+      for (size_t e = 0; e < b.size(); e += 7) b[e] = 0.0;
+      auto expect = b;
+      ref_trsm_right_upper(rows, w, lu, expect);
+      trsm_right_upper(rows, w, lu, b);
+      EXPECT_TRUE(test::bitwise_equal(b, expect))
+          << "trsm_right_upper rows=" << rows << " w=" << w;
+
+      auto x = random_matrix(w, rows, 80 + static_cast<std::uint64_t>(rows));
+      for (size_t e = 0; e < x.size(); e += 5) x[e] = 0.0;
+      auto expect_x = x;
+      ref_trsm_left_unit_lower(w, rows, lu, expect_x);
+      trsm_left_unit_lower(w, rows, lu, x);
+      EXPECT_TRUE(test::bitwise_equal(x, expect_x))
+          << "trsm_left_unit_lower rows=" << rows << " w=" << w;
+    }
+  }
+}
+
 TEST(Dense, GemmMinusMatchesNaive) {
   const Idx m = 5, k = 4, n = 3;
   const auto a = random_matrix(m, k, 1);
   const auto b = random_matrix(k, n, 2);
   auto c = random_matrix(m, n, 3);
   const auto c0 = c;
-  gemm_minus(m, k, n, a, b, c);
+  gemm_minus_ld(m, k, n, a, m, b, k, c, m);
   for (Idx j = 0; j < n; ++j) {
     for (Idx i = 0; i < m; ++i) {
       Real acc = c0[static_cast<size_t>(j) * m + i];
@@ -54,7 +208,7 @@ TEST(Dense, GemmPlusUndoesGemmMinus) {
   const auto b = random_matrix(k, n, 5);
   auto c = random_matrix(m, n, 6);
   const auto c0 = c;
-  gemm_minus(m, k, n, a, b, c);
+  gemm_minus_ld(m, k, n, a, m, b, k, c, m);
   gemm_plus(m, k, n, a, b, c);
   EXPECT_LT(frob_diff(c, c0), 1e-12);
 }
@@ -102,6 +256,18 @@ TEST(Dense, LuFactorizationReconstructs) {
 
 TEST(Dense, LuDetectsZeroPivot) {
   std::vector<Real> a = {0.0, 1.0, 1.0, 0.0};  // 2x2 antidiagonal
+  EXPECT_FALSE(lu_unpivoted_inplace(2, a));
+}
+
+TEST(Dense, LuDetectsNanPivot) {
+  std::vector<Real> a = {std::numeric_limits<Real>::quiet_NaN(), 1.0, 1.0, 4.0};
+  EXPECT_FALSE(lu_unpivoted_inplace(2, a));
+}
+
+TEST(Dense, LuDetectsPivotThatOverflows) {
+  // Finite input whose elimination overflows: L(1,0) = 1e300 / 1e-300 is
+  // inf, so the second pivot becomes -inf.
+  std::vector<Real> a = {1e-300, 1e300, 1e300, 1.0};
   EXPECT_FALSE(lu_unpivoted_inplace(2, a));
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <stdexcept>
 
 #include "dist/factor_dist.hpp"
 #include "factor/sptrsv_seq.hpp"
@@ -8,6 +10,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/paper_matrices.hpp"
 #include "symbolic/colcounts.hpp"
+#include "test_support.hpp"
 
 namespace sptrsv {
 namespace {
@@ -99,6 +102,22 @@ TEST(FactorDist, MoreRanksReduceModeledTime) {
   factor_supernodal_distributed(a, analyze(a), {4, 4},
                                 MachineModel::cori_haswell(), &s16);
   EXPECT_LT(s16.makespan, s1.makespan);
+}
+
+TEST(FactorDist, NonFiniteInputThrows) {
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const struct {
+    Idx r, c;
+    Real v;
+  } cases[] = {{2, 2, nan}, {2, 2, inf}, {1, 2, nan}};
+  for (const auto& tc : cases) {
+    const CsrMatrix a = test::tridiagonal_with(tc.r, tc.c, tc.v);
+    EXPECT_THROW(factor_supernodal_distributed(a, analyze(a), {2, 2},
+                                               MachineModel::cori_haswell()),
+                 std::invalid_argument)
+        << tc.v << " at (" << tc.r << ", " << tc.c << ")";
+  }
 }
 
 TEST(FactorDist, ZeroPivotPropagates) {

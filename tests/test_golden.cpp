@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,9 +21,12 @@ namespace {
 /// deterministic solve of every Table-1 matrix, for both 3D algorithms,
 /// two perturbation seeds, and two ABFT-armed variants (fault-free and
 /// seeded-SDC), pinned in tests/golden_fingerprints.txt, plus the
-/// fault-ledger fingerprint of every fault-armed run. Any drift — a
-/// clock-model change, a reordered reduction, a perturbation stream
-/// change, a recovery cost charged differently — fails here with the exact
+/// fault-ledger fingerprint of every fault-armed run. The ledgers hash
+/// only clocks and counters, so the corpus also pins numeric bits: a hash
+/// of each matrix's five factor arrays and of the seed-0 solution of each
+/// algorithm. Any drift — a clock-model change, a reordered reduction, a
+/// perturbation stream change, a recovery cost charged differently, a
+/// dense kernel that rounds differently — fails here with the exact
 /// (matrix, algorithm, seed) that moved. Intentional changes regenerate
 /// the corpus:
 ///
@@ -38,8 +43,36 @@ std::string fp_hex(std::uint64_t fp) {
   return os.str();
 }
 
-/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 120
-/// corpus entries, computed fresh. Seed tokens "0"/"1" are plain perturbed
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a over the bit patterns of `v`, continuing from `h`.
+std::uint64_t hash_bits(std::uint64_t h, std::span<const Real> v) {
+  for (const Real x : v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// Hash of the bits of every factor array: diag, diag_linv, diag_uinv,
+/// lpanel and upanel, each over all supernodes in order.
+std::uint64_t factor_hash(const SupernodalLU& lu) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto* arrays : {&lu.diag, &lu.diag_linv, &lu.diag_uinv, &lu.lpanel,
+                             &lu.upanel}) {
+    for (const std::vector<Real>& v : *arrays) h = hash_bits(h, v);
+  }
+  return h;
+}
+
+/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 138
+/// corpus entries, computed fresh. "<matrix> factor lu" hashes the bits of
+/// the factor every solve below uses, and "<matrix> <algorithm> x0" the
+/// bits of the seed-0 solution. Seed tokens "0"/"1" are plain perturbed
 /// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
 /// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
 /// "degrade0" is seed 0 with an empty spare pool, one scheduled rank
@@ -56,6 +89,7 @@ std::map<std::string, std::string> compute_corpus() {
   for (const PaperMatrix pm : all_paper_matrices()) {
     const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kTiny);
     const FactoredSystem fs = analyze_and_factor(a, 3);
+    out[paper_matrix_name(pm) + " factor lu"] = fp_hex(factor_hash(fs.lu));
     const std::vector<Real> b = test::random_rhs(a.rows(), 1, 42);
     for (const Algorithm3d alg : {Algorithm3d::kProposed, Algorithm3d::kBaseline}) {
       const std::string base = paper_matrix_name(pm) + " " +
@@ -70,6 +104,7 @@ std::map<std::string, std::string> compute_corpus() {
         const DistSolveOutcome res =
             solve_system_3d(fs, b, cfg, test::perturbed_machine());
         out[base + " " + std::to_string(seed)] = fp_hex(res.run_stats.fingerprint());
+        if (seed == 0) out[base + " x0"] = fp_hex(hash_bits(kFnvBasis, res.x));
       }
       for (const bool faulted : {false, true}) {
         SolveConfig cfg;
@@ -149,6 +184,8 @@ TEST(GoldenFingerprints, MatchCorpus) {
     out << "# Golden clean-ledger fingerprints (tests/test_golden.cpp).\n"
         << "# <matrix> <algorithm> <seed-token: 0|1|abft0|sdc0|degrade0|elastic0> <fingerprint>\n"
         << "# A \".fault\" suffix on a token pins that run's fault_fingerprint().\n"
+        << "# <matrix> factor lu <hash> pins the bits of the five factor arrays;\n"
+        << "# <matrix> <algorithm> x0 <hash> pins the bits of the seed-0 solution.\n"
         << "# Regenerate: SPTRSV_GOLDEN_REGEN=<path> ./build/tests/test_golden\n";
     for (const auto& [key, fp] : computed) out << key << " " << fp << "\n";
     GTEST_SKIP() << "regenerated " << computed.size() << " entries into " << regen;

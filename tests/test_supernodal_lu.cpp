@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "factor/sptrsv_seq.hpp"
 #include "factor/supernodal_lu.hpp"
 #include "ordering/etree.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/paper_matrices.hpp"
 #include "symbolic/colcounts.hpp"
+#include "test_support.hpp"
 
 namespace sptrsv {
 namespace {
@@ -113,6 +118,28 @@ TEST(AnalyzeAndFactor, ExpertOptionsPipeline) {
   std::vector<Real> b(static_cast<size_t>(a.rows()), 1.0);
   const auto x = solve_system_seq(fs, b);
   EXPECT_LT(relative_residual(a, x, b), 1e-10);
+}
+
+TEST(SupernodalLu, NonFiniteInputThrowsNamingTheEntry) {
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  const struct {
+    Idx r, c;
+    Real v;
+    const char* where;
+  } cases[] = {{2, 2, nan, "row 2, column 2"},
+               {2, 2, inf, "row 2, column 2"},
+               {1, 2, nan, "row 1, column 2"}};
+  for (const auto& tc : cases) {
+    const CsrMatrix a = test::tridiagonal_with(tc.r, tc.c, tc.v);
+    try {
+      factor(a);
+      ADD_FAILURE() << "no throw for " << tc.v << " at " << tc.where;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(tc.where), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(analyze_and_factor(a, 0), std::invalid_argument) << tc.where;
+  }
 }
 
 TEST(AnalyzeAndFactor, ZeroPivotThrows) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -65,6 +66,19 @@ inline std::vector<Real> random_rhs(Idx n, Idx nrhs, std::uint64_t seed) {
   std::vector<Real> b(static_cast<size_t>(n) * static_cast<size_t>(nrhs));
   for (auto& v : b) v = uni(rng);
   return b;
+}
+
+/// 4x4 tridiagonal matrix (4 on the diagonal, -1 beside it) with `v` in
+/// place of entry (r, c), e.g. a NaN for the non-finite-input tests.
+inline CsrMatrix tridiagonal_with(Idx r, Idx c, Real v) {
+  CooMatrix coo;
+  coo.rows = coo.cols = 4;
+  for (Idx i = 0; i < 4; ++i) {
+    for (Idx j = std::max<Idx>(i - 1, 0); j <= std::min<Idx>(i + 1, 3); ++j) {
+      coo.add(i, j, i == r && j == c ? v : (i == j ? 4.0 : -1.0));
+    }
+  }
+  return CsrMatrix::from_coo(coo);
 }
 
 inline Real max_abs_diff(std::span<const Real> a, std::span<const Real> b) {
