@@ -8,13 +8,14 @@
 ///              [--backend cpu|gpu] [--refine] [--csv] [--trace FILE]
 ///              [--metrics FILE] [--crash R@T] [--mtbf SECONDS]
 ///              [--sdc RATE] [--abft] [--sdc-repair] [--spares N] [--degrade]
-///              [--return R@T] [--repair-mtbf S] [--fanout K] [--rebalance]
-///              [--straggler-lag S]
+///              [--return R@T] [--repair-mtbf S] [--fanout K]
 ///
-/// The fault flags (--crash through --straggler-lag) and --refine need the
-/// CPU backend: the GPU model runs fault-free and reports modeled time only.
-/// --backend gpu needs a machine with GPUs (--machine perlmutter|crusher).
-/// --trace and --metrics record one solve, so --refine refuses them.
+/// The fault flags (--crash through --fanout) and --refine need the CPU
+/// backend: the GPU model runs fault-free and reports modeled time only.
+/// --return, --repair-mtbf and --fanout act only on a degraded world, so
+/// they need --degrade. --backend gpu needs a machine with GPUs (--machine
+/// perlmutter|crusher). --trace and --metrics record one solve, so --refine
+/// refuses them.
 ///
 /// Examples:
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 4x4x8 --alg new
@@ -37,7 +38,9 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/refinement.hpp"
 #include "core/sptrsv3d.hpp"
@@ -63,10 +66,10 @@ namespace {
                "          [--metrics FILE] [--crash R@T]... [--mtbf SECONDS]\n"
                "          [--sdc RATE] [--abft] [--sdc-repair] [--spares N]\n"
                "          [--degrade] [--return R@T]... [--repair-mtbf S]\n"
-               "          [--fanout K] [--rebalance] [--straggler-lag S]\n"
+               "          [--fanout K]\n"
                "\n"
-               "  fault flags (--crash .. --straggler-lag) and --refine need "
-               "--backend cpu\n"
+               "  fault flags (--crash .. --fanout) and --refine need --backend cpu\n"
+               "  --return, --repair-mtbf and --fanout need --degrade\n"
                "  --backend gpu needs --machine perlmutter|crusher\n"
                "  --trace and --metrics are not supported with --refine\n"
                "\n"
@@ -94,10 +97,6 @@ namespace {
                "  --fanout K      load-aware degradation: split a victim's\n"
                "                  partition across the K least-loaded survivors\n"
                "                  instead of one ring adopter (0 = classic)\n"
-               "  --rebalance     straggler watchdog mitigates (repartitions)\n"
-               "                  instead of merely diagnosing slow ranks\n"
-               "  --straggler-lag S  fault-clock lag growth per epoch that\n"
-               "                  classifies a rank as a straggler (0 = off)\n"
                "\n"
                "exit codes: 0 success, 1 numeric/IO failure, 2 usage,\n"
                "            3 structured fault (FaultReport on stderr),\n"
@@ -114,6 +113,15 @@ T parse_choice(const char* argv0, const std::string& flag, const std::string& te
     if (text == name) return value;
   }
   usage(argv0, flag + ": unknown value '" + text + "'");
+}
+
+/// Parses all of `text` as one number; false on trailing text or a value
+/// outside T's range.
+template <class T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Writes `text` to `path`; false on any IO failure.
@@ -171,17 +179,19 @@ int main(int argc, char** argv) {
   double repair_mtbf = 0.0;
   double sdc_rate = 0.0;
   bool abft = false, sdc_repair = false;
-  bool degrade = false, rebalance = false;
+  bool degrade = false;
   int spares = -1;
   int fanout = 0;
-  double straggler_lag = 0.0;
   // Flags the fault-free GPU model cannot honour; `cpu_only` keeps the
   // first one given.
   constexpr const char* kCpuOnlyFlags[] = {
       "--crash", "--mtbf", "--sdc", "--abft", "--sdc-repair", "--spares", "--degrade",
-      "--return", "--repair-mtbf", "--fanout", "--rebalance", "--straggler-lag",
-      "--refine"};
+      "--return", "--repair-mtbf", "--fanout", "--refine"};
   std::string cpu_only;
+  // Flags that act only on a degraded world; `needs_degrade` keeps the first
+  // one given.
+  constexpr const char* kDegradeOnlyFlags[] = {"--return", "--repair-mtbf", "--fanout"};
+  std::string needs_degrade;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -192,26 +202,36 @@ int main(int argc, char** argv) {
     // Reads the whole value as a number no smaller than `min`.
     auto number = [&](auto min) {
       const std::string s = next();
-      const char* end = s.data() + s.size();
       decltype(min) value{};
-      const auto [ptr, ec] = std::from_chars(s.data(), end, value);
-      if (ec != std::errc() || ptr != end || !(value >= min)) {
+      if (!parse_whole(s, value) || !(value >= min)) {
         usage(argv[0], a + ": invalid value '" + s + "'");
       }
       return value;
     };
-    // Reads the value through sscanf `fmt`; a short match is a usage error.
-    auto scan = [&](const char* fmt, auto*... out) {
+    // Reads the whole value as one number per `out`, joined by `sep`
+    // ("2x2x4", "3@1e-4"); a missing or extra field, trailing text or an
+    // out-of-range number is a usage error.
+    auto fields = [&](char sep, auto&... out) {
       const std::string s = next();
-      if (std::sscanf(s.c_str(), fmt, out...) != static_cast<int>(sizeof...(out))) {
+      std::vector<std::string_view> parts;
+      std::size_t begin = 0;
+      for (std::size_t end; (end = s.find(sep, begin)) != std::string::npos; begin = end + 1) {
+        parts.emplace_back(s.data() + begin, end - begin);
+      }
+      parts.emplace_back(s.data() + begin, s.size() - begin);
+      std::size_t k = 0;
+      if (parts.size() != sizeof...(out) || !(parse_whole(parts[k++], out) && ...)) {
         usage(argv[0], a + ": invalid value '" + s + "'");
       }
     };
-    if (cpu_only.empty() &&
-        std::find(std::begin(kCpuOnlyFlags), std::end(kCpuOnlyFlags), a) !=
-            std::end(kCpuOnlyFlags)) {
-      cpu_only = a;
-    }
+    const auto first_of = [&a](std::string& first, const auto& flags) {
+      if (first.empty() &&
+          std::find(std::begin(flags), std::end(flags), a) != std::end(flags)) {
+        first = a;
+      }
+    };
+    first_of(cpu_only, kCpuOnlyFlags);
+    first_of(needs_degrade, kDegradeOnlyFlags);
     if (a == "--matrix") {
       matrix = next();
     } else if (a == "--scale") {
@@ -220,7 +240,7 @@ int main(int argc, char** argv) {
                                          {"small", MatrixScale::kSmall},
                                          {"medium", MatrixScale::kMedium}});
     } else if (a == "--shape") {
-      scan("%dx%dx%d", &shape.px, &shape.py, &shape.pz);
+      fields('x', shape.px, shape.py, shape.pz);
     } else if (a == "--alg") {
       alg = parse_choice<Algorithm3d>(
           argv[0], a, next(),
@@ -248,7 +268,7 @@ int main(int argc, char** argv) {
       metrics_path = next();
     } else if (a == "--crash") {
       PerturbationModel::Crash c;
-      scan("%d@%lf", &c.rank, &c.vt);
+      fields('@', c.rank, c.vt);
       crashes.push_back(c);
     } else if (a == "--mtbf") {
       mtbf = number(0.0);
@@ -264,16 +284,12 @@ int main(int argc, char** argv) {
       degrade = true;
     } else if (a == "--return") {
       PerturbationModel::NodeReturn nr;
-      scan("%d@%lf", &nr.rank, &nr.vt);
+      fields('@', nr.rank, nr.vt);
       returns.push_back(nr);
     } else if (a == "--repair-mtbf") {
       repair_mtbf = number(0.0);
     } else if (a == "--fanout") {
       fanout = number(0);
-    } else if (a == "--rebalance") {
-      rebalance = true;
-    } else if (a == "--straggler-lag") {
-      straggler_lag = number(0.0);
     } else {
       usage(argv[0], a + ": unknown flag");
     }
@@ -304,6 +320,11 @@ int main(int argc, char** argv) {
   };
   for (const auto& c : crashes) check_event("--crash", c.rank, c.vt);
   for (const auto& r : returns) check_event("--return", r.rank, r.vt);
+  // The fault plan keeps spare returns and overload steps only for a world
+  // that degrades; without --degrade these flags would change nothing.
+  if (!degrade && !needs_degrade.empty()) {
+    usage(argv[0], needs_degrade + ": has no effect without --degrade");
+  }
 
   MachineModel machine = make_machine();
   machine.perturb.crashes = crashes;
@@ -313,7 +334,6 @@ int main(int argc, char** argv) {
   machine.perturb.sdc_rate = sdc_rate;
   if (spares >= 0) machine.recovery.spare_ranks = spares;
   machine.recovery.rebalance_fanout = fanout;
-  machine.recovery.straggler_lag = straggler_lag;
 
   try {
   const CsrMatrix a = load_matrix(matrix, scale);
@@ -372,7 +392,6 @@ int main(int argc, char** argv) {
   cfg.run.abft = abft;
   cfg.run.sdc_repair = sdc_repair;
   cfg.run.degrade = degrade;
-  cfg.run.rebalance = rebalance;
 
   if (refine) {
     const RefinementResult r = iterative_refinement(a, fs, b, cfg, machine);
@@ -495,26 +514,17 @@ int main(int argc, char** argv) {
   }
   const ElasticityStats el = out.run_stats.elasticity_stats();
   if (el.any()) {
-    if (el.returns > 0) {
-      std::printf(
-          "  elastic: returns=%lld expansions=%lld transfers=%lld (%lld B)\n"
-          "           agree %.3e s, expand %.3e s, transfer %.3e s, replay "
-          "%.3e s\n",
-          static_cast<long long>(el.returns),
-          static_cast<long long>(el.expansions),
-          static_cast<long long>(el.transfers),
-          static_cast<long long>(el.transfer_bytes), el.agree_time,
-          el.expand_time, el.transfer_time, el.replay_time);
-    }
-    if (el.stragglers > 0) {
-      std::printf("  straggler: events=%lld rebalances=%lld (%.3e s lag)\n",
-                  static_cast<long long>(el.stragglers),
-                  static_cast<long long>(el.rebalances), el.straggler_time);
-    }
+    std::printf(
+        "  elastic: returns=%lld expansions=%lld transfers=%lld (%lld B)\n"
+        "           agree %.3e s, expand %.3e s, transfer %.3e s, replay "
+        "%.3e s\n",
+        static_cast<long long>(el.returns), static_cast<long long>(el.expansions),
+        static_cast<long long>(el.transfers), static_cast<long long>(el.transfer_bytes),
+        el.agree_time, el.expand_time, el.transfer_time, el.replay_time);
   }
   // A refinement repair converges to the ABFT residual gate, not to working
   // accuracy — meeting the gate is the documented success criterion there.
-  if (repaired) return resid <= machine.abft.residual_tol ? 0 : 1;
+  if (repaired) return resid <= kSdcResidualTol ? 0 : 1;
   return resid < 1e-9 ? 0 : 1;
   } catch (const FaultError& fe) {
     // Structured fault diagnostics — kind, rank, peer, tag, retries, vt and

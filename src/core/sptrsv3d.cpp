@@ -587,7 +587,7 @@ VerifiedSolveOutcome solve_system_3d_verified(const CsrMatrix& a,
     r.sdc.residual_time += cost;
   }
   out.residual = relative_residual(a, out.solve.x, b, cfg.nrhs);
-  if (!(out.residual > machine.abft.residual_tol)) return out;
+  if (!(out.residual > kSdcResidualTol)) return out;
 
   if (!cfg.run.sdc_repair) {
     FaultReport r;
@@ -606,7 +606,7 @@ VerifiedSolveOutcome solve_system_3d_verified(const CsrMatrix& a,
                   "end-of-solve residual %.3e exceeds gate %.3e; "
                   "corruption survived the solve (injected x=%lld l=%lld "
                   "partial=%lld)",
-                  static_cast<double>(out.residual), machine.abft.residual_tol,
+                  static_cast<double>(out.residual), kSdcResidualTol,
                   static_cast<long long>(inj[0]), static_cast<long long>(inj[1]),
                   static_cast<long long>(inj[2]));
     r.detail = buf;
@@ -621,7 +621,7 @@ VerifiedSolveOutcome solve_system_3d_verified(const CsrMatrix& a,
   // solves); iteration counts land once, on rank 0's SdcStats.
   RefinementOptions ro;
   ro.max_iterations = 20;
-  ro.tolerance = machine.abft.residual_tol;
+  ro.tolerance = kSdcResidualTol;
   RefinementResult ref = iterative_refinement(a, fs, b, cfg, machine, ro);
   if (!ref.converged) {
     FaultReport r;
@@ -635,7 +635,7 @@ VerifiedSolveOutcome solve_system_3d_verified(const CsrMatrix& a,
                   ref.residual_history.empty()
                       ? static_cast<double>(out.residual)
                       : static_cast<double>(ref.residual_history.back()),
-                  machine.abft.residual_tol,
+                  kSdcResidualTol,
                   static_cast<long long>(ref.iterations()));
     r.detail = buf;
     throw FaultError(std::move(r));

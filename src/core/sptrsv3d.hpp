@@ -103,7 +103,7 @@ struct VerifiedSolveOutcome {
 
 /// solve_system_3d plus the end-of-solve verification gate: evaluates the
 /// relative max-norm residual ||A x - b||_inf / ||b||_inf against
-/// MachineModel::abft.residual_tol, pricing the check onto the fault ledger
+/// kSdcResidualTol, pricing the check onto the fault ledger
 /// (each rank's 1/P share of the SpMV plus a max-reduce tree — the clean
 /// ledger never moves). A residual above the gate means silent corruption
 /// survived the solve (ABFT off, or an uncorrectable fault): with

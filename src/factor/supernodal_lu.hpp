@@ -38,19 +38,6 @@ struct SupernodalLU {
   Idx n() const { return sym.n; }
   Idx num_supernodes() const { return sym.num_supernodes(); }
 
-  /// View of L(I,K) where `i` indexes below[K]: width(I) x width(K) block
-  /// at leading dimension panel_rows[K].
-  std::span<const Real> lblock(Idx k, size_t i) const {
-    return std::span<const Real>(lpanel[static_cast<size_t>(k)])
-        .subspan(static_cast<size_t>(sym.below_offset[static_cast<size_t>(k)][i]));
-  }
-  /// View of U(K,I): width(K) x width(I) block, packed (ld = width(K)).
-  std::span<const Real> ublock(Idx k, size_t i) const {
-    return std::span<const Real>(upanel[static_cast<size_t>(k)])
-        .subspan(static_cast<size_t>(sym.below_offset[static_cast<size_t>(k)][i]) *
-                 static_cast<size_t>(sym.part.width(k)));
-  }
-
   /// Reconstructs the dense n x n matrix L*U (small-n test helper).
   std::vector<Real> reconstruct_dense() const;
 

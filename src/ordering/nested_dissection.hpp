@@ -47,8 +47,6 @@ class NdTree {
   Idx num_leaves() const { return Idx{1} << levels_; }
   const NdNode& node(Idx id) const { return nodes_[static_cast<size_t>(id)]; }
 
-  bool is_leaf(Idx id) const { return nodes_[static_cast<size_t>(id)].left == kNoIdx; }
-
   /// Node id of the `leaf`-th leaf (left to right), 0 <= leaf < num_leaves().
   Idx leaf_node_id(Idx leaf) const { return (Idx{1} << levels_) - 1 + leaf; }
 

@@ -57,7 +57,7 @@ SdcPlan build_sdc_plan(const PerturbationModel& pm, std::uint64_t seed,
     const double mean = 1.0 / pm.sdc_rate;
     for (int r = 0; r < nranks; ++r) {
       double t = 0.0;
-      for (int k = 0; k < pm.sdc_max_per_rank; ++k) {
+      for (int k = 0; k < kSdcMaxPerRank; ++k) {
         // Exponential inter-fault gap; 1-u keeps the argument in (0, 1].
         const double u = sdc_uniform(seed, r, &mseq[static_cast<std::size_t>(r)]);
         t += -mean * std::log(1.0 - u);

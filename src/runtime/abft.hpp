@@ -29,25 +29,26 @@
 
 namespace sptrsv {
 
-/// ABFT checksum/recompute cost model (attached to MachineModel::abft;
-/// consulted while RunOptions::abft or PerturbationModel::sdc_active()).
+/// ABFT recompute model (attached to MachineModel::abft; consulted while
+/// RunOptions::abft or PerturbationModel::sdc_active()). The cost constants
+/// and the residual gate follow the struct.
 struct AbftModel {
-  /// Flat software cost of one epoch checksum verification, on top of the
-  /// per-word arithmetic (one multiply-add per checked word at the
-  /// machine's flop rate).
-  double check_overhead = 200e-9;
-  /// Cost of recomputing one localized corrupt block from retained inputs.
-  double recompute_overhead = 2e-6;
-  /// End-of-solve residual gate: relative max-norm residuals above this
-  /// trip FaultKind::kSilentCorruption (or the sdc_repair fallback). The
-  /// injected flips perturb 2^-6..2^-3 of a word, far above this.
-  double residual_tol = 1e-6;
   /// Probability a localized recomputation re-fails and correction
   /// escalates to the buddy-checkpoint restore path (costed at
-  /// RecoveryModel::restore_overhead; the escalated restore always
-  /// succeeds in the model).
+  /// kRestoreOverhead; the escalated restore always succeeds in the model).
   double recompute_refail_prob = 0.0;
 };
+
+/// Flat software cost of one epoch checksum verification, on top of the
+/// per-word arithmetic (one multiply-add per checked word at the machine's
+/// flop rate).
+inline constexpr double kAbftCheckOverhead = 200e-9;
+/// Cost of recomputing one localized corrupt block from retained inputs.
+inline constexpr double kAbftRecomputeOverhead = 2e-6;
+/// End-of-solve residual gate: relative max-norm residuals above this trip
+/// FaultKind::kSilentCorruption (or the sdc_repair fallback). The injected
+/// flips perturb 2^-6..2^-3 of a word, far above this.
+inline constexpr double kSdcResidualTol = 1e-6;
 
 /// Per-rank SDC/ABFT ledger — the memory-fault third of the fault ledger.
 /// All fields are 8-byte scalars so RankStats stays padding-free (tests
@@ -116,7 +117,7 @@ struct SdcPlan {
 /// Builds the memory-fault plan: explicit PerturbationModel::mem_faults
 /// entries plus, when sdc_rate > 0, per-rank Poisson arrivals (exponential
 /// inter-fault times drawn from the salted kMemStreamSalt stream, capped at
-/// sdc_max_per_rank). Word/bit/refail draws are consumed here, once, on the
+/// kSdcMaxPerRank). Word/bit/refail draws are consumed here, once, on the
 /// same stream.
 SdcPlan build_sdc_plan(const PerturbationModel& pm, std::uint64_t seed,
                        int nranks);

@@ -166,7 +166,7 @@ std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& p
     for (int r = 0; r < nranks; ++r) {
       std::uint64_t cseq = 0;
       double t = 0.0;
-      for (int k = 0; k < pm.crash_max_per_rank; ++k) {
+      for (int k = 0; k < kCrashMaxPerRank; ++k) {
         // Exponential inter-failure gap; 1-u keeps the argument in (0, 1].
         const double u = crash_uniform(seed, r, &cseq);
         t += -pm.crash_mtbf * std::log(1.0 - u);
@@ -180,14 +180,14 @@ std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& p
   }
 
   // Verdicts, statically. The failure detector needs a full detection window
-  // (heartbeat_period * heartbeat_misses) to declare a rank dead and fetch
+  // (kHeartbeatPeriod * kHeartbeatMisses) to declare a rank dead and fetch
   // its buddy's image; if the buddy dies inside that window of a crash, the
   // checkpoint is gone and the crash is unrecoverable (kBuddyLoss). With a
   // single rank the buddy ring degenerates to self-buddying: any crash loses
   // its own checkpoint. Surviving crashes consume spares in global
   // (vt, rank) order — independent of the grant order — and overflow
   // of the pool is kSparesExhausted.
-  const double window = rm.heartbeat_period * static_cast<double>(rm.heartbeat_misses);
+  const double window = kHeartbeatPeriod * static_cast<double>(kHeartbeatMisses);
   // The verdict pass walks crashes and spare returns merged in global
   // (vt, kind, rank, index) order — crashes (kind 0) before returns at equal
   // times, so a node cannot rejoin at the very instant it dies. Without a

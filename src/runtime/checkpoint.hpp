@@ -36,30 +36,15 @@
 
 namespace sptrsv {
 
-/// Tuning of the failure detector, spare pool and recovery cost model
-/// (attached to MachineModel::recovery; consulted only while
-/// PerturbationModel::crash_active()).
+/// Spare pool and degradation placement of the recovery model (attached to
+/// MachineModel::recovery; consulted only while
+/// PerturbationModel::crash_active()). The detector and cost constants
+/// follow the struct.
 struct RecoveryModel {
-  /// Virtual-clock heartbeat period of the failure detector. A crash at
-  /// clean time t is detected at the first heartbeat slot
-  /// (floor(t / period) + misses) * period — the dead rank must miss
-  /// `heartbeat_misses` consecutive beats before it is declared failed.
-  double heartbeat_period = 100e-6;
-  int heartbeat_misses = 3;
   /// Warm spare ranks available to adopt dead ranks' identities. Crashes are
   /// matched to spares in global (crash time, rank) order; one more crash
   /// than spares is unrecoverable (FaultKind::kSparesExhausted).
   int spare_ranks = 2;
-  /// Per-epoch software cost of capturing + shipping one buddy checkpoint
-  /// (on top of the modeled wire time of the image).
-  double checkpoint_overhead = 1e-6;
-  /// Software cost of installing a fetched checkpoint image on the spare
-  /// (on top of the modeled wire time of the fetch).
-  double restore_overhead = 10e-6;
-  /// Replayed-compute multiplier: recovery re-executes the (crash time −
-  /// last epoch time) of lost progress scaled by this factor (1.0 = replay
-  /// at the original speed).
-  double replay_factor = 1.0;
   /// Overload-aware rebalancing: under RunOptions::degrade, split a dead
   /// rank's hosted partitions across the `rebalance_fanout` least-loaded
   /// survivors instead of moving them whole to the ring adopter, bounding
@@ -72,13 +57,24 @@ struct RecoveryModel {
   /// nonpositive entry counts as 1. Indexed by partition id (== original
   /// world rank).
   std::vector<double> rank_work;
-  /// Straggler watchdog threshold: at every checkpoint epoch each rank
-  /// compares its fault-clock lag (fvt − vt) against the high-water mark of
-  /// earlier epochs; growth beyond this many seconds classifies the rank as
-  /// a straggler (FaultKind::kStraggler diagnostics, ElasticityStats).
-  /// 0 disables; consulted only while rank-stall schedules are configured.
-  double straggler_lag = 0.0;
 };
+
+/// Virtual-clock heartbeat period of the failure detector. A crash at clean
+/// time t is detected at the first heartbeat slot
+/// (floor(t / period) + misses) * period — the dead rank must miss
+/// kHeartbeatMisses consecutive beats before it is declared failed.
+inline constexpr double kHeartbeatPeriod = 100e-6;
+inline constexpr int kHeartbeatMisses = 3;
+/// Per-epoch software cost of capturing + shipping one buddy checkpoint (on
+/// top of the modeled wire time of the image).
+inline constexpr double kCheckpointOverhead = 1e-6;
+/// Software cost of installing a fetched checkpoint image on the spare (on
+/// top of the modeled wire time of the fetch).
+inline constexpr double kRestoreOverhead = 10e-6;
+/// Replayed-compute multiplier: recovery re-executes the (crash time − last
+/// epoch time) of lost progress scaled by this factor (1.0 = replay at the
+/// original speed).
+inline constexpr double kReplayFactor = 1.0;
 
 /// Per-rank recovery-cost ledger — the crash-stop half of the fault ledger.
 /// All fields are 8-byte scalars so RankStats stays padding-free (tests
@@ -149,39 +145,32 @@ struct DegradationStats {
   bool any() const { return degrades != 0 || partitions_adopted != 0; }
 };
 
-/// Per-rank elasticity ledger (spare returns, world re-expansion, straggler
-/// watchdog). All fields are 8-byte scalars so RankStats stays padding-free
-/// (tests memcmp it). All zero unless a spare-return or straggler event
-/// actually fired — arming repair schedules alone is bitwise invisible on
-/// both ledgers.
+/// Per-rank elasticity ledger (spare returns and world re-expansion). All
+/// fields are 8-byte scalars so RankStats stays padding-free (tests memcmp
+/// it). All zero unless a spare return actually fired — arming repair
+/// schedules alone is bitwise invisible on both ledgers.
 struct ElasticityStats {
   std::int64_t returns = 0;        ///< spare-return events processed
   std::int64_t expansions = 0;     ///< world re-growth events (re-agree + expand)
   std::int64_t transfers = 0;      ///< partition images handed back on return
   std::int64_t transfer_bytes = 0; ///< checkpoint bytes shipped on hand-back
-  std::int64_t stragglers = 0;     ///< straggler classifications at this rank
-  std::int64_t rebalances = 0;     ///< straggler-triggered repartitions
   double agree_time = 0.0;         ///< survivor re-agreement sweeps (2 per return)
   double expand_time = 0.0;        ///< grown-communicator rebuild sweep
   double transfer_time = 0.0;      ///< partition-image wire time on hand-back
   double replay_time = 0.0;        ///< replayed progress since the image epoch
-  double straggler_time = 0.0;     ///< lag absorbed + mitigation sweeps
 
   ElasticityStats& operator+=(const ElasticityStats& o) {
     returns += o.returns;
     expansions += o.expansions;
     transfers += o.transfers;
     transfer_bytes += o.transfer_bytes;
-    stragglers += o.stragglers;
-    rebalances += o.rebalances;
     agree_time += o.agree_time;
     expand_time += o.expand_time;
     transfer_time += o.transfer_time;
     replay_time += o.replay_time;
-    straggler_time += o.straggler_time;
     return *this;
   }
-  bool any() const { return returns != 0 || stragglers != 0; }
+  bool any() const { return returns != 0; }
 };
 
 /// One entry of a solver's live checkpoint state: the values stored under
@@ -324,7 +313,7 @@ std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
 ///  - Crashes: explicit PerturbationModel::crashes entries plus, when
 ///    crash_mtbf > 0, per-rank Poisson arrivals (exponential inter-failure
 ///    times drawn from the salted crash stream, capped at
-///    crash_max_per_rank). Verdicts are assigned here, statically:
+///    kCrashMaxPerRank). Verdicts are assigned here, statically:
 ///    buddy-pair losses first (both events inside one detection window are
 ///    unrecoverable), then spares in global (vt, rank) order until the pool
 ///    runs dry.

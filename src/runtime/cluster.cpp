@@ -22,9 +22,6 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#if defined(__SANITIZE_THREAD__)
-#include <sanitizer/tsan_interface.h>
-#endif
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
 #endif
@@ -219,14 +216,7 @@ struct RankCtx {
   bool abft = false;             ///< RunOptions::abft
   SdcStats sdc;                  ///< ABFT/SDC ledger (fault side)
 
-  // --- elastic re-expansion + straggler watchdog (docs/ROBUSTNESS.md
-  // §Elasticity lifecycle) ---
-  bool rebalance = false;        ///< RunOptions::rebalance
-  /// Progress-watermark watchdog arming: rank-stall schedules configured
-  /// AND RecoveryModel::straggler_lag > 0 (never on clean runs — without
-  /// stalls the fault clock tracks the clean clock bitwise).
-  bool straggler_armed = false;
-  double straggle_hwm = 0.0;     ///< high-water mark of fvt − vt at epochs
+  // --- elastic re-expansion (docs/ROBUSTNESS.md §Elasticity lifecycle) ---
   ElasticityStats estats;        ///< elasticity ledger (fault side)
 
   /// Advances both clocks in lockstep (identical arithmetic keeps fvt
@@ -316,9 +306,8 @@ struct RankCtx {
   /// declared dead `misses` beats after the last heartbeat it answered (the
   /// beat grid is absolute).
   double detect_delay(double t) const {
-    const RecoveryModel& rm = mach->recovery;
-    return (std::floor(t / rm.heartbeat_period) +
-            static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+    return (std::floor(t / kHeartbeatPeriod) +
+            static_cast<double>(kHeartbeatMisses)) * kHeartbeatPeriod - t;
   }
 
   /// One synchronizing revoke/shrink/agree tree sweep among n ranks.
@@ -343,10 +332,9 @@ struct RankCtx {
   /// matching registration (the capturing scope already closed) still
   /// counts as a restore.
   Fetch fetch_image(double t, bool survives, bool verify) {
-    const RecoveryModel& rm = mach->recovery;
     Fetch f;
     f.img = survives && image.epoch >= 0 ? &image : nullptr;
-    f.replay = t * rm.replay_factor;
+    f.replay = t * kReplayFactor;
     if (f.img != nullptr && payload_checksum(f.img->state) != f.img->checksum) {
       rstats.image_rejects += 1;
       f.img = nullptr;
@@ -354,8 +342,8 @@ struct RankCtx {
     if (f.img == nullptr) return f;
     const double bytes = static_cast<double>(f.img->state.size()) * sizeof(Real);
     f.bytes = static_cast<std::int64_t>(bytes);
-    f.wire = rm.restore_overhead + mach->net.latency + bytes / mach->net.bandwidth;
-    f.replay = (t - f.img->vt) * rm.replay_factor;
+    f.wire = kRestoreOverhead + mach->net.latency + bytes / mach->net.bandwidth;
+    f.replay = (t - f.img->vt) * kReplayFactor;
     if (verify) {
       for (auto it = registrations.rbegin(); it != registrations.rend(); ++it) {
         if (std::strcmp(it->label, f.img->label) == 0) {
@@ -542,45 +530,6 @@ struct RankCtx {
     }
   }
 
-  /// Progress-watermark watchdog, run at every checkpoint epoch while
-  /// rank-stall schedules are configured: the fault-clock lag (fvt − vt)
-  /// accrued by stalled transport is compared against the high-water mark of
-  /// earlier epochs; growth beyond RecoveryModel::straggler_lag classifies
-  /// this rank as a straggler (FaultKind::kStraggler diagnostics only —
-  /// never terminal). Under RunOptions::rebalance the classification also
-  /// triggers a load-aware repartition — two survivor agreement sweeps plus
-  /// one repartition sweep on the fault clock — and forgives the accrued lag
-  /// (work shed to peers). Clean runs never fire: without delivery faults
-  /// the fault clock tracks the clean clock bitwise, so the lag is zero.
-  void process_straggler_epoch() {
-    const double lag = fvt - vt;
-    const double growth = lag - straggle_hwm;
-    if (growth <= mach->recovery.straggler_lag) {
-      if (lag > straggle_hwm) straggle_hwm = lag;
-      return;
-    }
-    estats.stragglers += 1;
-    estats.straggler_time += growth;
-    flight_record(FlightEntry::kElastic, grank, rebalance ? 1 : 0, 1, 0);
-    if (tracing) {
-      trace.marks.push_back(
-          {"straggler", vt, static_cast<std::int64_t>(rebalance ? 1 : 0)});
-    }
-    if (rebalance) {
-      // Two agreement sweeps + one repartition sweep, charged at the epoch
-      // boundary (outside any receive's advance, so no crash_total echo —
-      // the same pattern as checkpoint shipment).
-      const double cost = 3.0 * sweep(nranks);
-      fvt += cost;
-      estats.rebalances += 1;
-      estats.straggler_time += cost;
-      if (tracing) {
-        trace.marks.push_back({"rebalance", vt, estats.rebalances});
-      }
-    }
-    straggle_hwm = fvt - vt;
-  }
-
   /// Fires at every checkpoint epoch while an SDC schedule or ABFT is
   /// active: lands every armed memory fault as a bit flip in `entries` (the
   /// innermost registration's live state), then (with ABFT on) charges the
@@ -637,9 +586,8 @@ struct RankCtx {
     if (!abft) return;
     // Checksum verification: one fused multiply-add per live word against
     // the running block checksum, plus a fixed bookkeeping overhead.
-    const AbftModel& am = mach->abft;
     const double vcost =
-        am.check_overhead + 2.0 * static_cast<double>(words) / mach->cpu_flop_rate;
+        kAbftCheckOverhead + 2.0 * static_cast<double>(words) / mach->cpu_flop_rate;
     sdc.checks += 1;
     sdc.verify_time += vcost;
     fvt += vcost;
@@ -658,9 +606,9 @@ struct RankCtx {
       // from retained inputs restores the exact pre-fault bits. A re-failed
       // recomputation escalates to the buddy-checkpoint restore path.
       entries[f.entry].values[f.off] = f.original;
-      double rcost = am.recompute_overhead;
-      if (f.refail_draw < am.recompute_refail_prob) {
-        rcost += mach->recovery.restore_overhead;
+      double rcost = kAbftRecomputeOverhead;
+      if (f.refail_draw < mach->abft.recompute_refail_prob) {
+        rcost += kRestoreOverhead;
         sdc.escalated += 1;
       }
       sdc.corrected += 1;
@@ -724,11 +672,10 @@ constexpr LedgerCounter kLedgerCounters[] = {
     {"recovery.crashes", [](Ctx c) { return c.rstats.crashes; }},
     {"recovery.image_rejects", [](Ctx c) { return c.rstats.image_rejects; }},
     // The ULFM sweeps the ledger's recoveries imply: four per spare
-    // adoption, three per degrade, re-expansion or rebalance.
+    // adoption, three per degrade or re-expansion.
     {"recovery.sweeps",
      [](Ctx c) {
-       return 4 * c.rstats.spares_used +
-              3 * (c.dstats.degrades + c.estats.expansions + c.estats.rebalances);
+       return 4 * c.rstats.spares_used + 3 * (c.dstats.degrades + c.estats.expansions);
      }},
     {"abft.checks", [](Ctx c) { return c.sdc.checks; }},
     {"abft.injected", [](Ctx c) { return c.sdc.injected; }},
@@ -748,8 +695,6 @@ constexpr LedgerCounter kLedgerCounters[] = {
     {"recovery.elastic.expansions", [](Ctx c) { return c.estats.expansions; }},
     {"recovery.elastic.transfers", [](Ctx c) { return c.estats.transfers; }},
     {"recovery.elastic.bytes", [](Ctx c) { return c.estats.transfer_bytes; }},
-    {"recovery.straggler.events", [](Ctx c) { return c.estats.stragglers; }},
-    {"recovery.straggler.rebalances", [](Ctx c) { return c.estats.rebalances; }},
 };
 
 }  // namespace
@@ -842,11 +787,6 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   ~Scheduler() {
-#if defined(__SANITIZE_THREAD__)
-    for (const Fiber& f : fibers_) {
-      if (f.tsan != nullptr) __tsan_destroy_fiber(f.tsan);
-    }
-#endif
     if (stacks_ != nullptr) munmap(stacks_, stacks_bytes_);
   }
 
@@ -896,13 +836,7 @@ class Scheduler {
       makecontext(&uc, reinterpret_cast<void (*)()>(&Scheduler::entry), 2,
                   static_cast<std::uint32_t>(self >> 32),
                   static_cast<std::uint32_t>(self));
-#if defined(__SANITIZE_THREAD__)
-      fibers_[r].tsan = __tsan_create_fiber(0);
-#endif
     }
-#if defined(__SANITIZE_THREAD__)
-    main_.tsan = __tsan_get_current_fiber();
-#endif
     const int first = grant();
     if (first >= 0) switch_to(-1, first);
     if (!aborted_) return;
@@ -978,10 +912,9 @@ class Scheduler {
     ucontext_t ctx;
     EhGlobals eh;           ///< exception state while switched out
     bool started = false;   ///< has run at least once
-    // Sanitizer bookkeeping, unused in plain builds: the ThreadSanitizer
-    // fiber handle, and for AddressSanitizer the stack bounds (main_'s are
-    // learned on the first switch away from it) and the saved fake stack.
-    void* tsan = nullptr;
+    // AddressSanitizer bookkeeping, unused in plain builds: the stack
+    // bounds (main_'s are learned on the first switch away from it) and the
+    // saved fake stack.
     const void* stack_lo = nullptr;
     std::size_t stack_size = 0;
     void* asan_fake = nullptr;
@@ -1020,9 +953,6 @@ class Scheduler {
     a.eh = *eh;
     *eh = b.eh;
     switched_from_ = from;
-#if defined(__SANITIZE_THREAD__)
-    __tsan_switch_to_fiber(b.tsan, 0);
-#endif
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_start_switch_fiber(exiting ? nullptr : &a.asan_fake, b.stack_lo,
                                    b.stack_size);
@@ -1203,12 +1133,6 @@ class ClusterState {
       ctx.crash_model = machine_.perturb.crash_active();
       ctx.degrade = opts_.degrade;
       ctx.abft = opts_.abft;
-      ctx.rebalance = opts_.rebalance;
-      // The progress-watermark watchdog arms only while rank-stall
-      // schedules exist AND the detector threshold is set: on a clean run
-      // fvt tracks vt bitwise, so there is no lag to watch.
-      ctx.straggler_armed = !machine_.perturb.stalls.empty() &&
-                            machine_.recovery.straggler_lag > 0.0;
       if (skewed) {
         ctx.skew = 1.0 + machine_.perturb.compute_skew *
                              perturb_uniform(opts_.seed, static_cast<std::uint64_t>(r),
@@ -1304,19 +1228,9 @@ class ClusterState {
                           r, e.vt, e.peer, e.a);
             break;
           case RankCtx::FlightEntry::kElastic:
-            // b discriminates the two elastic entry flavors: 0 = a spare
-            // return re-expanding the world, 1 = a straggler classification.
-            if (e.b == 1) {
-              std::snprintf(buf, sizeof(buf),
-                            "rank %zu: vt=%.9g straggler(rebalance=%d)", r,
-                            e.vt, e.a);
-            } else {
-              std::snprintf(buf, sizeof(buf),
-                            "rank %zu: vt=%.9g expand(from=%d, survivors=%d, "
-                            "bytes=%lld)",
-                            r, e.vt, e.peer, e.a,
-                            static_cast<long long>(e.bytes));
-            }
+            std::snprintf(buf, sizeof(buf),
+                          "rank %zu: vt=%.9g expand(from=%d, survivors=%d, bytes=%lld)",
+                          r, e.vt, e.peer, e.a, static_cast<long long>(e.bytes));
             break;
           case RankCtx::FlightEntry::kNone:
             continue;
@@ -1482,12 +1396,11 @@ void Comm::reset_clock() {
   // checkpoint images are dropped so replay arithmetic never mixes clocks.
   // A planned event earlier than the setup time fires once pre-reset too —
   // benign: its ledger entries are discarded here and it re-fires on the
-  // fresh clock. The straggler watermark restarts the same way.
+  // fresh clock.
   ctx_->next_event = 0;
   ctx_->armed_sdc.clear();
   ctx_->crash_total = 0.0;
   ctx_->degrade_mult = 1.0;
-  ctx_->straggle_hwm = 0.0;
   ctx_->rstats = RecoveryStats{};
   ctx_->sdc = SdcStats{};
   ctx_->dstats = DegradationStats{};
@@ -1616,12 +1529,11 @@ void Comm::send(int dst, int tag, std::vector<Real> data, TimeCategory cat) {
     // final — recovery delay and retransmit traffic land on the fault
     // ledger only. The sender never blocks (buffered-send semantics: the
     // retransmit timers run concurrently with the sender's progress).
-    const TransportOptions& topt = machine().transport;
     const double flight = latency + bytes / bandwidth + extra_delay;
-    const double ack_flight = latency + topt.ack_bytes / bandwidth;
+    const double ack_flight = latency + kAckBytes / bandwidth;
     auto outcome = std::make_unique<TransportOutcome>(simulate_transport(
-        pm, topt, cluster->opts().seed, ctx_->grank, dst_grank, ctx_->vt, flight,
-        ack_flight, overhead, &ctx_->fseq));
+        pm, machine().transport, cluster->opts().seed, ctx_->grank, dst_grank, ctx_->vt,
+        flight, ack_flight, overhead, &ctx_->fseq));
     env.fault_arrival += outcome->extra_delay;
     env.checksum = frame_checksum(ctx_->grank, dst_grank, tag,
                                   static_cast<std::uint64_t>(env.seq),
@@ -1736,7 +1648,7 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
       TransportStats& ts = ctx_->tstats;
       ts.acks += outcome->acks;
       ts.ack_bytes += static_cast<std::int64_t>(outcome->acks) *
-                      static_cast<std::int64_t>(machine().transport.ack_bytes);
+                      static_cast<std::int64_t>(kAckBytes);
       ts.corrupt_detected += outcome->corrupt;
       ts.duplicates += outcome->duplicates;
       ts.reordered += outcome->reordered ? 1 : 0;
@@ -1951,10 +1863,6 @@ CheckpointScope Comm::register_checkpoint(const char* label, StateKind kind,
 
 void Comm::checkpoint_epoch(std::int64_t arg) {
   detail::RankCtx* c = ctx_;
-  // Straggler watchdog first, and before the registration gate: stall-only
-  // runs register no checkpoint state, but epoch boundaries are still the
-  // progress watermarks the watchdog samples.
-  if (c->straggler_armed) c->process_straggler_epoch();
   if (c->registrations.empty()) return;
   // SDC pass first: armed memory faults land (and, under ABFT, are detected
   // and repaired) before the epoch's buddy image is captured, so a crash
@@ -1983,8 +1891,7 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   // plus the modeled wire time of the image. The clean clock never moves,
   // so checkpoint cadence cannot perturb the modeled solve.
   const double bytes = static_cast<double>(img.state.size()) * sizeof(Real);
-  const RecoveryModel& rm = machine().recovery;
-  const double cost = rm.checkpoint_overhead + machine().net.latency +
+  const double cost = kCheckpointOverhead + machine().net.latency +
                       bytes / machine().net.bandwidth;
   c->fvt += cost;
   c->rstats.checkpoints += 1;
@@ -2155,13 +2062,16 @@ std::uint64_t Cluster::Result::fault_fingerprint() const {
     mix(static_cast<std::uint64_t>(e.expansions));
     mix(static_cast<std::uint64_t>(e.transfers));
     mix(static_cast<std::uint64_t>(e.transfer_bytes));
-    mix(static_cast<std::uint64_t>(e.stragglers));
-    mix(static_cast<std::uint64_t>(e.rebalances));
+    // Zero words where the retired straggler watchdog's two counters and its
+    // time stood: every hash a release before its removal recorded (the
+    // golden ".fault" rows among them) keeps its value.
+    mix(0);
+    mix(0);
     mix(std::bit_cast<std::uint64_t>(e.agree_time));
     mix(std::bit_cast<std::uint64_t>(e.expand_time));
     mix(std::bit_cast<std::uint64_t>(e.transfer_time));
     mix(std::bit_cast<std::uint64_t>(e.replay_time));
-    mix(std::bit_cast<std::uint64_t>(e.straggler_time));
+    mix(0);
   }
   return h;
 }

@@ -164,16 +164,6 @@ struct RunOptions {
   /// metrics). Only running out of survivors (FaultKind::kNoSurvivors) is
   /// still terminal.
   bool degrade = false;
-  /// Straggler mitigation: when the progress-watermark watchdog classifies
-  /// this rank as a straggler (fault-clock lag growth beyond
-  /// RecoveryModel::straggler_lag between checkpoint epochs, only while
-  /// rank-stall schedules are configured), trigger a load-aware repartition
-  /// — two survivor agreement sweeps plus one repartition sweep on the
-  /// fault ledger — instead of merely diagnosing. Mitigation forgives the
-  /// accrued lag (the watermark resets), modeling work shed to peers. The
-  /// clean ledger is bitwise invariant either way; costs land on
-  /// ElasticityStats (Result::elasticity_stats, recovery.straggler.*).
-  bool rebalance = false;
 };
 
 /// A received message.
@@ -436,10 +426,9 @@ class Cluster {
     /// post-shrink multiplier any partition ran under.
     DegradationStats degradation_stats() const;
     /// Sum of every rank's elasticity counters (spare returns, world
-    /// re-expansions, partition hand-backs, straggler classifications and
-    /// mitigation sweeps, with their fault-clock time). All zero unless a
-    /// spare return re-expanded a degraded world or the straggler watchdog
-    /// fired — armed-but-inert repair schedules leave every field zero.
+    /// re-expansions and partition hand-backs, with their fault-clock time).
+    /// All zero unless a spare return re-expanded a degraded world —
+    /// armed-but-inert repair schedules leave every field zero.
     ElasticityStats elasticity_stats() const;
     /// Mean over ranks of one category (paper plots rank-averaged bars).
     double mean_category(TimeCategory cat) const;

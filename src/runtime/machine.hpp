@@ -66,18 +66,16 @@ struct MachineModel {
   /// driving its draws lives in RunOptions (see cluster.hpp).
   PerturbationModel perturb;
 
-  /// Reliable-transport tuning (retransmit timeout, backoff, retry budget,
-  /// ack size). Only consulted while perturb.delivery_active().
+  /// Reliable-transport retry budget. Only consulted while
+  /// perturb.delivery_active().
   TransportOptions transport;
 
-  /// Crash-stop recovery tuning (heartbeat detector, spare pool, buddy
-  /// checkpoint/restore/replay costs; docs/ROBUSTNESS.md). Only consulted
-  /// while perturb.crash_active().
+  /// Crash-stop recovery: the spare pool and degradation placement
+  /// (docs/ROBUSTNESS.md). Only consulted while perturb.crash_active().
   RecoveryModel recovery;
 
-  /// ABFT checksum/recompute cost model and the end-of-solve residual gate
-  /// (docs/ROBUSTNESS.md). Only consulted while RunOptions::abft or
-  /// perturb.sdc_active().
+  /// ABFT recomputation re-failure probability (docs/ROBUSTNESS.md). Only
+  /// consulted while RunOptions::abft or perturb.sdc_active().
   AbftModel abft;
 
   /// Cori Haswell: Xeon E5-2698v3 cores, Cray Aries. CPU-only experiments

@@ -108,14 +108,11 @@ struct PerturbationModel {
   std::vector<Crash> crashes;
 
   /// Poisson crash model: each rank draws exponential inter-failure times
-  /// with this mean (seconds of clean virtual time); 0 disables. Draws come
-  /// from a dedicated salted stream (kCrashStreamSalt) with its own per-rank
-  /// counter, so enabling MTBF crashes never shifts a timing or delivery
-  /// draw.
+  /// with this mean (seconds of clean virtual time), at most
+  /// kCrashMaxPerRank of them; 0 disables. Draws come from a dedicated
+  /// salted stream (kCrashStreamSalt) with its own per-rank counter, so
+  /// enabling MTBF crashes never shifts a timing or delivery draw.
   double crash_mtbf = 0.0;
-  /// Cap on MTBF-generated crashes per rank (a rank is adopted by a spare
-  /// after each crash, so >1 models repeated failures of the same slot).
-  int crash_max_per_rank = 1;
 
   // --- spare-return (repair) events (elastic re-expansion,
   // docs/ROBUSTNESS.md §Elasticity lifecycle) ---
@@ -187,11 +184,9 @@ struct PerturbationModel {
   std::vector<MemFault> mem_faults;
 
   /// Poisson SDC model: each rank draws exponential inter-fault times with
-  /// mean 1/sdc_rate (faults per second of clean virtual time); 0 disables.
+  /// mean 1/sdc_rate (faults per second of clean virtual time), at most
+  /// kSdcMaxPerRank of them; 0 disables.
   double sdc_rate = 0.0;
-  /// Cap on rate-generated memory faults per rank (explicit mem_faults are
-  /// never capped).
-  int sdc_max_per_rank = 4;
 
   /// Scheduled rank stall: within the sender-clock window
   /// [vt_begin, vt_end), frames to or from `rank` either crawl (flight
@@ -231,12 +226,14 @@ struct PerturbationModel {
   /// faults at epoch boundaries; with ABFT the clean ledger and solution
   /// are still never altered).
   bool sdc_active() const { return !mem_faults.empty() || sdc_rate > 0.0; }
-
-  /// True if any spare-return knob is set (these can re-expand a degraded
-  /// world under RunOptions::degrade; the clean ledger is still never
-  /// altered, and with no preceding degrade events they are fully inert).
-  bool repair_active() const { return !returns.empty() || repair_mtbf > 0.0; }
 };
+
+/// Cap on MTBF-generated crashes per rank (PerturbationModel::crash_mtbf;
+/// explicit crashes are never capped).
+inline constexpr int kCrashMaxPerRank = 1;
+/// Cap on rate-generated memory faults per rank (PerturbationModel::sdc_rate;
+/// explicit mem_faults are never capped).
+inline constexpr int kSdcMaxPerRank = 4;
 
 namespace detail {
 

@@ -48,7 +48,6 @@ const char* fault_kind_name(FaultKind k) {
     case FaultKind::kSparesExhausted: return "spares-exhausted";
     case FaultKind::kSilentCorruption: return "silent-corruption";
     case FaultKind::kNoSurvivors: return "no-survivors";
-    case FaultKind::kStraggler: return "straggler";
   }
   return "?";
 }
@@ -127,9 +126,7 @@ TransportOutcome simulate_transport(const PerturbationModel& pm,
   TransportOutcome out;
   const double drop_fwd = drop_prob_for(pm, src, dst);
   const double drop_rev = drop_prob_for(pm, dst, src);
-  double rto = to.rto > 0.0
-                   ? to.rto
-                   : 2.0 * (flight + ack_flight + 2.0 * overhead);
+  double rto = 2.0 * (flight + ack_flight + 2.0 * overhead);
   if (rto <= 0.0) rto = 1e-6;  // zero-latency link: keep the timer finite
 
   // Stop-and-wait from the sender's point of view. `elapsed` is virtual
@@ -150,14 +147,14 @@ TransportOutcome simulate_transport(const PerturbationModel& pm,
       ++out.frames_dropped;
       ++out.timeouts;
       elapsed += rto;
-      rto *= to.backoff;
+      rto *= kRetransmitBackoff;
       continue;
     }
     if (fault_uniform(seed, src, fseq) < drop_fwd) {
       ++out.frames_dropped;
       ++out.timeouts;
       elapsed += rto;
-      rto *= to.backoff;
+      rto *= kRetransmitBackoff;
       continue;
     }
     double this_flight = flight * st.flight_factor;
@@ -166,7 +163,7 @@ TransportOutcome simulate_transport(const PerturbationModel& pm,
       ++out.corrupt;
       ++out.timeouts;
       elapsed += rto;
-      rto *= to.backoff;
+      rto *= kRetransmitBackoff;
       continue;
     }
     // Intact delivery.
@@ -194,7 +191,7 @@ TransportOutcome simulate_transport(const PerturbationModel& pm,
       ++out.frames_dropped;
       ++out.timeouts;
       elapsed += rto;
-      rto *= to.backoff;
+      rto *= kRetransmitBackoff;
       continue;
     }
     break;  // acked — the sender releases the message

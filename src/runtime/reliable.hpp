@@ -38,19 +38,19 @@
 
 namespace sptrsv {
 
-/// Reliable-transport tuning (attached to MachineModel::transport).
+/// Reliable-transport tuning (attached to MachineModel::transport). The
+/// initial retransmit timeout is twice the modeled round trip of the
+/// message (data flight + ack flight + 2 software overheads).
 struct TransportOptions {
-  /// Initial retransmit timeout in virtual seconds; 0 = auto, twice the
-  /// modeled round trip (data flight + ack flight + 2 software overheads).
-  double rto = 0.0;
-  /// Exponential backoff factor applied to the timeout per retry.
-  double backoff = 2.0;
   /// Retransmissions of one message before the transport gives up and the
   /// receive fails with FaultKind::kRetriesExhausted.
   int max_retries = 12;
-  /// Modeled size of an ack frame (bytes) for the fault-ledger byte counts.
-  double ack_bytes = 16.0;
 };
+
+/// Exponential backoff factor applied to the retransmit timeout per retry.
+inline constexpr double kRetransmitBackoff = 2.0;
+/// Modeled size of an ack frame (bytes) for the fault-ledger byte counts.
+inline constexpr double kAckBytes = 16.0;
 
 /// Per-rank reliable-transport counters — the fault ledger. Sender-side
 /// fields (frames, retransmits, timeouts, drops) accrue at the sending
@@ -99,9 +99,6 @@ enum class FaultKind : int {
   kSilentCorruption,  ///< residual check caught uncorrected memory faults
   kNoSurvivors,       ///< elastic degradation ran out of survivors to adopt
                       ///< the dead ranks' partitions (RunOptions::degrade)
-  kStraggler,         ///< slow-but-alive rank flagged by the progress-
-                      ///< watermark watchdog (diagnostic only — never
-                      ///< terminal; see ElasticityStats::stragglers)
 };
 
 const char* fault_kind_name(FaultKind k);

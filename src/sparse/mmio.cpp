@@ -65,10 +65,4 @@ void write_matrix_market(std::ostream& out, const CsrMatrix& m) {
   }
 }
 
-void write_matrix_market_file(const std::string& path, const CsrMatrix& m) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("mmio: cannot open " + path);
-  write_matrix_market(out, m);
-}
-
 }  // namespace sptrsv

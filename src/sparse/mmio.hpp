@@ -23,7 +23,4 @@ CsrMatrix read_matrix_market_file(const std::string& path);
 /// Writes `m` as `matrix coordinate real general`.
 void write_matrix_market(std::ostream& out, const CsrMatrix& m);
 
-/// Convenience overload writing to a file path.
-void write_matrix_market_file(const std::string& path, const CsrMatrix& m);
-
 }  // namespace sptrsv

@@ -1,8 +1,7 @@
 /// \file test_elastic.cpp
-/// \brief Elastic re-expansion and straggler resilience
-/// (docs/ROBUSTNESS.md, elasticity lifecycle): spare-return events grow a
-/// degraded world back, load-aware rebalancing bounds the post-shrink
-/// overload, and the progress-watermark watchdog classifies stragglers.
+/// \brief Elastic re-expansion (docs/ROBUSTNESS.md, elasticity lifecycle):
+/// spare-return events grow a degraded world back, and load-aware
+/// rebalancing bounds the post-shrink overload.
 ///
 /// The contract under test, in order of importance:
 ///  1. The acceptance scenario: a solve on 8 ranks shrinks to 7 under
@@ -16,13 +15,9 @@
 ///     victim's hosted set across the least-loaded survivors, bounding the
 ///     worst overload multiplier below whole-set ring adoption on the same
 ///     crash schedule — with the clean ledger still bitwise invariant.
-///  3. The straggler watchdog fires on rank-stall schedules (diagnostic
-///     FaultKind::kStraggler, never terminal), never on clean runs, and
-///     under RunOptions::rebalance charges a mitigation repartition to the
-///     fault clock.
-///  4. Armed-but-inert repair schedules (repair_mtbf set, no terminal
+///  3. Armed-but-inert repair schedules (repair_mtbf set, no terminal
 ///     crashes) are bitwise invisible on BOTH ledgers.
-///  5. build_repair_plan / load-aware build_degrade_plan are pure functions
+///  4. build_repair_plan / load-aware build_degrade_plan are pure functions
 ///     of their inputs.
 
 #include <gtest/gtest.h>
@@ -198,7 +193,6 @@ TEST(ElasticReExpansion, SpareReturnRegrowsTheWorldBitwiseClean) {
   EXPECT_GT(el.expand_time, 0.0);
   EXPECT_GT(el.transfer_time, 0.0);
   EXPECT_GT(el.replay_time, 0.0);
-  EXPECT_EQ(el.stragglers, 0);  // no stall schedule: watchdog stays silent
   const DegradationStats deg = elastic.run_stats.degradation_stats();
   EXPECT_EQ(deg.degrades, 1);
   EXPECT_DOUBLE_EQ(deg.overload_mult, 2.0);  // adopter peaked at 2 partitions
@@ -441,81 +435,6 @@ TEST(LoadAwareRebalance, OverloadMultiplierIsTheCleanFpRatio) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Straggler watchdog: classification on stalls, silence on clean runs.
-// ---------------------------------------------------------------------------
-
-/// Ring workload with per-round checkpoint epochs — the epochs are where
-/// the progress watermark is evaluated.
-void ring_rounds(Comm& c) {
-  const int next = (c.rank() + 1) % c.size();
-  const int prev = (c.rank() + c.size() - 1) % c.size();
-  for (int e = 0; e < 6; ++e) {
-    c.send(next, /*tag=*/100 + e, std::vector<Real>{1.0});
-    c.recv(prev, 100 + e);
-    c.advance(1e-5, TimeCategory::kFp);
-    c.checkpoint_epoch(e);
-  }
-  c.barrier();
-}
-
-MachineModel stall_machine(double lag_threshold) {
-  MachineModel m = test_machine();
-  // A transient outage of rank 1 early in the run: frames to/from it are
-  // lost until vt_end, so its neighbours' retransmits land ~1e-4 of lag on
-  // the fault clock while the clean clock never moves.
-  m.perturb.stalls.push_back({/*rank=*/1, /*vt_begin=*/0.0, /*vt_end=*/1e-4,
-                              /*flight_factor=*/1.0, /*permanent=*/true});
-  m.recovery.straggler_lag = lag_threshold;
-  return m;
-}
-
-TEST(StragglerWatchdog, FiresOnStallSchedulesNeverOnCleanRuns) {
-  const auto clean = Cluster::run(4, test_machine(), ring_rounds, kDet);
-  EXPECT_EQ(clean.elasticity_stats().stragglers, 0);
-
-  const auto stalled = Cluster::run(4, stall_machine(1e-6), ring_rounds, kDet);
-  const ElasticityStats el = stalled.elasticity_stats();
-  EXPECT_GE(el.stragglers, 1);
-  EXPECT_EQ(el.rebalances, 0);  // diagnostic only without RunOptions::rebalance
-  EXPECT_GT(el.straggler_time, 0.0);
-  // Diagnostic only: the run completes, the clean ledger never moves.
-  EXPECT_EQ(stalled.fingerprint(), clean.fingerprint());
-  EXPECT_TRUE(message_counts_identical(stalled, clean));
-  EXPECT_GT(stalled.fault_makespan(), stalled.makespan());
-
-  // The same stall with the watchdog disarmed (threshold 0) stays silent.
-  const auto disarmed = Cluster::run(4, stall_machine(0.0), ring_rounds, kDet);
-  EXPECT_EQ(disarmed.elasticity_stats().stragglers, 0);
-}
-
-TEST(StragglerWatchdog, ThresholdAboveTheLagStaysSilent) {
-  // The outage contributes ~1e-4 of lag growth; a 1-second threshold can
-  // never be crossed.
-  const auto quiet = Cluster::run(4, stall_machine(1.0), ring_rounds, kDet);
-  EXPECT_EQ(quiet.elasticity_stats().stragglers, 0);
-}
-
-TEST(StragglerWatchdog, RebalanceMitigatesAndChargesTheFaultClock) {
-  RunOptions ropts = kDet;
-  ropts.rebalance = true;
-  const auto diagnosed = Cluster::run(4, stall_machine(1e-6), ring_rounds, kDet);
-  const auto mitigated =
-      Cluster::run(4, stall_machine(1e-6), ring_rounds, ropts);
-  ASSERT_GE(mitigated.elasticity_stats().stragglers, 1);
-  EXPECT_GE(mitigated.elasticity_stats().rebalances, 1);
-  EXPECT_EQ(diagnosed.elasticity_stats().rebalances, 0);
-  // Mitigation sweeps are fault-clock-only and come on top of the lag.
-  EXPECT_GT(mitigated.elasticity_stats().straggler_time,
-            diagnosed.elasticity_stats().straggler_time);
-  EXPECT_EQ(mitigated.fingerprint(), diagnosed.fingerprint());
-  EXPECT_NE(mitigated.fault_fingerprint(), diagnosed.fault_fingerprint());
-}
-
-TEST(StragglerWatchdog, KindHasAName) {
-  EXPECT_STREQ(fault_kind_name(FaultKind::kStraggler), "straggler");
 }
 
 // ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ TEST(FaultInjection, SingleMessageAccountingMatchesOfflineReplay) {
         m.perturb, m.transport, seed, /*src=*/0, /*dst=*/1,
         /*send_vt=*/m.mpi_overhead,
         /*flight=*/m.net.latency + bytes / m.net.bandwidth,
-        /*ack_flight=*/m.net.latency + m.transport.ack_bytes / m.net.bandwidth,
+        /*ack_flight=*/m.net.latency + kAckBytes / m.net.bandwidth,
         /*overhead=*/m.mpi_overhead, &fseq);
     if (expect.attempts > 1 && !expect.failed) break;
   }
@@ -163,7 +163,7 @@ TEST(FaultInjection, SingleMessageAccountingMatchesOfflineReplay) {
   EXPECT_EQ(t.timeouts, expect.timeouts);
   EXPECT_EQ(t.frames_dropped, expect.frames_dropped);
   EXPECT_EQ(t.acks, expect.acks);
-  EXPECT_EQ(t.ack_bytes, expect.acks * static_cast<std::int64_t>(m.transport.ack_bytes));
+  EXPECT_EQ(t.ack_bytes, expect.acks * static_cast<std::int64_t>(kAckBytes));
   EXPECT_EQ(t.corrupt_detected, expect.corrupt);
   EXPECT_EQ(t.duplicates, expect.duplicates);
   EXPECT_EQ(t.reordered, expect.reordered ? 1 : 0);
@@ -362,21 +362,53 @@ TEST(FaultInjection, TransientStallRecoversAndChargesTheFaultClock) {
   // retransmit after vt_end gets through.
   m.perturb.stalls.push_back({/*rank=*/1, /*vt_begin=*/0.0, /*vt_end=*/1e-4,
                               /*flight_factor=*/1.0, /*permanent=*/true});
-  const Cluster::Result res = Cluster::run(
-      2, m,
-      [](Comm& c) {
-        if (c.rank() == 0) {
-          c.send(1, /*tag=*/1, std::vector<Real>{2.5});
-        } else {
-          const Message msg = c.recv(0, 1);
-          EXPECT_EQ(msg.data[0], 2.5);
-        }
-      },
-      det_opts(0));
+  const auto program = [](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, /*tag=*/1, std::vector<Real>{2.5});
+    } else {
+      const Message msg = c.recv(0, 1);
+      EXPECT_EQ(msg.data[0], 2.5);
+    }
+  };
+  const Cluster::Result res = Cluster::run(2, m, program, det_opts(0));
   const TransportStats t = res.transport_totals();
   EXPECT_GT(t.retransmits, 0);
   EXPECT_GE(res.ranks[1].fault_vtime - res.ranks[1].vtime, 1e-4 - 1e-9);
   EXPECT_EQ(res.fault_makespan(), res.ranks[1].fault_vtime);
+  // The outage lands on the fault clock only: the clean ledger is the
+  // stall-free run's.
+  const Cluster::Result clean = Cluster::run(2, test_machine(), program, det_opts(0));
+  EXPECT_EQ(res.fingerprint(), clean.fingerprint());
+  EXPECT_TRUE(message_counts_identical(res, clean));
+  EXPECT_GT(res.fault_makespan(), res.makespan());
+}
+
+TEST(FaultInjection, StalledRingWithCheckpointEpochsKeepsTheCleanLedger) {
+  // A ring with a checkpoint epoch per round, so the stall's lag passes
+  // through Comm::checkpoint_epoch as well as the transport.
+  const auto ring_rounds = [](Comm& c) {
+    const int next = (c.rank() + 1) % c.size();
+    const int prev = (c.rank() + c.size() - 1) % c.size();
+    for (int e = 0; e < 6; ++e) {
+      c.send(next, /*tag=*/100 + e, std::vector<Real>{1.0});
+      c.recv(prev, 100 + e);
+      c.advance(1e-5, TimeCategory::kFp);
+      c.checkpoint_epoch(e);
+    }
+    c.barrier();
+  };
+  // A transient outage of rank 1 early in the run: frames to/from it are
+  // lost until vt_end, so its neighbours' retransmits land ~1e-4 of lag on
+  // the fault clock while the clean clock never moves.
+  MachineModel m = test_machine();
+  m.perturb.stalls.push_back({/*rank=*/1, /*vt_begin=*/0.0, /*vt_end=*/1e-4,
+                              /*flight_factor=*/1.0, /*permanent=*/true});
+  const Cluster::Result clean = Cluster::run(4, test_machine(), ring_rounds, det_opts(0));
+  const Cluster::Result stalled = Cluster::run(4, m, ring_rounds, det_opts(0));
+  EXPECT_GT(stalled.transport_totals().retransmits, 0);
+  EXPECT_EQ(stalled.fingerprint(), clean.fingerprint());
+  EXPECT_TRUE(message_counts_identical(stalled, clean));
+  EXPECT_GT(stalled.fault_makespan(), stalled.makespan());
 }
 
 TEST(FaultInjection, SolverFaultNamesThePhase) {

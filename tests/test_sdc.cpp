@@ -323,7 +323,7 @@ TEST(SdcAbft, RecomputeRefailEscalatesToRestoreCost) {
   // The escalation chain's restore leg is priced on top of recomputation.
   EXPECT_GE(s.repair_time,
             static_cast<double>(s.corrected) *
-                (m.abft.recompute_overhead + m.recovery.restore_overhead) - 1e-15);
+                (kAbftRecomputeOverhead + kRestoreOverhead) - 1e-15);
   // Escalation is still invisible on the clean ledger.
   EXPECT_TRUE(bitwise_equal(out.x, clean.x));
   EXPECT_EQ(out.run_stats.fingerprint(), clean.run_stats.fingerprint());
@@ -366,7 +366,7 @@ TEST(SdcVerification, SdcRepairDegradesIntoConvergedRefinement) {
   const VerifiedSolveOutcome v = solve_system_3d_verified(a, fs, b, cfg, m);
   EXPECT_TRUE(v.repaired);
   EXPECT_GE(v.repair_iterations, 1);
-  EXPECT_LE(v.residual, m.abft.residual_tol);
+  EXPECT_LE(v.residual, kSdcResidualTol);
   const SdcStats s = v.solve.run_stats.sdc_stats();
   EXPECT_GE(s.injected, 1);
   EXPECT_EQ(s.detected, 0);  // ABFT was off: nothing caught in-flight
@@ -387,7 +387,7 @@ TEST(SdcVerification, CleanSolvePaysOnlyTheResidualCheck) {
   const DistSolveOutcome plain = solve_system_3d(fs, b, cfg, test_machine());
   const VerifiedSolveOutcome v = solve_system_3d_verified(a, fs, b, cfg, test_machine());
   EXPECT_FALSE(v.repaired);
-  EXPECT_LE(v.residual, test_machine().abft.residual_tol);
+  EXPECT_LE(v.residual, kSdcResidualTol);
   EXPECT_TRUE(bitwise_equal(v.solve.x, plain.x));
   EXPECT_EQ(v.solve.run_stats.fingerprint(), plain.run_stats.fingerprint());
   for (const auto& r : v.solve.run_stats.ranks) {
