@@ -11,8 +11,8 @@
 /// codes: 0 no regressions, 1 regressions found, 2 usage or IO failure.
 ///
 /// Reports whose per-rank row sets differ (metric.<name>.rank<N> rows
-/// appearing on one side only — e.g. a run that degraded to fewer ranks or
-/// re-expanded) are not silently skipped: the added/removed ranks are
+/// appearing on one side only — e.g. a run that degraded to fewer ranks)
+/// are not silently skipped: the added/removed ranks are
 /// listed per metric as a RANKSET line and each mismatched metric counts
 /// as one regression. Files present on one side only are reported too.
 ///
@@ -157,7 +157,7 @@ int compare_dirs(const fs::path& base_dir, const fs::path& cand_dir, double tol,
       }
       continue;
     }
-    // Keys present on one side only. A degraded or re-expanded run changes
+    // Keys present on one side only. A degraded run changes
     // which metric.<name>.rank<N> rows exist; skipping them silently would
     // let a world-size change pass as "no regressions". Group the
     // mismatches by metric stem and report the rank sets explicitly; every

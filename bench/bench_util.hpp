@@ -204,7 +204,8 @@ inline std::vector<Real> bench_rhs(Idx n, Idx nrhs) {
   return b;
 }
 
-/// Runs the threaded CPU 3D solve and returns the outcome.
+/// Runs the CPU 3D solve on the runtime (one fiber per rank) and returns
+/// the outcome.
 inline DistSolveOutcome run_cpu(const FactoredSystem& fs, const Grid3dShape& shape,
                                 Algorithm3d alg, const MachineModel& machine,
                                 Idx nrhs = 1, TreeKind tree = TreeKind::kBinary,

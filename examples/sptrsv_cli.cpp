@@ -8,12 +8,11 @@
 ///              [--backend cpu|gpu] [--refine] [--csv] [--trace FILE]
 ///              [--metrics FILE] [--crash R@T] [--mtbf SECONDS]
 ///              [--sdc RATE] [--abft] [--sdc-repair] [--spares N] [--degrade]
-///              [--return R@T] [--repair-mtbf S] [--fanout K]
 ///
-/// The fault flags (--crash through --fanout) and --refine need the CPU
+/// The fault flags (--crash through --degrade) and --refine need the CPU
 /// backend: the GPU model runs fault-free and reports modeled time only.
-/// --return, --repair-mtbf and --fanout act only on a degraded world, so
-/// they need --degrade. --backend gpu needs a machine with GPUs (--machine
+/// --spares and --degrade act only on crashes, so they need --crash or
+/// --mtbf. --backend gpu needs a machine with GPUs (--machine
 /// perlmutter|crusher). --trace and --metrics record one solve, so --refine
 /// refuses them.
 ///
@@ -24,7 +23,6 @@
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --crash 3@1e-4
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --sdc 2e3 --abft
 ///   sptrsv_cli --shape 2x2x2 --spares 0 --degrade --crash 3@1e-4
-///              --return 3@5e-4 --fanout 2
 ///
 /// Exit codes: 0 success, 1 numeric/IO failure, 2 usage, 3 structured fault
 /// (the FaultReport diagnostics — kind, rank, peer, tag, phase — go to
@@ -65,11 +63,10 @@ namespace {
                "          [--backend cpu|gpu] [--refine] [--csv] [--trace FILE]\n"
                "          [--metrics FILE] [--crash R@T]... [--mtbf SECONDS]\n"
                "          [--sdc RATE] [--abft] [--sdc-repair] [--spares N]\n"
-               "          [--degrade] [--return R@T]... [--repair-mtbf S]\n"
-               "          [--fanout K]\n"
+               "          [--degrade]\n"
                "\n"
-               "  fault flags (--crash .. --fanout) and --refine need --backend cpu\n"
-               "  --return, --repair-mtbf and --fanout need --degrade\n"
+               "  fault flags (--crash .. --degrade) and --refine need --backend cpu\n"
+               "  --spares and --degrade need --crash or --mtbf\n"
                "  --backend gpu needs --machine perlmutter|crusher\n"
                "  --trace and --metrics are not supported with --refine\n"
                "\n"
@@ -89,14 +86,6 @@ namespace {
                "                  dies), shrink the world and redistribute the\n"
                "                  dead rank's partition instead of failing\n"
                "                  (docs/ROBUSTNESS.md, graceful degradation)\n"
-               "  --return R@T    a repaired node rejoins as a spare for rank R\n"
-               "                  at virtual time T; a degraded world re-expands\n"
-               "                  and hands the adopted partition back\n"
-               "  --repair-mtbf S draw spare-return times as a Poisson process\n"
-               "                  with mean-time-to-repair S virtual seconds\n"
-               "  --fanout K      load-aware degradation: split a victim's\n"
-               "                  partition across the K least-loaded survivors\n"
-               "                  instead of one ring adopter (0 = classic)\n"
                "\n"
                "exit codes: 0 success, 1 numeric/IO failure, 2 usage,\n"
                "            3 structured fault (FaultReport on stderr),\n"
@@ -174,24 +163,20 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   std::vector<PerturbationModel::Crash> crashes;
-  std::vector<PerturbationModel::NodeReturn> returns;
   double mtbf = 0.0;
-  double repair_mtbf = 0.0;
   double sdc_rate = 0.0;
   bool abft = false, sdc_repair = false;
   bool degrade = false;
   int spares = -1;
-  int fanout = 0;
   // Flags the fault-free GPU model cannot honour; `cpu_only` keeps the
   // first one given.
   constexpr const char* kCpuOnlyFlags[] = {
       "--crash", "--mtbf", "--sdc", "--abft", "--sdc-repair", "--spares", "--degrade",
-      "--return", "--repair-mtbf", "--fanout", "--refine"};
+      "--refine"};
   std::string cpu_only;
-  // Flags that act only on a degraded world; `needs_degrade` keeps the first
-  // one given.
-  constexpr const char* kDegradeOnlyFlags[] = {"--return", "--repair-mtbf", "--fanout"};
-  std::string needs_degrade;
+  // Flags that act only on crashes; `needs_crash` keeps the first one given.
+  constexpr const char* kCrashOnlyFlags[] = {"--spares", "--degrade"};
+  std::string needs_crash;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -231,7 +216,7 @@ int main(int argc, char** argv) {
       }
     };
     first_of(cpu_only, kCpuOnlyFlags);
-    first_of(needs_degrade, kDegradeOnlyFlags);
+    first_of(needs_crash, kCrashOnlyFlags);
     if (a == "--matrix") {
       matrix = next();
     } else if (a == "--scale") {
@@ -282,14 +267,6 @@ int main(int argc, char** argv) {
       spares = number(0);
     } else if (a == "--degrade") {
       degrade = true;
-    } else if (a == "--return") {
-      PerturbationModel::NodeReturn nr;
-      fields('@', nr.rank, nr.vt);
-      returns.push_back(nr);
-    } else if (a == "--repair-mtbf") {
-      repair_mtbf = number(0.0);
-    } else if (a == "--fanout") {
-      fanout = number(0);
     } else {
       usage(argv[0], a + ": unknown flag");
     }
@@ -319,21 +296,17 @@ int main(int argc, char** argv) {
     usage(argv[0], why);
   };
   for (const auto& c : crashes) check_event("--crash", c.rank, c.vt);
-  for (const auto& r : returns) check_event("--return", r.rank, r.vt);
-  // The fault plan keeps spare returns and overload steps only for a world
-  // that degrades; without --degrade these flags would change nothing.
-  if (!degrade && !needs_degrade.empty()) {
-    usage(argv[0], needs_degrade + ": has no effect without --degrade");
+  // The recovery model is consulted only when a rank crashes; without a
+  // crash source these flags would change nothing.
+  if (crashes.empty() && mtbf == 0.0 && !needs_crash.empty()) {
+    usage(argv[0], needs_crash + ": has no effect without --crash or --mtbf");
   }
 
   MachineModel machine = make_machine();
   machine.perturb.crashes = crashes;
   machine.perturb.crash_mtbf = mtbf;
-  machine.perturb.returns = returns;
-  machine.perturb.repair_mtbf = repair_mtbf;
   machine.perturb.sdc_rate = sdc_rate;
   if (spares >= 0) machine.recovery.spare_ranks = spares;
-  machine.recovery.rebalance_fanout = fanout;
 
   try {
   const CsrMatrix a = load_matrix(matrix, scale);
@@ -511,16 +484,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-  }
-  const ElasticityStats el = out.run_stats.elasticity_stats();
-  if (el.any()) {
-    std::printf(
-        "  elastic: returns=%lld expansions=%lld transfers=%lld (%lld B)\n"
-        "           agree %.3e s, expand %.3e s, transfer %.3e s, replay "
-        "%.3e s\n",
-        static_cast<long long>(el.returns), static_cast<long long>(el.expansions),
-        static_cast<long long>(el.transfers), static_cast<long long>(el.transfer_bytes),
-        el.agree_time, el.expand_time, el.transfer_time, el.replay_time);
   }
   // A refinement repair converges to the ABFT residual gate, not to working
   // accuracy — meeting the gate is the documented success criterion there.

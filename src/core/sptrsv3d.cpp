@@ -477,43 +477,12 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
   ctx.x_out = &x;
   ctx.times = &times;
 
-  // Per-rank static work estimates for load-aware degradation
-  // (RecoveryModel::rank_work): the flops each world rank's 2D solves
-  // charge. Read only by the load-aware degrade plan, so deriving them here
-  // never perturbs the clean ledger; a caller-supplied profile wins.
-  MachineModel mach = machine;
-  if (cfg.run.degrade && mach.recovery.rebalance_fanout > 0 &&
-      mach.recovery.rank_work.empty()) {
-    std::vector<double>& w = mach.recovery.rank_work;
-    w.assign(static_cast<size_t>(shape.size()), 0.0);
-    const auto add = [&](int z, const Solve2dPlan& plan) {
-      for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
-        const std::vector<double> flops = plan.rank_flops(tri, cfg.nrhs);
-        for (int g = 0; g < shape.px * shape.py; ++g) {
-          w[static_cast<size_t>(shape.world_rank(z, g))] += flops[static_cast<size_t>(g)];
-        }
-      }
-    };
-    for (int z = 0; z < shape.pz; ++z) {
-      if (cfg.algorithm == Algorithm3d::kProposed) {
-        add(z, ctx.leaf_plans[static_cast<size_t>(z)]);
-        continue;
-      }
-      // Baseline: a z-plane solves level s, in both phases, only while
-      // z % 2^s == 0 (see run_baseline).
-      const auto path = ctx.coarse.path_to_root(ctx.coarse.leaf_node_id(z));
-      for (int s = 0; s <= ctx.coarse.levels() && z % (1 << s) == 0; ++s) {
-        add(z, ctx.node_plans[static_cast<size_t>(path[static_cast<size_t>(s)])]);
-      }
-    }
-  }
-
   // try_run instead of run: recoverable crash schedules finish normally
   // (recovery cost on the fault ledger only), while unrecoverable verdicts
   // and transport failures surface as a structured FaultError carrying the
   // rank/peer/tag/phase diagnostics instead of a bare error string.
   const Cluster::Result stats =
-      Cluster::try_run(shape.size(), mach, [&](Comm& world) {
+      Cluster::try_run(shape.size(), machine, [&](Comm& world) {
         const int z = shape.z_of(world.rank());
         const int grid_rank = shape.grid_rank_of(world.rank());
         Comm grid = world.split(/*color=*/z, /*key=*/grid_rank);

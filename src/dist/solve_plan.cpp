@@ -42,23 +42,6 @@ Solve2dPlan::View Solve2dPlan::view(Triangle tri) const {
           .bcast_members = u_bcast_, .kind = kind_};
 }
 
-std::vector<double> Solve2dPlan::rank_flops(Triangle tri, Idx nrhs) const {
-  const View v = view(tri);
-  std::vector<double> flops(static_cast<size_t>(shape_.size()), 0.0);
-  for (size_t sp = 0; sp < v.sources.size(); ++sp) {
-    const Idx s = v.sources[sp];
-    for (const Idx d : v.dependents[sp]) {
-      flops[static_cast<size_t>(shape_.owner(d, s))] += block_flops(d, s, nrhs);
-    }
-  }
-  for (const Idx t : v.targets) {
-    if (v.source_pos(t) != kNoIdx) {
-      flops[static_cast<size_t>(shape_.diag_owner(t))] += diag_flops(t, nrhs);
-    }
-  }
-  return flops;
-}
-
 Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
                                std::vector<Idx> cols, std::vector<Idx> extra_rows) {
   if (!std::is_sorted(cols.begin(), cols.end()) ||

@@ -99,10 +99,6 @@ class Solve2dPlan {
     const double w = lu_->sym.part.width(k);
     return 2.0 * w * w * nrhs;
   }
-  /// Flops each grid rank charges in `tri`'s solve, indexed by grid rank:
-  /// the block updates of every block it holds plus the diagonal solves of
-  /// the targets it diag-owns.
-  std::vector<double> rank_flops(Triangle tri, Idx nrhs) const;
 
  private:
   const SupernodalLU* lu_ = nullptr;

@@ -36,27 +36,14 @@
 
 namespace sptrsv {
 
-/// Spare pool and degradation placement of the recovery model (attached to
-/// MachineModel::recovery; consulted only while
-/// PerturbationModel::crash_active()). The detector and cost constants
-/// follow the struct.
+/// Spare pool of the recovery model (attached to MachineModel::recovery;
+/// consulted only while PerturbationModel::crash_active()). The detector and
+/// cost constants follow the struct.
 struct RecoveryModel {
   /// Warm spare ranks available to adopt dead ranks' identities. Crashes are
   /// matched to spares in global (crash time, rank) order; one more crash
   /// than spares is unrecoverable (FaultKind::kSparesExhausted).
   int spare_ranks = 2;
-  /// Overload-aware rebalancing: under RunOptions::degrade, split a dead
-  /// rank's hosted partitions across the `rebalance_fanout` least-loaded
-  /// survivors instead of moving them whole to the ring adopter, bounding
-  /// the post-shrink overload multiplier. 0 keeps the classic ring adoption
-  /// (bitwise-identical plans to earlier releases).
-  int rebalance_fanout = 0;
-  /// Per-world-rank relative work estimates for load-aware choices (the
-  /// flops each rank's 2D solves charge, filled by solve_sptrsv_3d when
-  /// degrade and rebalance_fanout are set). Empty = uniform work; a
-  /// nonpositive entry counts as 1. Indexed by partition id (== original
-  /// world rank).
-  std::vector<double> rank_work;
 };
 
 /// Virtual-clock heartbeat period of the failure detector. A crash at clean
@@ -124,9 +111,10 @@ struct DegradationStats {
   double redistribute_time = 0.0;      ///< buddy-image wire time to the adopter
   double replay_time = 0.0;            ///< replayed progress since the last epoch
   double overload_time = 0.0;          ///< extra compute from hosting >1 partition
-  /// Peak post-shrink overload multiplier this partition ran under (1.0 =
-  /// never overloaded). Merged with max semantics, not summed: the cluster
-  /// total reports the worst multiplier any partition saw.
+  /// Post-shrink overload multiplier this partition runs under: its host's
+  /// partition count, which only rises (0 = never overloaded). Merged with
+  /// max semantics, not summed: the cluster total reports the worst
+  /// multiplier any partition saw.
   double overload_mult = 0.0;
 
   DegradationStats& operator+=(const DegradationStats& o) {
@@ -143,34 +131,6 @@ struct DegradationStats {
     return *this;
   }
   bool any() const { return degrades != 0 || partitions_adopted != 0; }
-};
-
-/// Per-rank elasticity ledger (spare returns and world re-expansion). All
-/// fields are 8-byte scalars so RankStats stays padding-free (tests memcmp
-/// it). All zero unless a spare return actually fired — arming repair
-/// schedules alone is bitwise invisible on both ledgers.
-struct ElasticityStats {
-  std::int64_t returns = 0;        ///< spare-return events processed
-  std::int64_t expansions = 0;     ///< world re-growth events (re-agree + expand)
-  std::int64_t transfers = 0;      ///< partition images handed back on return
-  std::int64_t transfer_bytes = 0; ///< checkpoint bytes shipped on hand-back
-  double agree_time = 0.0;         ///< survivor re-agreement sweeps (2 per return)
-  double expand_time = 0.0;        ///< grown-communicator rebuild sweep
-  double transfer_time = 0.0;      ///< partition-image wire time on hand-back
-  double replay_time = 0.0;        ///< replayed progress since the image epoch
-
-  ElasticityStats& operator+=(const ElasticityStats& o) {
-    returns += o.returns;
-    expansions += o.expansions;
-    transfers += o.transfers;
-    transfer_bytes += o.transfer_bytes;
-    agree_time += o.agree_time;
-    expand_time += o.expand_time;
-    transfer_time += o.transfer_time;
-    replay_time += o.replay_time;
-    return *this;
-  }
-  bool any() const { return returns != 0; }
 };
 
 /// One entry of a solver's live checkpoint state: the values stored under
@@ -236,27 +196,10 @@ struct DegradeEvent {
   std::int64_t adopt_delta = 0;
 };
 
-/// One planned spare return that re-expands a degraded world: at clean time
-/// `vt` the repaired node for rank `returned` rejoins, the survivors
-/// re-agree (two sweeps), the communicator grows back by one (one sweep) and
-/// the host `from` hands the adopted partition's checkpoint image back
-/// (checksum-verified on fetch, escalating to replay-from-start on a reject).
-/// Processed at the returning partition's own context — the partition's rank
-/// kept executing through the degraded window, so the clean ledger is
-/// untouched by construction and every cost lands on the fault clock and
-/// ElasticityStats. Returns whose rank is alive at `vt` are inert and never
-/// planned.
-struct ElasticEvent {
-  double vt = 0.0;
-  int from = -1;           ///< host handing the partition back
-  int survivors_after = 0; ///< world size after the re-expansion
-};
-
 /// One planned fault of one rank, of any class. The variant index is the
-/// event's kind: at equal clean times a crash fires before a spare return,
-/// a return before an overload step, and an overload step before a memory
-/// fault arms.
-using FaultEvent = std::variant<CrashEvent, ElasticEvent, DegradeEvent, SdcEvent>;
+/// event's kind: at equal clean times a crash fires before an overload
+/// step, and an overload step before a memory fault arms.
+using FaultEvent = std::variant<CrashEvent, DegradeEvent, SdcEvent>;
 
 /// Clean virtual time a planned fault fires (or, for a memory fault, arms) at.
 inline double fault_time(const FaultEvent& e) {
@@ -276,34 +219,9 @@ struct DegradePlan {
   int adopter = -1;
   int survivors_after = 0;
   int image_survives = 0;
-  /// Load-aware mode (RecoveryModel::rebalance_fanout > 0): the victim's
-  /// hosted partitions and the survivor each one moves to, parallel vectors
-  /// in assignment order (largest work first, LPT-greedy over the k
-  /// least-loaded survivors). Empty in classic ring mode, where every
-  /// victim-hosted partition moves to `adopter`.
-  std::vector<int> moved_partitions;
-  std::vector<int> adopters;
 };
 
-/// `host` is the current partition -> physical-rank map accumulated over
-/// earlier shrinks (empty = identity, the fresh-world default); it selects
-/// the victim's hosted partitions and the survivors' current loads in
-/// load-aware mode and is ignored by the classic ring rule.
-DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
-                               const std::vector<int>& dead,
-                               const std::vector<int>& host = {});
-
-/// Builds the spare-return schedule: explicit PerturbationModel::returns
-/// entries plus, when repair_mtbf > 0, per-rank Poisson repair arrivals
-/// (exponential times drawn from the salted kRepairStreamSalt stream, capped
-/// at repair_max_per_rank). Returns per-rank sorted times; a pure function
-/// of (PerturbationModel, seed, nranks), so arming repair shifts no timing,
-/// delivery, crash or SDC draw. Which returns actually re-expand the world
-/// is decided by build_fault_plan's verdict pass (a return only matters for
-/// a rank that was degraded away before it fires).
-std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
-                                                   std::uint64_t seed,
-                                                   int nranks);
+DegradePlan build_degrade_plan(int nranks, const std::vector<int>& dead);
 
 /// Builds the whole fault schedule of a run: one event stream per rank,
 /// stable-sorted by (clean time, kind). A pure function of
@@ -317,10 +235,10 @@ std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
 ///    buddy-pair losses first (both events inside one detection window are
 ///    unrecoverable), then spares in global (vt, rank) order until the pool
 ///    runs dry.
-///  - Overload steps and spare returns: the elastic alternative of every
-///    unrecoverable verdict, and the returns (build_repair_plan) that
-///    re-expand a degraded world. Planned unconditionally; the runtime
-///    consults them only under RunOptions::degrade.
+///  - Overload steps: the shrink of every unrecoverable verdict, which
+///    retires the rank for good; its later crashes are dropped. Planned
+///    unconditionally; the runtime consults them only under
+///    RunOptions::degrade.
 ///  - Memory faults: build_sdc_plan's events. They arm when the clean clock
 ///    crosses them and land at the next checkpoint epoch.
 std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& pm,

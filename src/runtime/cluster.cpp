@@ -149,7 +149,7 @@ struct RankCtx {
   struct FlightEntry {
     enum Kind : int {
       kNone = 0, kSend, kRecvWait, kRecvDone, kCollective, kCrash, kCheckpoint,
-      kSdc, kDegrade, kElastic
+      kSdc, kDegrade
     };
     Kind kind = kNone;
     int peer = -1;          ///< dst/src global rank (-1 wildcard/none)
@@ -209,15 +209,11 @@ struct RankCtx {
 
   // --- graceful degradation (docs/ROBUSTNESS.md §Graceful degradation) ---
   bool degrade = false;          ///< RunOptions::degrade
-  double degrade_mult = 1.0;     ///< current partitions-per-host multiplier
   DegradationStats dstats;       ///< degradation ledger (fault side)
 
   // --- silent data corruption + ABFT (docs/ROBUSTNESS.md §SDC) ---
   bool abft = false;             ///< RunOptions::abft
   SdcStats sdc;                  ///< ABFT/SDC ledger (fault side)
-
-  // --- elastic re-expansion (docs/ROBUSTNESS.md §Elasticity lifecycle) ---
-  ElasticityStats estats;        ///< elasticity ledger (fault side)
 
   /// Advances both clocks in lockstep (identical arithmetic keeps fvt
   /// bitwise equal to vt while no faults intervene); receive/collective
@@ -240,11 +236,13 @@ struct RankCtx {
       }
     }
     fire_due();
-    // Elastic-degradation overload: once this partition's host adopted extra
+    // Degradation overload: once this partition's host adopted extra
     // partitions, every clean compute second really takes `mult` seconds on
-    // the shrunken machine. The extra rides the fault clock only.
-    if (degrade_mult > 1.0 && cat == TimeCategory::kFp) {
-      const double extra = (degrade_mult - 1.0) * seconds;
+    // the shrunken machine. A host only ever gains partitions, so the peak
+    // multiplier is the live one. The extra rides the fault clock only.
+    const double mult = dstats.overload_mult;
+    if (mult > 1.0 && cat == TimeCategory::kFp) {
+      const double extra = (mult - 1.0) * seconds;
       charge(extra);
       dstats.overload_time += extra;
     }
@@ -259,21 +257,16 @@ struct RankCtx {
   }
 
   /// The one event cursor: fires, in (clean time, kind) order, every
-  /// planned fault the clean clock has reached. Crashes and spare returns
-  /// run their recovery now, an overload step changes the compute
-  /// multiplier, and a memory fault arms for the next checkpoint epoch.
+  /// planned fault the clean clock has reached. A crash runs its recovery
+  /// now, an overload step raises the compute multiplier, and a memory
+  /// fault arms for the next checkpoint epoch.
   void fire_due() {
     while (next_event < events->size() && vt >= fault_time((*events)[next_event])) {
       const FaultEvent& e = (*events)[next_event++];
       if (const auto* crash = std::get_if<CrashEvent>(&e)) {
         process_crash(*crash);
-      } else if (const auto* ret = std::get_if<ElasticEvent>(&e)) {
-        process_elastic(*ret);
       } else if (const auto* step = std::get_if<DegradeEvent>(&e)) {
-        // Peak multiplier on the ledger (max semantics); the live one in
-        // degrade_mult — a re-expansion lowers it but not the peak.
-        degrade_mult = step->mult;
-        if (step->mult > dstats.overload_mult) dstats.overload_mult = step->mult;
+        dstats.overload_mult = step->mult;
         dstats.partitions_adopted += step->adopt_delta;
       } else {
         armed_sdc.push_back(std::get<SdcEvent>(e));
@@ -327,11 +320,11 @@ struct RankCtx {
   /// false means the image died with its holder. An image failing its
   /// payload checksum was silently corrupted after capture: it is rejected
   /// (counted in image_rejects) and recovery replays from the start instead
-  /// of resurrecting bad state. With `verify`, the innermost registration
-  /// whose label matches the image checks it against the live state; no
-  /// matching registration (the capturing scope already closed) still
-  /// counts as a restore.
-  Fetch fetch_image(double t, bool survives, bool verify) {
+  /// of resurrecting bad state. The innermost registration whose label
+  /// matches the image checks it against the live state; no matching
+  /// registration (the capturing scope already closed) still counts as a
+  /// restore.
+  Fetch fetch_image(double t, bool survives) {
     Fetch f;
     f.img = survives && image.epoch >= 0 ? &image : nullptr;
     f.replay = t * kReplayFactor;
@@ -344,15 +337,13 @@ struct RankCtx {
     f.bytes = static_cast<std::int64_t>(bytes);
     f.wire = kRestoreOverhead + mach->net.latency + bytes / mach->net.bandwidth;
     f.replay = (t - f.img->vt) * kReplayFactor;
-    if (verify) {
-      for (auto it = registrations.rbegin(); it != registrations.rend(); ++it) {
-        if (std::strcmp(it->label, f.img->label) == 0) {
-          check_image(*it);
-          break;
-        }
+    for (auto it = registrations.rbegin(); it != registrations.rend(); ++it) {
+      if (std::strcmp(it->label, f.img->label) == 0) {
+        check_image(*it);
+        break;
       }
-      rstats.restores += 1;
     }
+    rstats.restores += 1;
     return f;
   }
 
@@ -443,7 +434,7 @@ struct RankCtx {
     // ULFM repair: revoke, shrink and two agreement sweeps among the
     // survivors.
     const double repair = 4.0 * sweep(nranks);
-    const Fetch f = fetch_image(t, /*survives=*/true, /*verify=*/true);
+    const Fetch f = fetch_image(t, /*survives=*/true);
     rstats.spares_used += 1;
     rstats.detect_time += detect;
     rstats.repair_time += repair;
@@ -476,7 +467,7 @@ struct RankCtx {
     // Repair sweeps are sized to the surviving world, not the original one.
     const double agree = 2.0 * sweep(ev.survivors_after);
     const double shrink = sweep(ev.survivors_after);
-    const Fetch f = fetch_image(t, ev.image_survives != 0, /*verify=*/true);
+    const Fetch f = fetch_image(t, ev.image_survives != 0);
     rstats.detect_time += detect;
     dstats.degrades += 1;
     dstats.ranks_lost += 1;
@@ -494,39 +485,6 @@ struct RankCtx {
           {"shrink", t, static_cast<std::int64_t>(ev.survivors_after)});
       trace.marks.push_back(
           {"redistribute", t + delay, static_cast<std::int64_t>(ev.adopter)});
-    }
-  }
-
-  /// A spare return the clean clock just crossed: the repaired node rejoins
-  /// a degraded world, the survivors re-agree on the grown membership (two
-  /// sweeps), the communicator expands (one sweep) and the relieved host
-  /// hands this partition's checkpoint image back (same integrity gate as
-  /// every other fetch). Modeled analytically at the returning partition's
-  /// context — the partition's rank kept executing through the degraded
-  /// window, so the clean ledger is untouched by construction; every cost
-  /// lands on the fault clock and ElasticityStats. The relieved host's
-  /// lowered multiplier arrives as a DegradeEvent step.
-  void process_elastic(const ElasticEvent& ev) {
-    const double t = ev.vt;
-    // Re-expansion sweeps are sized to the grown world.
-    const double agree = 2.0 * sweep(ev.survivors_after);
-    const double expand = sweep(ev.survivors_after);
-    const Fetch f = fetch_image(t, /*survives=*/true, /*verify=*/false);
-    if (f.img != nullptr) estats.transfers += 1;
-    estats.returns += 1;
-    estats.expansions += 1;
-    estats.transfer_bytes += f.bytes;
-    estats.agree_time += agree;
-    estats.expand_time += expand;
-    estats.transfer_time += f.wire;
-    estats.replay_time += f.replay;
-    flight_record(FlightEntry::kElastic, ev.from, ev.survivors_after, 0, f.bytes);
-    const double delay = agree + expand + f.wire + f.replay;
-    charge(delay);
-    if (tracing) {
-      trace.marks.push_back(
-          {"expand", t, static_cast<std::int64_t>(ev.survivors_after)});
-      trace.marks.push_back({"transfer", t + delay, f.bytes});
     }
   }
 
@@ -672,11 +630,9 @@ constexpr LedgerCounter kLedgerCounters[] = {
     {"recovery.crashes", [](Ctx c) { return c.rstats.crashes; }},
     {"recovery.image_rejects", [](Ctx c) { return c.rstats.image_rejects; }},
     // The ULFM sweeps the ledger's recoveries imply: four per spare
-    // adoption, three per degrade or re-expansion.
+    // adoption, three per degrade.
     {"recovery.sweeps",
-     [](Ctx c) {
-       return 4 * c.rstats.spares_used + 3 * (c.dstats.degrades + c.estats.expansions);
-     }},
+     [](Ctx c) { return 4 * c.rstats.spares_used + 3 * c.dstats.degrades; }},
     {"abft.checks", [](Ctx c) { return c.sdc.checks; }},
     {"abft.injected", [](Ctx c) { return c.sdc.injected; }},
     {"abft.detected", [](Ctx c) { return c.sdc.detected; }},
@@ -691,10 +647,6 @@ constexpr LedgerCounter kLedgerCounters[] = {
     {"recovery.degrade.ranks_lost", [](Ctx c) { return c.dstats.ranks_lost; }},
     {"recovery.degrade.adopted", [](Ctx c) { return c.dstats.partitions_adopted; }},
     {"recovery.degrade.bytes", [](Ctx c) { return c.dstats.redistributed_bytes; }},
-    {"recovery.elastic.returns", [](Ctx c) { return c.estats.returns; }},
-    {"recovery.elastic.expansions", [](Ctx c) { return c.estats.expansions; }},
-    {"recovery.elastic.transfers", [](Ctx c) { return c.estats.transfers; }},
-    {"recovery.elastic.bytes", [](Ctx c) { return c.estats.transfer_bytes; }},
 };
 
 }  // namespace
@@ -703,10 +655,8 @@ void RankCtx::export_metrics() {
   for (const LedgerCounter& row : kLedgerCounters) {
     *metrics->counter(row.name).v = row.read(*this);
   }
-  // The live overload multiplier, once any overload step fired (every step
-  // is >= 1, so a zero peak means none did and the gauge reads 0).
-  metrics->gauge("recovery.degrade.overload")
-      .set(dstats.overload_mult > 0.0 ? degrade_mult : 0.0);
+  // The overload multiplier; 0 until an overload step fires.
+  metrics->gauge("recovery.degrade.overload").set(dstats.overload_mult);
 }
 
 /// Thrown into ranks blocked on a dead cluster.
@@ -1109,16 +1059,15 @@ class ClusterState {
         [this](int witness) { deadlock_ = build_deadlock_report(witness); });
     const bool skewed = machine_.perturb.compute_skew > 0.0;
     // The whole fault schedule — crash times and verdicts, overload steps,
-    // spare returns, memory faults — is fixed here, before any rank runs, so
-    // every grant order fires the exact same events in the exact same order.
-    // Overload steps and returns are the elastic alternative of a terminal
-    // crash and exist only under RunOptions::degrade.
+    // memory faults — is fixed here, before any rank runs, so every grant
+    // order fires the exact same events in the exact same order. Overload
+    // steps are the shrink of a terminal crash and exist only under
+    // RunOptions::degrade.
     plan_ = build_fault_plan(machine_.perturb, machine_.recovery, opts_.seed, nranks);
     if (!opts_.degrade) {
       for (auto& events : plan_) {
         std::erase_if(events, [](const FaultEvent& e) {
-          return std::holds_alternative<ElasticEvent>(e) ||
-                 std::holds_alternative<DegradeEvent>(e);
+          return std::holds_alternative<DegradeEvent>(e);
         });
       }
     }
@@ -1226,11 +1175,6 @@ class ClusterState {
             std::snprintf(buf, sizeof(buf),
                           "rank %zu: vt=%.9g degrade(adopter=%d, survivors=%d)",
                           r, e.vt, e.peer, e.a);
-            break;
-          case RankCtx::FlightEntry::kElastic:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g expand(from=%d, survivors=%d, bytes=%lld)",
-                          r, e.vt, e.peer, e.a, static_cast<long long>(e.bytes));
             break;
           case RankCtx::FlightEntry::kNone:
             continue;
@@ -1400,11 +1344,9 @@ void Comm::reset_clock() {
   ctx_->next_event = 0;
   ctx_->armed_sdc.clear();
   ctx_->crash_total = 0.0;
-  ctx_->degrade_mult = 1.0;
   ctx_->rstats = RecoveryStats{};
   ctx_->sdc = SdcStats{};
   ctx_->dstats = DegradationStats{};
-  ctx_->estats = ElasticityStats{};
   ctx_->image = detail::CheckpointImage{};
   // Setup-phase events would break the fresh clock's contiguity; drop them.
   // send_seq is deliberately NOT reset: a pre-reset send could otherwise
@@ -2057,21 +1999,11 @@ std::uint64_t Cluster::Result::fault_fingerprint() const {
     mix(std::bit_cast<std::uint64_t>(d.replay_time));
     mix(std::bit_cast<std::uint64_t>(d.overload_time));
     mix(std::bit_cast<std::uint64_t>(d.overload_mult));
-    const ElasticityStats& e = r.elasticity;
-    mix(static_cast<std::uint64_t>(e.returns));
-    mix(static_cast<std::uint64_t>(e.expansions));
-    mix(static_cast<std::uint64_t>(e.transfers));
-    mix(static_cast<std::uint64_t>(e.transfer_bytes));
-    // Zero words where the retired straggler watchdog's two counters and its
-    // time stood: every hash a release before its removal recorded (the
-    // golden ".fault" rows among them) keeps its value.
-    mix(0);
-    mix(0);
-    mix(std::bit_cast<std::uint64_t>(e.agree_time));
-    mix(std::bit_cast<std::uint64_t>(e.expand_time));
-    mix(std::bit_cast<std::uint64_t>(e.transfer_time));
-    mix(std::bit_cast<std::uint64_t>(e.replay_time));
-    mix(0);
+    // Zero words where the retired elasticity ledger stood (spare returns
+    // and the straggler watchdog, eleven slots): every hash a release before
+    // their removal recorded without one firing (the golden ".fault" rows
+    // among them) keeps its value.
+    for (int k = 0; k < 11; ++k) mix(0);
   }
   return h;
 }
@@ -2091,12 +2023,6 @@ SdcStats Cluster::Result::sdc_stats() const {
 DegradationStats Cluster::Result::degradation_stats() const {
   DegradationStats total;
   for (const auto& r : ranks) total += r.degradation;
-  return total;
-}
-
-ElasticityStats Cluster::Result::elasticity_stats() const {
-  ElasticityStats total;
-  for (const auto& r : ranks) total += r.elasticity;
   return total;
 }
 
@@ -2175,7 +2101,6 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
     out.recovery = state.rank(r).rstats;
     out.sdc = state.rank(r).sdc;
     out.degradation = state.rank(r).dstats;
-    out.elasticity = state.rank(r).estats;
     for (int c = 0; c < kNumTimeCategories; ++c) {
       out.category[c] = state.rank(r).category[c];
       out.messages[c] = state.rank(r).messages[c];

@@ -359,7 +359,6 @@ struct RankStats {
   RecoveryStats recovery;
   SdcStats sdc;
   DegradationStats degradation;
-  ElasticityStats elasticity;
 };
 
 /// Distribution summary of one per-rank statistic (Figs 7-8 load-balance
@@ -425,11 +424,6 @@ class Cluster {
     /// The overload_mult component merges with max semantics: the worst
     /// post-shrink multiplier any partition ran under.
     DegradationStats degradation_stats() const;
-    /// Sum of every rank's elasticity counters (spare returns, world
-    /// re-expansions and partition hand-backs, with their fault-clock time).
-    /// All zero unless a spare return re-expanded a degraded world —
-    /// armed-but-inert repair schedules leave every field zero.
-    ElasticityStats elasticity_stats() const;
     /// Mean over ranks of one category (paper plots rank-averaged bars).
     double mean_category(TimeCategory cat) const;
     double max_category(TimeCategory cat) const;

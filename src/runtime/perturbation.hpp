@@ -114,34 +114,6 @@ struct PerturbationModel {
   /// enabling MTBF crashes never shifts a timing or delivery draw.
   double crash_mtbf = 0.0;
 
-  // --- spare-return (repair) events (elastic re-expansion,
-  // docs/ROBUSTNESS.md §Elasticity lifecycle) ---
-  // A repaired node rejoins the machine: if the returning rank was degraded
-  // away earlier (RunOptions::degrade), the runtime re-agrees, re-expands
-  // the world and hands the adopted partition back, restoring the original
-  // parallelism. Returns for ranks that are alive are inert. Like every
-  // other fault class the clean ledger never moves; re-agree/expand/
-  // transfer/replay cost lands on the fault clock and ElasticityStats.
-
-  /// Deterministic spare-return schedule: world rank `rank`'s repaired node
-  /// rejoins the first time the clean clock reaches `vt` (interpreted on
-  /// the post-reset_clock clock, like Crash::vt).
-  struct NodeReturn {
-    int rank = -1;
-    double vt = 0.0;
-  };
-  std::vector<NodeReturn> returns;
-
-  /// Poisson repair model: each rank draws exponential repair times with
-  /// this mean (seconds of clean virtual time); 0 disables. Draws come from
-  /// a dedicated salted stream (kRepairStreamSalt) with its own per-rank
-  /// counter, so arming repair never shifts a timing, delivery, crash or
-  /// SDC draw.
-  double repair_mtbf = 0.0;
-  /// Cap on MTBF-generated returns per rank (explicit `returns` entries are
-  /// never capped).
-  int repair_max_per_rank = 1;
-
   /// Deterministic checkpoint-image corruption: flip one bit in the image
   /// rank `rank` captures at epoch `epoch`, after its payload checksum is
   /// stamped — so the corruption is latent until a restore or degrade fetch

@@ -199,13 +199,6 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderElasticDegradation) {
   m.perturb.sdc_rate = 2e4 * u01(knobs);
   // Rare extra deaths beyond the scheduled one (expected << 1 per rank).
   m.perturb.crash_mtbf = (4.0 + 8.0 * u01(knobs)) * clean.run_stats.makespan();
-  // Elastic re-expansion layer: a Poisson repair stream that may return
-  // dead nodes mid-solve, and (every other case) load-aware rebalancing
-  // splitting a victim's partitions across the least-loaded survivors.
-  // Neither may leave a trace on the clean ledger.
-  m.perturb.repair_mtbf = (0.5 + 2.0 * u01(knobs)) * clean.run_stats.makespan();
-  m.perturb.repair_max_per_rank = 1 + static_cast<int>(knobs() % 3);
-  if (knobs() % 2 == 0) m.recovery.rebalance_fanout = 1 + static_cast<int>(knobs() % 3);
   const int nranks = c.shape.px * c.shape.py * c.shape.pz;
   const int victim = nranks > 1 ? 1 + static_cast<int>(knobs() %
                                       static_cast<std::uint64_t>(nranks - 1))

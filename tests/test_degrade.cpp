@@ -14,8 +14,11 @@
 ///  3. Terminal conditions: no surviving adopter surfaces kNoSurvivors; a
 ///     corrupt checkpoint image is rejected (RecoveryStats::image_rejects)
 ///     and escalates to replay-from-start instead of resurrecting bad state.
-///  4. build_degrade_plan is a pure function of (model, world, dead set):
-///     dedup, ring-adopter selection, buddy-image survival.
+///  4. The ring rule: chained deaths pile every partition onto the next
+///     survivor, a retired rank never dies again, and the events one advance
+///     crosses fire in clean-time order.
+///  5. build_degrade_plan is a pure function of (world, dead set): dedup,
+///     ring-adopter selection, buddy-image survival.
 
 #include <gtest/gtest.h>
 
@@ -57,8 +60,7 @@ MachineModel dry_machine(std::vector<PerturbationModel::Crash> crashes,
 // ---------------------------------------------------------------------------
 
 TEST(DegradePlan, RingAdopterAndBuddySurvival) {
-  const RecoveryModel rm;
-  const DegradePlan p = build_degrade_plan(rm, 8, {2});
+  const DegradePlan p = build_degrade_plan(8, {2});
   EXPECT_EQ(p.victim, 2);
   EXPECT_EQ(p.adopter, 3);  // next surviving rank on the ring
   EXPECT_EQ(p.survivors_after, 7);
@@ -66,10 +68,9 @@ TEST(DegradePlan, RingAdopterAndBuddySurvival) {
 }
 
 TEST(DegradePlan, DeadBuddyLosesTheImageAndAdopterSkipsDead) {
-  const RecoveryModel rm;
   // 3 died earlier; now 2 dies. Its buddy (3) is dead -> no image, and the
   // adopter scan must skip 3 and land on 4.
-  const DegradePlan p = build_degrade_plan(rm, 8, {3, 2});
+  const DegradePlan p = build_degrade_plan(8, {3, 2});
   EXPECT_EQ(p.victim, 2);
   EXPECT_EQ(p.adopter, 4);
   EXPECT_EQ(p.survivors_after, 6);
@@ -77,24 +78,21 @@ TEST(DegradePlan, DeadBuddyLosesTheImageAndAdopterSkipsDead) {
 }
 
 TEST(DegradePlan, DedupsRepeatedDeadEntriesAndWrapsTheRing) {
-  const RecoveryModel rm;
-  const DegradePlan dup = build_degrade_plan(rm, 8, {2, 2});
+  const DegradePlan dup = build_degrade_plan(8, {2, 2});
   EXPECT_EQ(dup.survivors_after, 7);  // one death, listed twice
-  const DegradePlan wrap = build_degrade_plan(rm, 4, {3});
+  const DegradePlan wrap = build_degrade_plan(4, {3});
   EXPECT_EQ(wrap.adopter, 0);  // ring wraps past the last rank
 }
 
 TEST(DegradePlan, NoSurvivorsYieldsNoAdopter) {
-  const RecoveryModel rm;
-  const DegradePlan p = build_degrade_plan(rm, 2, {0, 1});
+  const DegradePlan p = build_degrade_plan(2, {0, 1});
   EXPECT_EQ(p.survivors_after, 0);
   EXPECT_EQ(p.adopter, -1);
 }
 
 TEST(DegradePlan, PureFunctionOfInputs) {
-  const RecoveryModel rm;
-  const DegradePlan a = build_degrade_plan(rm, 8, {1, 5});
-  const DegradePlan b = build_degrade_plan(rm, 8, {1, 5});
+  const DegradePlan a = build_degrade_plan(8, {1, 5});
+  const DegradePlan b = build_degrade_plan(8, {1, 5});
   EXPECT_EQ(a.victim, b.victim);
   EXPECT_EQ(a.adopter, b.adopter);
   EXPECT_EQ(a.survivors_after, b.survivors_after);
@@ -248,6 +246,69 @@ TEST(GracefulDegradation, NoSurvivorsIsTerminalWithPreciseReport) {
   EXPECT_EQ(r.fault.kind, FaultKind::kNoSurvivors);
   EXPECT_EQ(r.fault.rank, 0);
   EXPECT_DOUBLE_EQ(r.fault.vt, 1e-5);
+}
+
+// ---------------------------------------------------------------------------
+// The ring rule over several crashes.
+// ---------------------------------------------------------------------------
+
+TEST(GracefulDegradation, ChainedDeathsPileOntoTheRingSuccessor) {
+  // Rank 2 dies and rank 3 adopts its partition; then rank 3 dies hosting
+  // both, and rank 4 ends up running three partitions (x3).
+  const auto r = Cluster::run(
+      8, dry_machine({{2, 1e-4}, {3, 3e-4}}),
+      [](Comm& c) { c.advance(1e-3, TimeCategory::kFp); }, kDegradeOpts);
+  const DegradationStats deg = r.degradation_stats();
+  EXPECT_DOUBLE_EQ(deg.overload_mult, 3.0);
+  EXPECT_EQ(deg.ranks_lost, 2);
+  EXPECT_DOUBLE_EQ(r.ranks[4].degradation.overload_mult, 3.0);
+  EXPECT_EQ(r.ranks[4].degradation.partitions_adopted, 2);
+}
+
+TEST(GracefulDegradation, RetiredRankCannotDieAgain) {
+  // Without spares rank 1's first crash retires it: rank 2 runs its
+  // partition from then on. A second crash of rank 1 names a node that is
+  // already gone, so it must leave both ledgers as the first crash alone
+  // left them.
+  auto run = [](std::vector<PerturbationModel::Crash> crashes) {
+    return Cluster::run(4, dry_machine(std::move(crashes)), [](Comm& c) {
+      c.advance(2e-4, TimeCategory::kFp);
+      c.barrier();
+    }, kDegradeOpts);
+  };
+  const auto once = run({{1, 1e-5}});
+  const auto twice = run({{1, 1e-5}, {1, 3e-5}});
+  EXPECT_EQ(twice.recovery_stats().crashes, 1);
+  EXPECT_EQ(twice.degradation_stats().ranks_lost, 1);
+  EXPECT_EQ(twice.fault_fingerprint(), once.fault_fingerprint());
+}
+
+TEST(GracefulDegradation, EventsCrossedByOneAdvanceFireInTimeOrder) {
+  // One spare: rank 1's crash at 1e-5 takes it, and its crash at 3e-5
+  // finds the pool dry and degrades. Both fall inside one 1e-4 s compute
+  // call and must fire in clean-time order, each with its own recovery.
+  MachineModel m = dry_machine({{1, 1e-5}, {1, 3e-5}}, /*spares=*/1);
+  RunOptions opts = kDegradeOpts;
+  opts.trace = true;
+  const Cluster::Result res = Cluster::run(
+      4, m,
+      [](Comm& c) {
+        if (c.rank() == 1) c.compute(1e-4 * c.machine().cpu_flop_rate);
+      },
+      opts);
+  EXPECT_EQ(res.recovery_stats().crashes, 2);
+  EXPECT_EQ(res.recovery_stats().spares_used, 1);
+  ASSERT_EQ(res.degradation_stats().degrades, 1);
+  ASSERT_NE(res.trace, nullptr);
+  std::vector<std::string> labels;
+  std::vector<double> onsets;  // clean time of each crash / shrink event
+  for (const TraceMarker& mk : res.trace->rank(1).marks) {
+    labels.emplace_back(mk.label);
+    if (labels.back() == "crash" || labels.back() == "shrink") onsets.push_back(mk.t);
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"crash", "restore", "shrink",
+                                              "redistribute"}));
+  EXPECT_TRUE(std::is_sorted(onsets.begin(), onsets.end()));
 }
 
 // ---------------------------------------------------------------------------

@@ -69,23 +69,22 @@ std::uint64_t factor_hash(const SupernodalLU& lu) {
   return h;
 }
 
-/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 162
+/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 138
 /// corpus entries, computed fresh. "<matrix> factor lu" hashes the bits of
 /// the factor every solve below uses, and "<matrix> <algorithm> x0" the
 /// bits of the seed-0 solution. Seed tokens "0"/"1" are plain perturbed
 /// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
 /// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
 /// "degrade0" is seed 0 with an empty spare pool, one scheduled rank
-/// death and elastic degradation absorbing it, "elastic0" adds a
-/// spare-return event that re-expands the degraded world mid-solve, and
-/// "delivery0" is seed 0 over a lossy network (drops, duplicates,
-/// corruption, reordering and one transient rank stall) that the reliable
-/// transport recovers from. All five fault rows must equal the plain "0"
-/// row bit for bit — the corpus pins the docs/ROBUSTNESS.md contract that
-/// verification, correction, shrink-and-redistribute recovery, elastic
-/// re-expansion and retransmission never touch the clean ledger. Each of
-/// the five also records its fault_fingerprint() under "<token>.fault",
-/// pinning what the recovery cost on the fault ledger.
+/// death and elastic degradation absorbing it, and "delivery0" is seed 0
+/// over a lossy network (drops, duplicates, corruption, reordering and one
+/// transient rank stall) that the reliable transport recovers from. All
+/// four fault rows must equal the plain "0" row bit for bit — the corpus
+/// pins the docs/ROBUSTNESS.md contract that verification, correction,
+/// shrink-and-redistribute recovery and retransmission never touch the
+/// clean ledger. Each of the four also records its fault_fingerprint()
+/// under "<token>.fault", pinning what the recovery cost on the fault
+/// ledger.
 std::map<std::string, std::string> compute_corpus() {
   std::map<std::string, std::string> out;
   for (const PaperMatrix pm : all_paper_matrices()) {
@@ -149,29 +148,6 @@ std::map<std::string, std::string> compute_corpus() {
         out[key + ".fault"] = fp_hex(res.run_stats.fault_fingerprint());
       }
       {
-        // Elastic re-expansion row: the same spare-less death, but the
-        // repaired node returns mid-solve and the world grows back to
-        // full width. Shrink, re-agree, image transfer and replay are all
-        // fault-ledger costs — the clean row must still match bit for bit.
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        cfg.run.degrade = true;
-        MachineModel machine = test::perturbed_machine();
-        machine.recovery.spare_ranks = 0;
-        machine.perturb.crashes.push_back({1, 1e-5});
-        machine.perturb.returns.push_back({1, 8e-5});
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        const std::string key = base + " elastic0";
-        EXPECT_GT(res.run_stats.elasticity_stats().returns, 0)
-            << key << ": the scheduled return never re-expanded";
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << key << ": elastic fingerprint drifted from the clean row";
-        out[key] = fp_hex(res.run_stats.fingerprint());
-        out[key + ".fault"] = fp_hex(res.run_stats.fault_fingerprint());
-      }
-      {
         // Delivery-fault row: every message rides the reliable transport
         // over a lossy network, and rank 2 drops off the network for the
         // first 20 us. Timeouts, backoff, acks and resequencing are all
@@ -212,7 +188,7 @@ TEST(GoldenFingerprints, MatchCorpus) {
     ASSERT_TRUE(out) << "cannot write " << regen;
     out << "# Golden clean-ledger fingerprints (tests/test_golden.cpp).\n"
         << "# <matrix> <algorithm> "
-           "<seed-token: 0|1|abft0|sdc0|degrade0|elastic0|delivery0> <fingerprint>\n"
+           "<seed-token: 0|1|abft0|sdc0|degrade0|delivery0> <fingerprint>\n"
         << "# A \".fault\" suffix on a token pins that run's fault_fingerprint().\n"
         << "# <matrix> factor lu <hash> pins the bits of the five factor arrays;\n"
         << "# <matrix> <algorithm> x0 <hash> pins the bits of the seed-0 solution.\n"
