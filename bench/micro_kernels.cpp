@@ -1,7 +1,7 @@
 /// \file micro_kernels.cpp
 /// \brief google-benchmark microbenchmarks of the kernels the factorization
-/// and the solve spend their time in: dense block GEMM/TRSM/LU, tree
-/// construction, and a SpMV bandwidth probe.
+/// and the solve spend their time in: dense block GEMM/TRSM/LU, the solves'
+/// GEMV on cold panels, tree construction, and a SpMV bandwidth probe.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,8 @@
 #include <numeric>
 #include <random>
 #include <span>
+
+#include <unistd.h>
 
 #include "bench/bench_util.hpp"
 #include "comm/trees.hpp"
@@ -47,6 +49,36 @@ BENCHMARK(BM_GemmPanelUpdate)
     ->Args({96, 1})
     ->Args({32, 50})
     ->Args({96, 50});
+
+void BM_GemvColdPanels(benchmark::State& state) {
+  // The same update as the solves pay it: nrhs = 1, with each L(I,K) block
+  // streaming cold from a factor far larger than the caches. Iterations
+  // cycle over panels filling twice the last-level cache (64 MiB if the
+  // size is unknown), so no panel is still cached when its turn comes
+  // again. Arg0 = supernode width; panel height 4 * width, ld = height.
+  const Idx w = static_cast<Idx>(state.range(0));
+  const Idx rows = 4 * w;
+  const auto panel_words = static_cast<size_t>(rows) * static_cast<size_t>(w);
+  const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+  const size_t working_set = llc > 0 ? 2 * static_cast<size_t>(llc) : size_t{64} << 20;
+  const size_t npanels = std::max<size_t>(2, working_set / (panel_words * sizeof(Real)));
+  std::vector<Real> panels(panel_words * npanels);
+  for (size_t i = 0; i < panels.size(); ++i) panels[i] = 1.0 + 0.125 * (i % 7);
+  const auto y = random_matrix(w, 1, 2);
+  std::vector<Real> lsum(static_cast<size_t>(rows), 0.0);
+  size_t next = 0;
+  for (auto _ : state) {
+    const std::span<const Real> panel(panels.data() + next * panel_words, panel_words);
+    gemm_plus_ld(rows, w, 1, panel, rows, y, w, lsum, rows);
+    benchmark::DoNotOptimize(lsum.data());
+    benchmark::ClobberMemory();
+    if (++next == npanels) next = 0;
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * w);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(panel_words * sizeof(Real)));
+}
+BENCHMARK(BM_GemvColdPanels)->Arg(8)->Arg(32)->Arg(96);
 
 void BM_DiagApply(benchmark::State& state) {
   // y(K) = inv(L_KK) * rhs: the diagonal kernel.

@@ -62,7 +62,9 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
                     const VecMap& carry_in, const VecMap& seeded, Idx nrhs, int tag_base,
                     TimeCategory cat) {
   const TriangleNames& names = kNames[static_cast<int>(tri)];
-  const std::string who = names.solve;
+  const auto fail = [&](const char* what) {
+    return std::string(names.solve) + ": " + what;
+  };
   const Solve2dPlan::View v = plan.view(tri);
   const auto& shape = plan.shape();
   const auto& lu = plan.lu();
@@ -83,49 +85,70 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
 
   Solve2dOut out;
 
-  // Per-target reduction state (only targets whose reduction tree I belong
-  // to). Contributions are *recorded* as they arrive but only *summed* when
-  // the target completes, in an order fixed by the plan — never by message
-  // arrival — so the FP result is bitwise reproducible (docs/DETERMINISM.md).
+  // This rank's part in the solve, indexed once per plan: the targets whose
+  // reduction tree holds it and the sources whose broadcast tree does. Per
+  // target and per source state lives at the item's slot in these lists.
+  const Solve2dPlan::Roles& roles = plan.roles(tri);
+  const std::span<const Idx> my_targets = roles.targets_of(me);
+  const std::span<const Idx> my_sources = roles.sources_of(me);
+  // Slot of supernode s in one of the lists: positions ascend with
+  // supernode ids, so one binary search over the rank's own list finds it.
+  const auto slot_of = [](std::span<const Idx> list, std::span<const Idx> ids, Idx s) {
+    const auto it = std::lower_bound(list.begin(), list.end(), s, [&](Idx pos, Idx id) {
+      return ids[static_cast<size_t>(pos)] < id;
+    });
+    if (it == list.end() || ids[static_cast<size_t>(*it)] != s) {
+      throw std::logic_error("solve_2d: supernode outside this rank's roles");
+    }
+    return static_cast<size_t>(it - list.begin());
+  };
+  const auto target_slot = [&](Idx s) { return slot_of(my_targets, v.targets, s); };
+  const auto source_slot = [&](Idx s) { return slot_of(my_sources, v.sources, s); };
+
+  // Per-target reduction state. Contributions are *recorded* as they arrive
+  // but only *summed* when the target completes, in an order fixed by the
+  // plan — never by message arrival — so the FP result is bitwise
+  // reproducible (docs/DETERMINISM.md).
   struct TargetState {
     std::vector<Real> sum;
     std::vector<std::pair<int, std::vector<Real>>> child_sums;  // (src, partial)
     Idx pending = 0;
   };
-  std::unordered_map<Idx, TargetState> state;  // key: target position
-  // Solution of every source whose broadcast reached this rank; gemms
-  // against it are deferred to target completion.
-  std::unordered_map<Idx, std::vector<Real>> cache;  // key: supernode
-  int expected = 0;
-  Idx my_diag = 0;  // diagonal solves this rank roots (epoch pacing)
-
-  for (Idx tp = 0; tp < static_cast<Idx>(v.targets.size()); ++tp) {
-    const TreeView t = v.reduce(tp);
-    if (!t.contains(me)) continue;
-    const Idx s = v.targets[static_cast<size_t>(tp)];
-    if (t.root() == me && v.source_pos(s) != kNoIdx) ++my_diag;
-    TargetState st;
-    st.sum.assign(static_cast<size_t>(part.width(s)) * nrhs, 0.0);
-    if (shape.owner_row(s) == myrow) {
-      for (const Idx c : v.contributors[static_cast<size_t>(tp)]) {
-        if (shape.owner_col(c) == mycol) ++st.pending;
-      }
+  std::vector<TargetState> state(my_targets.size());
+  // The kick-off below queues the targets complete at start in this map's
+  // iteration order, and the modeled clock depends on that order
+  // (docs/DETERMINISM.md). So the map gets the same keys in the same order
+  // as ever (target positions, ascending), and is never reserved or
+  // rehashed by hand.
+  std::unordered_map<Idx, size_t> kickoff;  // target position -> slot
+  {
+    const auto pending = roles.pending_of(me);
+    const auto children = roles.children_of(me);
+    for (size_t j = 0; j < my_targets.size(); ++j) {
+      const Idx tp = my_targets[j];
+      const Idx s = v.targets[static_cast<size_t>(tp)];
+      TargetState& st = state[j];
+      st.sum.assign(static_cast<size_t>(part.width(s)) * nrhs, 0.0);
+      st.child_sums.reserve(static_cast<size_t>(children[j]));
+      st.pending = pending[j];
+      kickoff.emplace(tp, j);
     }
-    const int children = t.num_children(me);
-    st.pending += children;
-    expected += children;
-    state.emplace(tp, std::move(st));
   }
-  for (Idx sp = 0; sp < static_cast<Idx>(v.sources.size()); ++sp) {
-    const TreeView t = v.bcast(sp);
-    if (t.contains(me) && t.root() != me) ++expected;
-  }
+  // Solution of every source whose broadcast reached this rank, by slot:
+  // a received one is moved out of its message into `received`, a solved
+  // or seeded one stays where it is. Gemms against them are deferred to
+  // target completion.
+  std::vector<std::vector<Real>> received(my_sources.size());
+  std::vector<const Real*> solution(my_sources.size(), nullptr);
+  int expected = roles.receives[static_cast<size_t>(me)];
+  const Idx my_diag = roles.diag_solves[static_cast<size_t>(me)];  // epoch pacing
 
   // Handlers communicate through an explicit ready queue instead of
   // recursing: DAG chains can be O(nsup) long (e.g. on a 1x1 grid), which
   // would otherwise overflow the rank's fiber stack.
-  std::vector<Idx> ready;  // target positions
+  std::vector<size_t> ready;  // target slots
 
+  // `xs` must stay valid until the solve returns.
   auto process_source = [&](Idx sp, std::span<const Real> xs) {
     const Idx s = v.sources[static_cast<size_t>(sp)];
     const TreeView t = v.bcast(sp);
@@ -142,30 +165,30 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     // Charge the gemm time for my blocks of this source now (the compute
     // overlaps the remaining traffic), but defer the numeric fold to target
     // completion so the accumulation order is fixed by the plan.
-    cache.emplace(s, std::vector<Real>(xs.begin(), xs.end()));
+    solution[source_slot(s)] = xs.data();
     for (const Idx d : v.dependents[static_cast<size_t>(sp)]) {
       if (shape.owner_row(d) != myrow) continue;
-      const Idx tp = v.target_pos(d);
-      auto& st = state.at(tp);
+      const size_t j = target_slot(d);
       grid.compute(plan.block_flops(d, s, nrhs));
-      if (--st.pending == 0) ready.push_back(tp);
+      if (--state[j].pending == 0) ready.push_back(j);
     }
   };
 
-  auto complete_target = [&](Idx tp) {
+  auto complete_target = [&](size_t j) {
+    const Idx tp = my_targets[j];
     const Idx s = v.targets[static_cast<size_t>(tp)];
     const TraceSpan target_span =
         grid.annotate(names.target, static_cast<std::int64_t>(s));
     m_done.add();
     const TreeView t = v.reduce(tp);
-    auto& st = state.at(tp);
+    TargetState& st = state[j];
     // Reduce in plan order: carry-in first, then my blocks by ascending
     // contributor, then child partials by ascending source rank.
     if (t.root() == me) {
       const auto itc = carry_in.find(s);
       if (itc != carry_in.end()) {
         if (itc->second.size() != st.sum.size()) {
-          throw std::invalid_argument(who + ": carried-in partial sum size mismatch");
+          throw std::invalid_argument(fail("carried-in partial sum size mismatch"));
         }
         for (size_t e = 0; e < st.sum.size(); ++e) st.sum[e] += itc->second[e];
       }
@@ -174,12 +197,14 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
       const auto& contributors = v.contributors[static_cast<size_t>(tp)];
       const auto& block_index = v.block_index[static_cast<size_t>(tp)];
       const Idx ws = part.width(s);
-      for (size_t j = 0; j < contributors.size(); ++j) {
-        const Idx c = contributors[j];
+      for (size_t k = 0; k < contributors.size(); ++k) {
+        const Idx c = contributors[k];
         if (shape.owner_col(c) != mycol) continue;
         const Idx wc = part.width(c);
-        const auto [block, ld] = block_of(lu, tri, s, c, block_index[j]);
-        gemm_plus_ld(ws, wc, nrhs, block, ld, cache.at(c), wc, st.sum, ws);
+        const auto [block, ld] = block_of(lu, tri, s, c, block_index[k]);
+        const std::span<const Real> xc(solution[source_slot(c)],
+                                       static_cast<size_t>(wc) * nrhs);
+        gemm_plus_ld(ws, wc, nrhs, block, ld, xc, wc, st.sum, ws);
       }
     }
     std::sort(st.child_sums.begin(), st.child_sums.end(),
@@ -198,17 +223,19 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
       out.handed_back.emplace(s, std::move(st.sum));
       return;
     }
-    // Diagonal solve: x(S) = inv(T_SS) * (rhs(S) - sum(S)).
-    const Idx w = part.width(s);
-    std::vector<Real> r(static_cast<size_t>(w) * nrhs, 0.0);
+    // Diagonal solve: x(S) = inv(T_SS) * (rhs(S) - sum(S)), with the
+    // difference formed in place over the sum.
+    std::vector<Real>& r = st.sum;
     const auto itr = rhs.find(s);
     if (itr != rhs.end()) {
       if (itr->second.size() != r.size()) {
-        throw std::invalid_argument(who + ": right-hand side size mismatch");
+        throw std::invalid_argument(fail("right-hand side size mismatch"));
       }
-      r = itr->second;
+      for (size_t e = 0; e < r.size(); ++e) r[e] = itr->second[e] - r[e];
+    } else {
+      for (size_t e = 0; e < r.size(); ++e) r[e] = 0.0 - r[e];
     }
-    for (size_t e = 0; e < r.size(); ++e) r[e] -= st.sum[e];
+    const Idx w = part.width(s);
     std::vector<Real> xs(static_cast<size_t>(w) * nrhs, 0.0);
     const auto& diag_inv = tri == Triangle::kLower ? lu.diag_linv : lu.diag_uinv;
     gemm_plus(w, w, nrhs, diag_inv[static_cast<size_t>(s)], r, xs);
@@ -234,9 +261,9 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
 
   auto drain = [&] {
     while (!ready.empty()) {
-      const Idx tp = ready.back();
+      const size_t j = ready.back();
       ready.pop_back();
-      complete_target(tp);
+      complete_target(j);
     }
     while (next_mark < 4 && my_diag > 0 &&
            static_cast<Idx>(out.solved.size()) * 4 >= next_mark * my_diag) {
@@ -249,16 +276,16 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
   // externals with no local contributions) BEFORE broadcasting the seeded
   // sources. Those broadcasts decrement pendings and queue newly completed
   // targets themselves, so queueing afterwards would enqueue them twice.
-  for (auto& [tp, st] : state) {
-    if (st.pending == 0) ready.push_back(tp);
+  for (const auto& [tp, j] : kickoff) {
+    if (state[j].pending == 0) ready.push_back(j);
   }
   for (const Idx s : v.seeded_sources) {
     const Idx sp = v.source_pos(s);
     if (v.bcast(sp).root() != me) continue;
     const auto it = seeded.find(s);
     if (it == seeded.end()) {
-      throw std::invalid_argument(who + ": missing x_external for row " +
-                                  std::to_string(s));
+      throw std::invalid_argument(std::string(names.solve) +
+                                  ": missing x_external for row " + std::to_string(s));
     }
     process_source(sp, it->second);
   }
@@ -278,17 +305,19 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     const Idx s = static_cast<Idx>(rel / 4);
     const int kind = rel % 4;
     if (kind == names.kind_solution) {
-      process_source(v.source_pos(s), m.data);
+      std::vector<Real>& xs = received[source_slot(s)];
+      xs = std::move(m.data);
+      process_source(v.source_pos(s), xs);
     } else if (kind == names.kind_sum) {
-      const Idx tp = v.target_pos(s);
-      auto& st = state.at(tp);
+      const size_t j = target_slot(s);
+      TargetState& st = state[j];
       if (m.data.size() != st.sum.size()) {
-        throw std::runtime_error(who + ": partial-sum message size mismatch");
+        throw std::runtime_error(fail("partial-sum message size mismatch"));
       }
       st.child_sums.emplace_back(m.src, std::move(m.data));
-      if (--st.pending == 0) ready.push_back(tp);
+      if (--st.pending == 0) ready.push_back(j);
     } else {
-      throw std::runtime_error(who + ": unexpected message kind");
+      throw std::runtime_error(fail("unexpected message kind"));
     }
     drain();
   }

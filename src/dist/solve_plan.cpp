@@ -24,6 +24,68 @@ Idx find_pos(std::span<const Idx> sorted, Idx v) {
   return static_cast<Idx>(it - sorted.begin());
 }
 
+/// Turns per-rank counts (at index rank + 1) into list offsets.
+void prefix_sum(std::vector<Idx>& start) {
+  for (size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
+}
+
+/// Each grid rank's roles in the solve `v`: one pass over the reduction
+/// trees and one over the broadcast trees, appending every target and
+/// source to the lists of its tree's members in ascending position.
+Solve2dPlan::Roles index_roles(const Solve2dPlan::View& v, const Grid2dShape& shape) {
+  const auto nranks = static_cast<size_t>(shape.size());
+  Solve2dPlan::Roles roles;
+  roles.target_start.assign(nranks + 1, 0);
+  roles.source_start.assign(nranks + 1, 0);
+  roles.receives.assign(nranks, 0);
+  roles.diag_solves.assign(nranks, 0);
+  for (const auto& members : v.reduce_members) {
+    for (const int r : members) ++roles.target_start[static_cast<size_t>(r) + 1];
+  }
+  for (const auto& members : v.bcast_members) {
+    for (const int r : members) ++roles.source_start[static_cast<size_t>(r) + 1];
+  }
+  prefix_sum(roles.target_start);
+  prefix_sum(roles.source_start);
+  roles.targets.resize(static_cast<size_t>(roles.target_start.back()));
+  roles.pending.resize(roles.targets.size());
+  roles.children.resize(roles.targets.size());
+  roles.sources.resize(static_cast<size_t>(roles.source_start.back()));
+
+  // blocks[c]: the target's contributors stored in process column c.
+  std::vector<Idx> blocks(static_cast<size_t>(shape.py), 0);
+  std::vector<Idx> next(roles.target_start.begin(), roles.target_start.end() - 1);
+  for (Idx tp = 0; tp < static_cast<Idx>(v.targets.size()); ++tp) {
+    const Idx s = v.targets[static_cast<size_t>(tp)];
+    const auto& contributors = v.contributors[static_cast<size_t>(tp)];
+    for (const Idx c : contributors) ++blocks[static_cast<size_t>(shape.owner_col(c))];
+    const TreeView t = v.reduce(tp);
+    for (const int r : v.reduce_members[static_cast<size_t>(tp)]) {
+      const Idx children = t.num_children(r);
+      const Idx local = shape.owner_row(s) == shape.row_of(r)
+                            ? blocks[static_cast<size_t>(shape.col_of(r))]
+                            : 0;
+      const auto at = static_cast<size_t>(next[static_cast<size_t>(r)]++);
+      roles.targets[at] = tp;
+      roles.pending[at] = local + children;
+      roles.children[at] = children;
+      roles.receives[static_cast<size_t>(r)] += children;
+    }
+    if (v.source_pos(s) != kNoIdx) ++roles.diag_solves[static_cast<size_t>(t.root())];
+    for (const Idx c : contributors) blocks[static_cast<size_t>(shape.owner_col(c))] = 0;
+  }
+  next.assign(roles.source_start.begin(), roles.source_start.end() - 1);
+  for (Idx sp = 0; sp < static_cast<Idx>(v.sources.size()); ++sp) {
+    const auto& members = v.bcast_members[static_cast<size_t>(sp)];
+    for (size_t q = 0; q < members.size(); ++q) {
+      const auto r = static_cast<size_t>(members[q]);
+      roles.sources[static_cast<size_t>(next[r]++)] = sp;
+      if (q > 0) ++roles.receives[r];  // members[0] is the root
+    }
+  }
+  return roles;
+}
+
 }  // namespace
 
 Idx Solve2dPlan::View::target_pos(Idx s) const { return find_pos(targets, s); }
@@ -42,8 +104,16 @@ Solve2dPlan::View Solve2dPlan::view(Triangle tri) const {
           .bcast_members = u_bcast_, .kind = kind_};
 }
 
+const Solve2dPlan::Roles& Solve2dPlan::roles(Triangle tri) const {
+  if (roles_.empty()) {
+    throw std::logic_error("Solve2dPlan: built without its rank roles (index_ranks)");
+  }
+  return roles_[static_cast<size_t>(tri)];
+}
+
 Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
-                               std::vector<Idx> cols, std::vector<Idx> extra_rows) {
+                               std::vector<Idx> cols, std::vector<Idx> extra_rows,
+                               bool index_ranks) {
   if (!std::is_sorted(cols.begin(), cols.end()) ||
       std::adjacent_find(cols.begin(), cols.end()) != cols.end()) {
     throw std::invalid_argument("Solve2dPlan: cols must be sorted unique");
@@ -116,6 +186,11 @@ Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKi
     p.u_bcast_[static_cast<size_t>(rp)] =
         make_members(shape.diag_owner(i), std::move(ubcast));
   }
+  if (index_ranks) {
+    for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
+      p.roles_.push_back(index_roles(p.view(tri), shape));
+    }
+  }
   return p;
 }
 
@@ -146,10 +221,10 @@ std::vector<Idx> supernodes_of_nodes(const SymbolicStructure& sym, const NdTree&
 }
 
 Solve2dPlan make_grid_plan(const SupernodalLU& lu, const NdTree& tree, Idx leaf,
-                           Grid2dShape shape, TreeKind kind) {
+                           Grid2dShape shape, TreeKind kind, bool index_ranks) {
   const auto path = tree.path_to_root(tree.leaf_node_id(leaf));
   std::vector<Idx> snodes = supernodes_of_nodes(lu.sym, tree, path);
-  return Solve2dPlan::build(lu, shape, kind, std::move(snodes), {});
+  return Solve2dPlan::build(lu, shape, kind, std::move(snodes), {}, index_ranks);
 }
 
 Solve2dPlan make_node_plan(const SupernodalLU& lu, const NdTree& tree, Idx node,

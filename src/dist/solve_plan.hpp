@@ -14,7 +14,10 @@
 /// for one triangle, so the solvers are written once for both. Plans are
 /// built once per grid and shared read-only by the grid's ranks — exactly
 /// the setup precomputation the paper performs on the CPU before the solve.
+/// A plan for the runtime's solvers also indexes each grid rank's roles
+/// (Roles), so no rank scans every target and source to find its own.
 
+#include <span>
 #include <vector>
 
 #include "dist/layout.hpp"
@@ -33,8 +36,11 @@ class Solve2dPlan {
   /// ascending and contain every block row of every column's (filtered)
   /// pattern that the solve should track. Rows of `cols` are implicitly
   /// tracked and need not be listed separately.
+  /// Without `index_ranks` the plan has no roles(): gpusim's model walks
+  /// the plan by supernode and rebuilds its plans on every simulation.
   static Solve2dPlan build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
-                           std::vector<Idx> cols, std::vector<Idx> extra_rows);
+                           std::vector<Idx> cols, std::vector<Idx> extra_rows,
+                           bool index_ranks = true);
 
   const SupernodalLU& lu() const { return *lu_; }
   const Grid2dShape& shape() const { return shape_; }
@@ -90,6 +96,53 @@ class Solve2dPlan {
   /// broadcasts rows, seeded with the external rows' solutions.
   View view(Triangle tri) const;
 
+  /// Every grid rank's part in one triangle's solve, derived from view()
+  /// once per plan. Per-rank lists are flat arrays cut by `*_start`
+  /// offsets (grid size + 1 entries); each list is ascending.
+  struct Roles {
+    /// Target positions whose reduction tree holds the rank, with each
+    /// one's initial pending count (the rank's local blocks of the target
+    /// plus its children in the tree) and its children alone.
+    std::vector<Idx> target_start;
+    std::vector<Idx> targets;
+    std::vector<Idx> pending;
+    std::vector<Idx> children;
+    /// Source positions whose broadcast tree holds the rank, as root or
+    /// receiver: the solutions it relays and caches.
+    std::vector<Idx> source_start;
+    std::vector<Idx> sources;
+    /// Per rank: messages its solve receives (partial sums from its
+    /// reduction children, solutions from its broadcast parents).
+    std::vector<Idx> receives;
+    /// Per rank: diagonal solves it roots.
+    std::vector<Idx> diag_solves;
+
+    std::span<const Idx> targets_of(int rank) const {
+      return cut(targets, target_start, rank);
+    }
+    std::span<const Idx> pending_of(int rank) const {
+      return cut(pending, target_start, rank);
+    }
+    std::span<const Idx> children_of(int rank) const {
+      return cut(children, target_start, rank);
+    }
+    std::span<const Idx> sources_of(int rank) const {
+      return cut(sources, source_start, rank);
+    }
+
+   private:
+    static std::span<const Idx> cut(const std::vector<Idx>& v,
+                                    const std::vector<Idx>& start, int rank) {
+      const auto r = static_cast<size_t>(rank);
+      return std::span<const Idx>(v).subspan(
+          static_cast<size_t>(start[r]), static_cast<size_t>(start[r + 1] - start[r]));
+    }
+  };
+
+  /// The rank roles of `tri`'s solve. Throws std::logic_error for a plan
+  /// built without `index_ranks`.
+  const Roles& roles(Triangle tri) const;
+
   /// Flop count of one GEMV/GEMM with block (I,K) of width-of-I rows.
   double block_flops(Idx i, Idx k, Idx nrhs) const {
     return 2.0 * lu_->sym.part.width(i) * lu_->sym.part.width(k) * nrhs;
@@ -118,6 +171,7 @@ class Solve2dPlan {
   std::vector<std::vector<int>> u_reduce_;  // per column
   std::vector<std::vector<int>> l_reduce_;  // per row
   std::vector<std::vector<int>> u_bcast_;   // per row
+  std::vector<Roles> roles_;                // by Triangle; empty unless indexed
 };
 
 /// Supernode id range [first, last) of a tracked tree node's columns.
@@ -133,7 +187,7 @@ std::vector<Idx> supernodes_of_nodes(const SymbolicStructure& sym, const NdTree&
 /// Plan for the proposed algorithm's whole-grid solve on leaf z: cols =
 /// rows = supernodes of the leaf and all its ancestors (Fig 1(c)).
 Solve2dPlan make_grid_plan(const SupernodalLU& lu, const NdTree& tree, Idx leaf,
-                           Grid2dShape shape, TreeKind kind);
+                           Grid2dShape shape, TreeKind kind, bool index_ranks = true);
 
 /// Plan for one node of the baseline algorithm: cols = the node's
 /// supernodes, external rows = all its ancestors' supernodes.

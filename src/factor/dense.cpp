@@ -41,10 +41,13 @@ void store(Real* p, V v) {
 /// C(i:i+Rows, j) += A(i:i+Rows, :) * (Sign * B(:, j)) for the `Cols`
 /// columns j whose B and C columns are `b[0..Cols)` and `c[0..Cols)`. The
 /// tile stays in registers across the whole k loop, and each element adds
-/// its products one at a time in ascending p.
+/// its products one at a time in ascending p. Always inlined: gemv_column
+/// and gemm_columns share the one-column tiles, and GCC then moved them out
+/// of line, which grew gemm_ld's frame and slowed the LU's updates.
 template <int Sign, int Rows, int Cols>
-void gemm_tile(Idx k, const Real* a, Idx lda, const Real* const* b, Real* const* c,
-               Idx i) {
+[[gnu::always_inline]] inline void gemm_tile(Idx k, const Real* a, Idx lda,
+                                             const Real* const* b, Real* const* c,
+                                             Idx i) {
   using V = TileReg<Rows>;
   constexpr int kWidth = sizeof(V) / sizeof(Real);
   constexpr int kVecs = Rows / kWidth;
@@ -88,14 +91,41 @@ void gemm_columns(Idx m, Idx k, const Real* a, Idx lda, const Real* const* b,
   for (; i < m; ++i) gemm_tile<Sign, 1, Cols>(k, a, lda, b, c, i);
 }
 
+/// C += A * (Sign * b) for a single column b (skipped if all zero): the
+/// solves' GEMVs with one right-hand side. Tiles of 2 * kMr rows keep eight
+/// independent accumulator chains where gemm_columns' tiles keep four. A
+/// solve's block streams cold from the factor, so every line of A is
+/// prefetched before the first tile's k loop. Kept out of line so that
+/// gemm_ld, inlined into the LU's gemm_minus_ld, stays as small as before.
+template <int Sign>
+[[gnu::noinline]] void gemv_column(Idx m, Idx k, const Real* a, Idx lda, const Real* b,
+                                   Real* c) {
+  if (std::all_of(b, b + k, [](Real v) { return v == 0.0; })) return;
+  constexpr Idx kLineReals = 64 / sizeof(Real);
+  for (Idx p = 0; p < k; ++p) {
+    const Real* col = a + static_cast<size_t>(p) * lda;
+    for (Idx i = 0; i < m; i += kLineReals) __builtin_prefetch(col + i);
+    __builtin_prefetch(col + m - 1);
+  }
+  Idx i = 0;
+  for (; i + 2 * kMr <= m; i += 2 * kMr) {
+    gemm_tile<Sign, 2 * kMr, 1>(k, a, lda, &b, &c, i);
+  }
+  for (; i + kMr <= m; i += kMr) gemm_tile<Sign, kMr, 1>(k, a, lda, &b, &c, i);
+  for (; i + kLanes <= m; i += kLanes) gemm_tile<Sign, kLanes, 1>(k, a, lda, &b, &c, i);
+  for (; i < m; ++i) gemm_tile<Sign, 1, 1>(k, a, lda, &b, &c, i);
+}
+
 /// C +/-= A*B with arbitrary leading dimensions: the one body behind every
 /// public GEMM. Element C(i,j) becomes C(i,j) + A(i,p) * (Sign * B(p,j))
 /// added one p at a time in ascending order. A column of B that is all
 /// zero leaves C unchanged and is skipped; the others are gathered kNr at a
-/// time.
+/// time. A single column (n = 1) takes gemv_column, whose tiles keep the
+/// same per-element order.
 template <int Sign>
 void gemm_ld(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ldb,
              Real* c, Idx ldc) {
+  if (n == 1) return gemv_column<Sign>(m, k, a, lda, b, c);
   const Real* bcols[kNr]{};
   Real* ccols[kNr]{};
   int gathered = 0;

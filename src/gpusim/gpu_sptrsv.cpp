@@ -388,7 +388,8 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   std::vector<Solve2dPlan> plans;
   plans.reserve(static_cast<size_t>(shape.pz));
   for (int z = 0; z < shape.pz; ++z) {
-    plans.push_back(make_grid_plan(lu, coarse, z, grid2d, cfg.tree));
+    plans.push_back(
+        make_grid_plan(lu, coarse, z, grid2d, cfg.tree, /*index_ranks=*/false));
   }
 
   GpuSolveTimes out;

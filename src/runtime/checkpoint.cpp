@@ -128,6 +128,12 @@ std::vector<std::vector<FaultEvent>> build_fault_plan(const PerturbationModel& p
       ev.verdict = FaultKind::kSparesExhausted;
     } else {
       ev.spare = spares_used++;
+      // A buddy degraded away earlier took this rank's image with its node,
+      // so the spare replays from solve start.
+      if (std::find(degraded_dead.begin(), degraded_dead.end(), buddy) !=
+          degraded_dead.end()) {
+        ev.image_survives = 0;
+      }
     }
     if (ev.verdict == FaultKind::kNone) continue;
     // Unrecoverable verdict: fix the shrink now. The victim's partitions

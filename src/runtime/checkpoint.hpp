@@ -176,9 +176,10 @@ struct CrashEvent {
   /// grant order degrades identically under RunOptions::degrade (and
   /// ignored entirely without it). `adopter` is the survivor that inherits
   /// the victim's partition; `survivors_after` counts the post-shrink world
-  /// (<= 0: nobody left, FaultKind::kNoSurvivors); `image_survives` is 0
+  /// (<= 0: nobody left, FaultKind::kNoSurvivors). `image_survives` is 0
   /// when the buddy image died with the buddy (kBuddyLoss, or a buddy that
-  /// was itself degraded away) and the adopter must replay from solve start.
+  /// was itself degraded away) and the adopter, or for a recoverable crash
+  /// the spare, must replay from solve start.
   int adopter = -1;
   int survivors_after = -1;
   int image_survives = 1;

@@ -16,17 +16,79 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include <cxxabi.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
+
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
 #include "trace/trace.hpp"
+
+#if defined(__x86_64__)
+// Fiber switch for the x86-64 System V ABI. A switch is a call: the caller
+// has already saved every caller-saved register, so sptrsv_fiber_switch
+// pushes only the callee-saved ones (rbx, rbp, r12-r15) and the two FP
+// control registers the ABI makes callee-saved (MXCSR, the x87 control
+// word), stores the stack pointer through `save_sp`, loads `load_sp` and
+// pops the same frame off the other stack. Unlike glibc's swapcontext it
+// makes no rt_sigprocmask syscall: no fiber changes the signal mask.
+// A fresh fiber's stack holds a frame whose return address is
+// sptrsv_fiber_start, which calls r13(r12) and never returns.
+extern "C" void sptrsv_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void sptrsv_fiber_start();
+asm(R"(
+  .text
+  .p2align 4
+  .globl sptrsv_fiber_switch
+  .hidden sptrsv_fiber_switch
+  .type sptrsv_fiber_switch, @function
+sptrsv_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size sptrsv_fiber_switch, .-sptrsv_fiber_switch
+
+  .p2align 4
+  .globl sptrsv_fiber_start
+  .hidden sptrsv_fiber_start
+  .type sptrsv_fiber_start, @function
+sptrsv_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size sptrsv_fiber_start, .-sptrsv_fiber_start
+)");
+#endif
 
 namespace sptrsv {
 namespace detail {
@@ -434,7 +496,7 @@ struct RankCtx {
     // ULFM repair: revoke, shrink and two agreement sweeps among the
     // survivors.
     const double repair = 4.0 * sweep(nranks);
-    const Fetch f = fetch_image(t, /*survives=*/true);
+    const Fetch f = fetch_image(t, ev.image_survives != 0);
     rstats.spares_used += 1;
     rstats.detect_time += detect;
     rstats.repair_time += repair;
@@ -679,11 +741,166 @@ struct EhGlobals {
   unsigned int uncaught = 0;
 };
 
+namespace {
+
+#if defined(__x86_64__)
+/// A switched-out fiber: the stack pointer its last switch saved.
+struct FiberContext {
+  void* sp = nullptr;
+};
+
+/// Prepares `c` to run fn(arg) on the stack [lo, lo + size) at its first
+/// switch. The fiber starts with the calling thread's FP control settings,
+/// as a getcontext-made context would.
+void fiber_make(FiberContext& c, char* lo, std::size_t size, void (*fn)(void*),
+                void* arg) {
+  std::uint16_t fcw = 0;
+  std::uint32_t mxcsr = 0;
+  asm volatile("fnstcw %0" : "=m"(fcw));
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  // The frame sptrsv_fiber_switch pops: x87 control word, MXCSR, r15, r14,
+  // r13, r12, rbx, rbp, return address. The `ret` leaves rsp 16-byte
+  // aligned, as a call site would before its call.
+  const auto top = reinterpret_cast<std::uintptr_t>(lo + size) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top - 16) - 9;
+  const std::uint64_t r13 = reinterpret_cast<std::uintptr_t>(fn);
+  const std::uint64_t r12 = reinterpret_cast<std::uintptr_t>(arg);
+  const std::uint64_t ret = reinterpret_cast<std::uintptr_t>(&sptrsv_fiber_start);
+  const std::uint64_t init[9] = {fcw, mxcsr, 0, 0, r13, r12, 0, 0, ret};
+  std::memcpy(frame, init, sizeof init);
+  c.sp = frame;
+}
+
+void fiber_swap(FiberContext& from, const FiberContext& to) {
+  sptrsv_fiber_switch(&from.sp, to.sp);
+}
+#else
+/// A switched-out fiber: its saved ucontext (targets without the
+/// hand-written switch).
+struct FiberContext {
+  ucontext_t uc;
+};
+
+/// makecontext passes int arguments only, so fn and arg arrive in halves.
+void fiber_trampoline(std::uint32_t fn_hi, std::uint32_t fn_lo, std::uint32_t arg_hi,
+                      std::uint32_t arg_lo) {
+  auto* fn = reinterpret_cast<void (*)(void*)>((std::uintptr_t{fn_hi} << 32) | fn_lo);
+  fn(reinterpret_cast<void*>((std::uintptr_t{arg_hi} << 32) | arg_lo));
+}
+
+void fiber_make(FiberContext& c, char* lo, std::size_t size, void (*fn)(void*),
+                void* arg) {
+  if (getcontext(&c.uc) != 0) {
+    throw std::system_error(errno, std::generic_category(), "fiber context");
+  }
+  c.uc.uc_stack.ss_sp = lo;
+  c.uc.uc_stack.ss_size = size;
+  c.uc.uc_link = nullptr;
+  const auto f = reinterpret_cast<std::uintptr_t>(fn);
+  const auto a = reinterpret_cast<std::uintptr_t>(arg);
+  makecontext(&c.uc, reinterpret_cast<void (*)()>(&fiber_trampoline), 4,
+              static_cast<std::uint32_t>(f >> 32), static_cast<std::uint32_t>(f),
+              static_cast<std::uint32_t>(a >> 32), static_cast<std::uint32_t>(a));
+}
+
+void fiber_swap(FiberContext& from, const FiberContext& to) {
+  swapcontext(&from.uc, &to.uc);
+}
+#endif
+
+/// Fiber stacks: one lazily committed mapping of `slots` stacks of
+/// kFiberStackBytes, each above a PROT_NONE guard page.
+class StackMapping {
+ public:
+  StackMapping() = default;
+  explicit StackMapping(std::size_t slots) {
+    const std::size_t bytes = slot_bytes() * slots;
+    void* region = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (region == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<char*>(region);
+    slots_ = slots;
+    for (std::size_t r = 0; r < slots; ++r) {
+      if (mprotect(base_ + r * slot_bytes(), page(), PROT_NONE) != 0) {
+        const int err = errno;
+        release();
+        throw std::system_error(err, std::generic_category(), "fiber stack guard");
+      }
+    }
+  }
+  StackMapping(StackMapping&& o) noexcept
+      : base_(std::exchange(o.base_, nullptr)), slots_(std::exchange(o.slots_, 0)) {}
+  StackMapping& operator=(StackMapping&& o) noexcept {
+    if (this != &o) {
+      release();
+      base_ = std::exchange(o.base_, nullptr);
+      slots_ = std::exchange(o.slots_, 0);
+    }
+    return *this;
+  }
+  ~StackMapping() { release(); }
+
+  std::size_t slots() const { return slots_; }
+  /// Lowest usable byte of stack r (its guard page lies just below).
+  char* stack(std::size_t r) const { return base_ + r * slot_bytes() + page(); }
+
+  /// Clears AddressSanitizer's poison left on these addresses by an
+  /// earlier run. Frames that never returned (a finished fiber's last
+  /// switch, for one) leave their redzones behind, and munmap does not
+  /// clear them either, so a fresh mapping at a recycled address can carry
+  /// them too. fiber_make's write of a fiber's first frame would trip them
+  /// as a stack-buffer-overflow.
+  void unpoison() const {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(base_, slot_bytes() * slots_);
+#endif
+  }
+
+ private:
+  static std::size_t page() {
+    static const auto bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return bytes;
+  }
+  static std::size_t slot_bytes() { return page() + kFiberStackBytes; }
+  void release() {
+    if (base_ != nullptr) munmap(base_, slot_bytes() * slots_);
+    base_ = nullptr;
+    slots_ = 0;
+  }
+
+  char* base_ = nullptr;
+  std::size_t slots_ = 0;
+};
+
+/// The largest stack mapping a finished run on this thread left behind,
+/// guard pages included. The next run with no more ranks than it holds
+/// reuses it, so a P = 2048 run does not pay mmap, 2048 mprotect calls,
+/// munmap and fresh page faults each time. Pages its stacks touched stay
+/// resident until the thread exits.
+thread_local StackMapping t_kept_stacks;
+
+/// A mapping of at least `slots` stacks, free of AddressSanitizer poison.
+StackMapping take_stacks(std::size_t slots) {
+  StackMapping stacks = std::move(t_kept_stacks);
+  if (stacks.slots() < slots) {
+    stacks = StackMapping();  // unmap before mapping the larger one
+    stacks = StackMapping(slots);
+  }
+  stacks.unpoison();
+  return stacks;
+}
+
+void keep_stacks(StackMapping stacks) {
+  if (stacks.slots() > t_kept_stacks.slots()) t_kept_stacks = std::move(stacks);
+}
+
+}  // namespace
+
 /// The run scheduler (docs/DETERMINISM.md).
 ///
-/// Every rank runs as a ucontext fiber on the thread that called
-/// Cluster::run, so exactly one rank executes at a time and every blocking
-/// point in the runtime is a user-space switch to the next rank. Under the
+/// Every rank runs as a fiber on the thread that called Cluster::run, so
+/// exactly one rank executes at a time and every blocking point in the
+/// runtime is a user-space switch to the next rank. Under the
 /// default kFifo policy the next rank is always the READY rank with the
 /// lexicographically smallest (virtual-time key, rank) pair, kept in an
 /// ordered set, so a grant and a commit-fence check cost O(log P). The
@@ -736,9 +953,7 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  ~Scheduler() {
-    if (stacks_ != nullptr) munmap(stacks_, stacks_bytes_);
-  }
+  ~Scheduler() { keep_stacks(std::move(stacks_)); }
 
   /// Invoked at the moment a deadlock is proven, with some blocked rank as
   /// witness — while every parked rank's WaitInfo is still published, so
@@ -762,30 +977,12 @@ class Scheduler {
   /// block()/yield() into `body`'s own handlers.
   void run(const std::function<void(int)>& body) {
     body_ = &body;
-    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t slot = page + kFiberStackBytes;
-    stacks_bytes_ = slot * fibers_.size();
-    // One lazily committed region for every stack; each slot's lowest page
-    // is the guard below its stack.
-    void* region = mmap(nullptr, stacks_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-    if (region == MAP_FAILED) throw std::bad_alloc();
-    stacks_ = region;
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    stacks_ = take_stacks(fibers_.size());
     for (size_t r = 0; r < fibers_.size(); ++r) {
-      char* base = static_cast<char*>(region) + r * slot;
-      ucontext_t& uc = fibers_[r].ctx;
-      if (mprotect(base, page, PROT_NONE) != 0 || getcontext(&uc) != 0) {
-        throw std::system_error(errno, std::generic_category(), "fiber stack");
-      }
-      uc.uc_stack.ss_sp = base + page;
-      uc.uc_stack.ss_size = kFiberStackBytes;
-      uc.uc_link = nullptr;
-      fibers_[r].stack_lo = base + page;
-      fibers_[r].stack_size = kFiberStackBytes;
-      makecontext(&uc, reinterpret_cast<void (*)()>(&Scheduler::entry), 2,
-                  static_cast<std::uint32_t>(self >> 32),
-                  static_cast<std::uint32_t>(self));
+      Fiber& f = fibers_[r];
+      f.stack_lo = stacks_.stack(r);
+      f.stack_size = kFiberStackBytes;
+      fiber_make(f.ctx, stacks_.stack(r), kFiberStackBytes, &Scheduler::entry, this);
     }
     const int first = grant();
     if (first >= 0) switch_to(-1, first);
@@ -859,7 +1056,7 @@ class Scheduler {
 
   /// One rank's execution context; index -1 (main_) is the calling thread.
   struct Fiber {
-    ucontext_t ctx;
+    FiberContext ctx;
     EhGlobals eh;           ///< exception state while switched out
     bool started = false;   ///< has run at least once
     // AddressSanitizer bookkeeping, unused in plain builds: the stack
@@ -870,12 +1067,10 @@ class Scheduler {
     void* asan_fake = nullptr;
   };
 
-  /// Fiber entry point; the Scheduler pointer arrives split into two ints
-  /// (makecontext passes int arguments only). The granted rank is always
-  /// `running_` when a fiber first starts. Never returns: finish() switches
-  /// away for good.
-  static void entry(std::uint32_t hi, std::uint32_t lo) {
-    auto* self = reinterpret_cast<Scheduler*>((std::uintptr_t{hi} << 32) | lo);
+  /// Fiber entry point. The granted rank is always `running_` when a fiber
+  /// first starts. Never returns: finish() switches away for good.
+  static void entry(void* arg) {
+    auto* self = static_cast<Scheduler*>(arg);
     self->finish_switch(nullptr);
     const int rank = self->running_;
     (*self->body_)(rank);
@@ -907,7 +1102,7 @@ class Scheduler {
     __sanitizer_start_switch_fiber(exiting ? nullptr : &a.asan_fake, b.stack_lo,
                                    b.stack_size);
 #endif
-    swapcontext(&a.ctx, &b.ctx);
+    fiber_swap(a.ctx, b.ctx);
     finish_switch(a.asan_fake);
   }
 
@@ -1045,8 +1240,7 @@ class Scheduler {
   const std::function<void(int)>* body_ = nullptr;
   std::vector<Fiber> fibers_;
   Fiber main_;
-  void* stacks_ = nullptr;  ///< one mapping holding every fiber stack
-  std::size_t stacks_bytes_ = 0;
+  StackMapping stacks_;  ///< every fiber's stack, one slot per rank
 };
 
 /// Whole-cluster shared state.
@@ -1792,13 +1986,13 @@ Comm Comm::split(int color, int key) {
   return Comm(std::move(result.first), result.second, ctx_);
 }
 
-CheckpointScope Comm::register_checkpoint(const char* label, StateKind kind,
-                                          StateFn state) {
-  // Bypass-free without a crash model, SDC schedule, or ABFT: nothing is
-  // pushed, nothing captured.
-  if (!ctx_->crash_model && !ctx_->abft && !machine().perturb.sdc_active()) {
-    return CheckpointScope(nullptr, 0);
-  }
+bool Comm::checkpoints_armed() const {
+  // Without a crash model, SDC schedule, or ABFT nothing is pushed and
+  // nothing captured.
+  return ctx_->crash_model || ctx_->abft || machine().perturb.sdc_active();
+}
+
+CheckpointScope Comm::push_checkpoint(const char* label, StateKind kind, StateFn state) {
   ctx_->registrations.push_back({label, kind, std::move(state)});
   return CheckpointScope(ctx_, ctx_->registrations.size() - 1);
 }

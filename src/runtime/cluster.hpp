@@ -34,6 +34,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/metrics.hpp"
@@ -276,8 +277,14 @@ class Comm {
   /// memory faults in its words and checksums them under ABFT, and on crash
   /// recovery checks the restored image against it as `kind` prescribes (a
   /// mismatch is a checkpoint bug, not a modeled fault: std::logic_error).
-  /// `label` must outlive the run (string literal).
-  CheckpointScope register_checkpoint(const char* label, StateKind kind, StateFn state);
+  /// `label` must outlive the run (string literal). `state` is any callable
+  /// a StateFn accepts; a run without a crash model, SDC schedule or ABFT
+  /// never wraps it in a StateFn.
+  template <class F>
+  CheckpointScope register_checkpoint(const char* label, StateKind kind, F&& state) {
+    if (!checkpoints_armed()) return CheckpointScope(nullptr, 0);
+    return push_checkpoint(label, kind, StateFn(std::forward<F>(state)));
+  }
   /// Level-boundary epoch: runs the SDC injection/ABFT verification pass
   /// over the innermost registration's state, then captures that state and
   /// ships it to this rank's buddy. All cost rides the fault ledger only —
@@ -327,6 +334,10 @@ class Comm {
   friend class detail::CommGroup;
   Comm(std::shared_ptr<detail::CommGroup> group, int rank, detail::RankCtx* ctx)
       : group_(std::move(group)), rank_(rank), ctx_(ctx) {}
+
+  /// True when a crash model, an SDC schedule or RunOptions::abft is active.
+  bool checkpoints_armed() const;
+  CheckpointScope push_checkpoint(const char* label, StateKind kind, StateFn state);
 
   /// Shared body of barrier and allreduce_sum: one collective whose
   /// arrivals also deposit their clocks, after which both clocks sync to the

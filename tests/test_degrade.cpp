@@ -283,6 +283,33 @@ TEST(GracefulDegradation, RetiredRankCannotDieAgain) {
   EXPECT_EQ(twice.fault_fingerprint(), once.fault_fingerprint());
 }
 
+TEST(GracefulDegradation, SpareCannotRestoreFromADegradedBuddy) {
+  // Rank 1 dies inside rank 2's detection window (kBuddyLoss) and degrades
+  // away; rank 2's crash takes spare 0. Rank 0's later crash takes spare
+  // 1, but its image sat on rank 1, whose node is gone: the spare must
+  // replay from solve start instead of restoring that image.
+  const auto r = Cluster::run(
+      4, dry_machine({{1, 1e-4}, {2, 1.2e-4}, {0, 8e-4}}, /*spares=*/2),
+      [](Comm& c) {
+        std::vector<Real> state{1.0, 2.0, 3.0};
+        const CheckpointScope scope = c.register_checkpoint(
+            "t", StateKind::kAppendOnly,
+            [&]() -> std::vector<StateEntry> { return {{0, state}}; });
+        c.advance(7e-4, TimeCategory::kFp);
+        c.checkpoint_epoch();
+        c.advance(3e-4, TimeCategory::kFp);  // rank 0's crash fires in here
+        c.barrier();
+      },
+      kDegradeOpts);
+  EXPECT_EQ(r.degradation_stats().ranks_lost, 1);
+  const RecoveryStats& zero = r.ranks[0].recovery;
+  EXPECT_EQ(zero.crashes, 1);
+  EXPECT_EQ(zero.spares_used, 1);
+  EXPECT_EQ(zero.restores, 0);
+  EXPECT_DOUBLE_EQ(zero.restore_time, 0.0);
+  EXPECT_DOUBLE_EQ(zero.replay_time, 8e-4);  // from solve start
+}
+
 TEST(GracefulDegradation, EventsCrossedByOneAdvanceFireInTimeOrder) {
   // One spare: rank 1's crash at 1e-5 takes it, and its crash at 3e-5
   // finds the pool dry and degrades. Both fall inside one 1e-4 s compute

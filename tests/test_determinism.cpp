@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -208,6 +209,32 @@ TEST(DetScheduler, RethrowInsideHandlerSurvivesParking) {
   EXPECT_EQ(rethrown[1], "theirs");
 }
 
+TEST(DetScheduler, RoundingModeStaysWithItsFiber) {
+  // The switch carries each fiber's FP control registers: rank 0 rounds
+  // upward across its park, while rank 1, running in between, keeps the
+  // mode the run started with.
+  const int caller_mode = std::fegetround();
+  int seen[3] = {-1, -1, -1};
+  Cluster::run(
+      2, test_machine(),
+      [&](Comm& c) {
+        if (c.rank() == 0) {
+          std::fesetround(FE_UPWARD);
+          c.recv(1, 0);  // parks; rank 1 runs
+          seen[2] = std::fegetround();
+          std::fesetround(caller_mode);
+          return;
+        }
+        seen[1] = std::fegetround();
+        c.send(0, 0, {1.0});
+      },
+      kDet);
+  seen[0] = std::fegetround();
+  EXPECT_EQ(seen[1], FE_TONEAREST);
+  EXPECT_EQ(seen[2], FE_UPWARD);
+  EXPECT_EQ(seen[0], caller_mode);
+}
+
 TEST(DetScheduler, RanksRunOnTheCallingThread) {
   constexpr int kP = 16;
   const std::thread::id caller = std::this_thread::get_id();
@@ -302,6 +329,13 @@ void overflow_rank_one() {
 }
 
 TEST(DetSchedulerDeathTest, StackOverflowDiesOnTheGuardPage) {
+  EXPECT_DEATH(overflow_rank_one(), "fault on the fiber guard page");
+}
+
+TEST(DetSchedulerDeathTest, ReusedStacksKeepTheirGuardPages) {
+  // A finished run leaves its stack mapping for the next run on the thread;
+  // the two-rank overflow below runs on that larger mapping's first slots.
+  Cluster::run(4, test_machine(), [](Comm& c) { c.barrier(); }, kDet);
   EXPECT_DEATH(overflow_rank_one(), "fault on the fiber guard page");
 }
 
