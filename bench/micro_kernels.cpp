@@ -1,7 +1,8 @@
 /// \file micro_kernels.cpp
 /// \brief google-benchmark microbenchmarks of the kernels the factorization
 /// and the solve spend their time in: dense block GEMM/TRSM/LU, the solves'
-/// GEMV on cold panels, tree construction, and a SpMV bandwidth probe.
+/// GEMV on cold panels, the whole numeric LU on all host cores, tree
+/// construction, and a SpMV bandwidth probe.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +16,9 @@
 #include "bench/bench_util.hpp"
 #include "comm/trees.hpp"
 #include "factor/dense.hpp"
+#include "factor/supernodal_lu.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/paper_matrices.hpp"
 
 namespace sptrsv {
 namespace {
@@ -175,6 +178,33 @@ void BM_SchurUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * w * w * w);
 }
 BENCHMARK(BM_SchurUpdate)->Arg(1)->Arg(16)->Arg(96);
+
+void BM_FactorSupernodal(benchmark::State& state) {
+  // The numeric LU of a kSmall Table-1 stand-in, as analyze_and_factor runs
+  // it (3 ND levels), on the pool of one thread per CPU of the affinity
+  // mask. Real time is the wall clock and CPU time sums every thread of
+  // the process, so their ratio is the number of cores kept busy. Arg0 =
+  // PaperMatrix.
+  const auto pm = static_cast<PaperMatrix>(state.range(0));
+  const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kSmall);
+  const FactoredSystem fs = analyze_and_factor(a, 3);
+  const CsrMatrix pa = (a.has_symmetric_pattern() ? a : a.symmetrized_pattern())
+                           .permuted_symmetric(fs.perm);
+  for (auto _ : state) {
+    state.PauseTiming();
+    SymbolicStructure sym = fs.lu.sym;
+    state.ResumeTiming();
+    const SupernodalLU lu = factor_supernodal(pa, std::move(sym));
+    benchmark::DoNotOptimize(lu.diag.data());
+  }
+  state.SetLabel(paper_matrix_name(pm));
+}
+BENCHMARK(BM_FactorSupernodal)
+    ->Arg(static_cast<int>(PaperMatrix::kGa19As19H42))
+    ->Arg(static_cast<int>(PaperMatrix::kS2D9pt2048))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_BinaryTreeBuild(benchmark::State& state) {
   // Tree construction happens once per supernode during setup.

@@ -144,22 +144,22 @@ void gemm_ld(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ldb
   }
 }
 
-/// X(i:i+Rows, j) of X * U = B, in place over B (m rows): subtract
-/// X(:,k) * U(k,j) for ascending k < j with U(k,j) != 0, then multiply by
-/// `inv` = 1 / U(j,j).
+/// X(i:i+Rows, j) of X * U = B, in place over B (leading dimension ld):
+/// subtract X(:,k) * U(k,j) for ascending k < j with U(k,j) != 0, then
+/// multiply by `inv` = 1 / U(j,j).
 template <int Rows>
-void trsm_right_upper_tile(Idx m, Idx j, const Real* uj, Real inv, Real* x, Idx i) {
+void trsm_right_upper_tile(Idx ld, Idx j, const Real* uj, Real inv, Real* x, Idx i) {
   using V = TileReg<Rows>;
   constexpr int kWidth = sizeof(V) / sizeof(Real);
   constexpr int kVecs = Rows / kWidth;
-  Real* xj = x + static_cast<size_t>(j) * m + i;
+  Real* xj = x + static_cast<size_t>(j) * ld + i;
   V acc[kVecs]{};
 #pragma GCC unroll 16
   for (int v = 0; v < kVecs; ++v) acc[v] = load<V>(xj + v * kWidth);
   for (Idx k = 0; k < j; ++k) {
     const Real ukj = uj[k];
     if (ukj == 0.0) continue;
-    const Real* xk = x + static_cast<size_t>(k) * m + i;
+    const Real* xk = x + static_cast<size_t>(k) * ld + i;
 #pragma GCC unroll 16
     for (int v = 0; v < kVecs; ++v) acc[v] -= load<V>(xk + v * kWidth) * ukj;
   }
@@ -245,16 +245,21 @@ void invert_upper(Idx n, std::span<const Real> a, std::span<Real> out) {
 }
 
 void trsm_right_upper(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b) {
+  trsm_right_upper_ld(m, n, lu, b, m);
+}
+
+void trsm_right_upper_ld(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b,
+                         Idx ldb) {
   // Solve X * U = B column by column of U: X(:,j) = (B(:,j) - X(:,0:j)*U(0:j,j)) / U(j,j).
   for (Idx j = 0; j < n; ++j) {
     const Real* uj = lu.data() + static_cast<size_t>(j) * n;
     const Real inv = 1.0 / uj[j];
     Idx i = 0;
-    for (; i + kMr <= m; i += kMr) trsm_right_upper_tile<kMr>(m, j, uj, inv, b.data(), i);
+    for (; i + kMr <= m; i += kMr) trsm_right_upper_tile<kMr>(ldb, j, uj, inv, b.data(), i);
     for (; i + kLanes <= m; i += kLanes) {
-      trsm_right_upper_tile<kLanes>(m, j, uj, inv, b.data(), i);
+      trsm_right_upper_tile<kLanes>(ldb, j, uj, inv, b.data(), i);
     }
-    for (; i < m; ++i) trsm_right_upper_tile<1>(m, j, uj, inv, b.data(), i);
+    for (; i < m; ++i) trsm_right_upper_tile<1>(ldb, j, uj, inv, b.data(), i);
   }
 }
 

@@ -58,6 +58,13 @@ void invert_upper(Idx n, std::span<const Real> a, std::span<Real> out);
 /// B (m x n) := B * inv(U) where U is the upper triangle of `lu` (n x n).
 void trsm_right_upper(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b);
 
+/// trsm_right_upper on B (m x n) with leading dimension ldb. Each row of X
+/// depends only on its own row of B, so a row range of a taller panel
+/// (rows [i0, i0 + m) of an ldb-row panel: `b` starting at row i0) gets
+/// the bits the whole-panel call gives those rows.
+void trsm_right_upper_ld(Idx m, Idx n, std::span<const Real> lu, std::span<Real> b,
+                         Idx ldb);
+
 /// B (n x m) := inv(L) * B where L is the unit-lower triangle of `lu` (n x n).
 void trsm_left_unit_lower(Idx n, Idx m, std::span<const Real> lu, std::span<Real> b);
 

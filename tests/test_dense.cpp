@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "factor/dense.hpp"
@@ -180,6 +181,38 @@ TEST(DenseBitwise, TrsmsMatchReference) {
       trsm_left_unit_lower(w, rows, lu, x);
       EXPECT_TRUE(test::bitwise_equal(x, expect_x))
           << "trsm_left_unit_lower rows=" << rows << " w=" << w;
+    }
+  }
+}
+
+TEST(DenseBitwise, TrsmsOnRowAndColumnRangesMatchWholePanel) {
+  // factor_supernodal splits a step's L panel into row ranges and its U
+  // panel into column ranges. Split in two at every point, each TRSM must
+  // give the reference bits of the whole panel.
+  constexpr Idx m = 37;  // four 8-row tiles, a pair and an odd row
+  for (const Idx w : {1, 5, 96}) {
+    const auto lu = sparse_lu(w, 90 + static_cast<std::uint64_t>(w));
+    auto b0 = random_matrix(m, w, 95 + static_cast<std::uint64_t>(w));
+    for (size_t e = 0; e < b0.size(); e += 7) b0[e] = 0.0;
+    auto expect = b0;
+    ref_trsm_right_upper(m, w, lu, expect);
+    auto x0 = random_matrix(w, m, 99 + static_cast<std::uint64_t>(w));
+    for (size_t e = 0; e < x0.size(); e += 5) x0[e] = 0.0;
+    auto expect_x = x0;
+    ref_trsm_left_unit_lower(w, m, lu, expect_x);
+    for (Idx split = 0; split <= m; ++split) {
+      auto b = b0;
+      trsm_right_upper_ld(split, w, lu, b, m);
+      trsm_right_upper_ld(m - split, w, lu, std::span<Real>(b).subspan(split), m);
+      EXPECT_TRUE(test::bitwise_equal(b, expect))
+          << "trsm_right_upper_ld w=" << w << " rows split at " << split;
+
+      auto x = x0;
+      trsm_left_unit_lower(w, split, lu, x);
+      trsm_left_unit_lower(w, m - split, lu,
+                           std::span<Real>(x).subspan(static_cast<size_t>(split) * w));
+      EXPECT_TRUE(test::bitwise_equal(x, expect_x))
+          << "trsm_left_unit_lower w=" << w << " columns split at " << split;
     }
   }
 }

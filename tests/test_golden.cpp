@@ -69,17 +69,21 @@ std::uint64_t factor_hash(const SupernodalLU& lu) {
   return h;
 }
 
-/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 138
-/// corpus entries, computed fresh. "<matrix> factor lu" hashes the bits of
+/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for every
+/// corpus entry, computed fresh. "<matrix> factor lu" hashes the bits of
 /// the factor every solve below uses, and "<matrix> <algorithm> x0" the
-/// bits of the seed-0 solution. Seed tokens "0"/"1" are plain perturbed
-/// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
-/// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
-/// "degrade0" is seed 0 with an empty spare pool, one scheduled rank
-/// death and elastic degradation absorbing it, and "delivery0" is seed 0
-/// over a lossy network (drops, duplicates, corruption, reordering and one
-/// transient rank stall) that the reliable transport recovers from. All
-/// four fault rows must equal the plain "0" row bit for bit — the corpus
+/// bits of the seed-0 solution. "<matrix> factor small" hashes the factor
+/// of the MatrixScale::kSmall matrix, whose 64-152 steps of at least 1e6
+/// flops each exercise factor_supernodal's parallel steps; the kTiny
+/// factors reach such a step on two matrices only. Seed tokens "0"/"1" are
+/// plain perturbed solves; "abft0" is the same seed-0 solve with ABFT armed
+/// and no faults, "sdc0" is seed 0 with ABFT armed over an aggressive
+/// memory-fault rate, "degrade0" is seed 0 with an empty spare pool, one
+/// scheduled rank death and elastic degradation absorbing it, and
+/// "delivery0" is seed 0 over a lossy network (drops, duplicates,
+/// corruption, reordering and one transient rank stall) that the reliable
+/// transport recovers from. All four fault rows must equal the plain "0"
+/// row bit for bit — the corpus
 /// pins the docs/ROBUSTNESS.md contract that verification, correction,
 /// shrink-and-redistribute recovery and retransmission never touch the
 /// clean ledger. Each of the four also records its fault_fingerprint()
@@ -88,6 +92,9 @@ std::uint64_t factor_hash(const SupernodalLU& lu) {
 std::map<std::string, std::string> compute_corpus() {
   std::map<std::string, std::string> out;
   for (const PaperMatrix pm : all_paper_matrices()) {
+    const CsrMatrix small = make_paper_matrix(pm, MatrixScale::kSmall);
+    out[paper_matrix_name(pm) + " factor small"] =
+        fp_hex(factor_hash(analyze_and_factor(small, 3).lu));
     const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kTiny);
     const FactoredSystem fs = analyze_and_factor(a, 3);
     out[paper_matrix_name(pm) + " factor lu"] = fp_hex(factor_hash(fs.lu));
@@ -191,6 +198,7 @@ TEST(GoldenFingerprints, MatchCorpus) {
            "<seed-token: 0|1|abft0|sdc0|degrade0|delivery0> <fingerprint>\n"
         << "# A \".fault\" suffix on a token pins that run's fault_fingerprint().\n"
         << "# <matrix> factor lu <hash> pins the bits of the five factor arrays;\n"
+        << "# <matrix> factor small <hash> pins them for the MatrixScale::kSmall matrix;\n"
         << "# <matrix> <algorithm> x0 <hash> pins the bits of the seed-0 solution.\n"
         << "# Regenerate: SPTRSV_GOLDEN_REGEN=<path> ./build/tests/test_golden\n";
     for (const auto& [key, fp] : computed) out << key << " " << fp << "\n";

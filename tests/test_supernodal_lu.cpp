@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <iostream>
 #include <limits>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "factor/sptrsv_seq.hpp"
 #include "factor/supernodal_lu.hpp"
@@ -139,6 +144,92 @@ TEST(SupernodalLu, NonFiniteInputThrowsNamingTheEntry) {
       EXPECT_NE(std::string(e.what()).find(tc.where), std::string::npos) << e.what();
     }
     EXPECT_THROW(analyze_and_factor(a, 0), std::invalid_argument) << tc.where;
+  }
+}
+
+/// Bitwise equality of all five factor arrays.
+::testing::AssertionResult same_factor_bits(const SupernodalLU& x, const SupernodalLU& y) {
+  using Arrays = std::vector<std::vector<Real>> SupernodalLU::*;
+  const struct {
+    Arrays arrays;
+    const char* name;
+  } all[] = {{&SupernodalLU::diag, "diag"},
+             {&SupernodalLU::diag_linv, "diag_linv"},
+             {&SupernodalLU::diag_uinv, "diag_uinv"},
+             {&SupernodalLU::lpanel, "lpanel"},
+             {&SupernodalLU::upanel, "upanel"}};
+  for (const auto& [arrays, name] : all) {
+    if ((x.*arrays).size() != (y.*arrays).size()) {
+      return ::testing::AssertionFailure() << name << ": supernode counts differ";
+    }
+    for (size_t k = 0; k < (x.*arrays).size(); ++k) {
+      if (auto r = test::bitwise_equal((x.*arrays)[k], (y.*arrays)[k]); !r) {
+        return ::testing::AssertionFailure() << name << "[" << k << "]: " << r.message();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SupernodalLu, BitsDoNotDependOnThreadCount) {
+  // factor_supernodal uses one thread per CPU of the calling thread's
+  // affinity mask. A thread pinned to one CPU runs every step serially; the
+  // test thread runs the heavy steps of these kSmall matrices on all CPUs.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &mask)) ++first_cpu;
+  if (CPU_COUNT(&mask) == 1) {
+    std::cout << "note: one CPU in the affinity mask, both factorizations are serial\n";
+  }
+  for (const PaperMatrix pm : {PaperMatrix::kGa19As19H42, PaperMatrix::kS2D9pt2048}) {
+    const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kSmall);
+    std::optional<FactoredSystem> serial;
+    std::thread pinned([&] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(first_cpu, &one);
+      if (sched_setaffinity(0, sizeof one, &one) == 0) serial.emplace(analyze_and_factor(a, 3));
+    });
+    pinned.join();
+    ASSERT_TRUE(serial.has_value()) << "could not pin a thread to CPU " << first_cpu;
+    const FactoredSystem parallel = analyze_and_factor(a, 3);
+    EXPECT_EQ(parallel.perm, serial->perm);
+    EXPECT_TRUE(same_factor_bits(parallel.lu, serial->lu)) << paper_matrix_name(pm);
+  }
+}
+
+TEST(SupernodalLu, ZeroPivotAfterParallelStepsThrowsNamingTheSupernode) {
+  // A dense, diagonally dominant 300 x 300 block, whose 96-wide supernodes
+  // take steps of millions of flops (run on the pool when the host has more
+  // than one CPU), then an exactly singular 2 x 2 block: [1 1; 1 1].
+  constexpr Idx n = 300;
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<Real> uni(-1.0, 1.0);
+  CooMatrix coo;
+  coo.rows = coo.cols = n + 2;
+  for (Idx i = 0; i < n; ++i) {
+    for (Idx j = 0; j < n; ++j) coo.add(i, j, i == j ? Real{n} : uni(rng));
+  }
+  for (const Idx i : {n, n + 1}) {
+    for (const Idx j : {n, n + 1}) coo.add(i, j, 1.0);
+  }
+  const CsrMatrix a = CsrMatrix::from_coo(coo);
+  const auto parent = elimination_tree(a);
+  SymbolicStructure sym =
+      block_symbolic(a, find_supernodes(parent, cholesky_col_counts(a, parent), {}));
+  ASSERT_GE(sym.part.width(0), 64);
+  ASSERT_GT(sym.panel_rows[0], 0);
+  const Idx singular = sym.part.col_to_sn[static_cast<size_t>(n + 1)];
+  ASSERT_GT(singular, 0);
+  try {
+    factor_supernodal(a, std::move(sym));
+    ADD_FAILURE() << "no throw for the singular block";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "factor_supernodal: zero or non-finite pivot in supernode " +
+                  std::to_string(singular));
   }
 }
 
