@@ -205,11 +205,12 @@ inline std::vector<Real> bench_rhs(Idx n, Idx nrhs) {
 }
 
 /// Runs the CPU 3D solve on the runtime (one fiber per rank) and returns
-/// the outcome.
+/// the outcome. Its trace and report are named `stem`; an empty stem
+/// names them by algorithm and shape (`new_2x2x4`, `base_2x2x4`).
 inline DistSolveOutcome run_cpu(const FactoredSystem& fs, const Grid3dShape& shape,
                                 Algorithm3d alg, const MachineModel& machine,
                                 Idx nrhs = 1, TreeKind tree = TreeKind::kBinary,
-                                bool sparse_zreduce = true) {
+                                bool sparse_zreduce = true, std::string stem = {}) {
   SolveConfig cfg;
   cfg.shape = shape;
   cfg.algorithm = alg;
@@ -219,10 +220,11 @@ inline DistSolveOutcome run_cpu(const FactoredSystem& fs, const Grid3dShape& sha
   cfg.run = bench_run_options();
   const auto b = bench_rhs(fs.lu.n(), nrhs);
   DistSolveOutcome out = solve_system_3d(fs, b, cfg, machine);
-  const std::string stem =
-      std::string(alg == Algorithm3d::kProposed ? "new" : "base") + "_" +
-      std::to_string(shape.px) + "x" + std::to_string(shape.py) + "x" +
-      std::to_string(shape.pz);
+  if (stem.empty()) {
+    stem = std::string(alg == Algorithm3d::kProposed ? "new" : "base") + "_" +
+           std::to_string(shape.px) + "x" + std::to_string(shape.py) + "x" +
+           std::to_string(shape.pz);
+  }
   maybe_dump_trace(out.run_stats.trace.get(), stem);
   if (bench_json_enabled() && out.run_stats.metrics != nullptr) {
     std::map<std::string, double> values = metric_totals(*out.run_stats.metrics);

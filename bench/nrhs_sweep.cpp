@@ -1,8 +1,9 @@
 /// \file nrhs_sweep.cpp
 /// \brief Extra experiment: right-hand-side amortization. The paper reports
 /// 1 and 50 RHS endpoints (Fig 9-10); this sweep fills in the curve —
-/// per-RHS time drops as block-column overheads amortize and the GPU's
-/// GEMV turns into blocked GEMM, until the flop-bound floor.
+/// per-RHS time drops as per-message and per-task overheads amortize and
+/// the solve kernels' GEMV turns into blocked GEMM (gemm_boost, CPU runtime
+/// and GPU model alike), until the flop-bound floor.
 
 #include "bench/bench_util.hpp"
 
@@ -20,17 +21,16 @@ int main() {
            "gpu speedup"});
   double cpu1 = 0, gpu1 = 0, cpu50 = 0, gpu50 = 0;
   for (const Idx nrhs : {Idx{1}, Idx{2}, Idx{5}, Idx{10}, Idx{20}, Idx{50}}) {
+    const double cpu =
+        run_cpu(fs, {1, 1, 16}, Algorithm3d::kProposed, machine, nrhs, TreeKind::kBinary,
+                /*sparse_zreduce=*/true, "cpu_r" + std::to_string(nrhs))
+            .makespan;
     GpuSolveConfig cfg;
     cfg.shape = {1, 1, 16};
     cfg.nrhs = nrhs;
     cfg.metrics = bench_json_enabled();
-    cfg.backend = GpuBackend::kCpu;
-    const auto cpu_res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
-    cfg.backend = GpuBackend::kGpu;
     const auto gpu_res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
-    bench_report_gpu("cpu_r" + std::to_string(nrhs), cpu_res);
     bench_report_gpu("gpu_r" + std::to_string(nrhs), gpu_res);
-    const double cpu = cpu_res.total;
     const double gpu = gpu_res.total;
     if (nrhs == 1) {
       cpu1 = cpu;

@@ -168,12 +168,12 @@ int main(int argc, char** argv) {
   bool abft = false, sdc_repair = false;
   bool degrade = false;
   int spares = -1;
-  // Flags the fault-free GPU model cannot honour; `cpu_only` keeps the
+  // Flags the fault-free GPU model cannot honour; `runtime_only` keeps the
   // first one given.
-  constexpr const char* kCpuOnlyFlags[] = {
+  constexpr const char* kRuntimeOnlyFlags[] = {
       "--crash", "--mtbf", "--sdc", "--abft", "--sdc-repair", "--spares", "--degrade",
       "--refine"};
-  std::string cpu_only;
+  std::string runtime_only;
   // Flags that act only on crashes; `needs_crash` keeps the first one given.
   constexpr const char* kCrashOnlyFlags[] = {"--spares", "--degrade"};
   std::string needs_crash;
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
         first = a;
       }
     };
-    first_of(cpu_only, kCpuOnlyFlags);
+    first_of(runtime_only, kRuntimeOnlyFlags);
     first_of(needs_crash, kCrashOnlyFlags);
     if (a == "--matrix") {
       matrix = next();
@@ -271,8 +271,8 @@ int main(int argc, char** argv) {
       usage(argv[0], a + ": unknown flag");
     }
   }
-  if (gpu && !cpu_only.empty()) {
-    usage(argv[0], cpu_only + ": not supported with --backend gpu");
+  if (gpu && !runtime_only.empty()) {
+    usage(argv[0], runtime_only + ": not supported with --backend gpu");
   }
   if (refine && !trace_path.empty()) {
     usage(argv[0], "--trace: not supported with --refine");
@@ -325,7 +325,6 @@ int main(int argc, char** argv) {
     GpuSolveConfig cfg;
     cfg.shape = shape;
     cfg.nrhs = nrhs;
-    cfg.backend = GpuBackend::kGpu;
     cfg.trace = !trace_path.empty();
     cfg.metrics = !metrics_path.empty();
     const GpuSolveTimes t = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);

@@ -169,7 +169,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     for (const Idx d : v.dependents[static_cast<size_t>(sp)]) {
       if (shape.owner_row(d) != myrow) continue;
       const size_t j = target_slot(d);
-      grid.compute(plan.block_flops(d, s, nrhs));
+      grid.compute(plan.block_flops(d, s, nrhs), nrhs);
       if (--state[j].pending == 0) ready.push_back(j);
     }
   };
@@ -239,7 +239,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     std::vector<Real> xs(static_cast<size_t>(w) * nrhs, 0.0);
     const auto& diag_inv = tri == Triangle::kLower ? lu.diag_linv : lu.diag_uinv;
     gemm_plus(w, w, nrhs, diag_inv[static_cast<size_t>(s)], r, xs);
-    grid.compute(plan.diag_flops(s, nrhs));
+    grid.compute(plan.diag_flops(s, nrhs), nrhs);
     m_diag.add();
     const auto [it, inserted] = out.solved.emplace(s, std::move(xs));
     assert(inserted);

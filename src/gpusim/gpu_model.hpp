@@ -19,42 +19,33 @@
 /// supernodal kernels), so correctness is covered by the CPU solvers; this
 /// model produces the *timing* of the GPU runs.
 
-#include <algorithm>
-#include <cmath>
-
 #include "runtime/machine.hpp"
 #include "sparse/types.hpp"
 
 namespace sptrsv {
 
-/// Per-GPU execution parameters derived from a MachineModel.
+/// Per-GPU execution parameters of one solve, derived from a MachineModel
+/// and the solve's right-hand-side count.
 struct GpuExecModel {
   int sms = 108;               ///< concurrently resident thread blocks
   double sm_flop_rate = 5e9;   ///< flops/s of one thread block (one SM), 1 RHS
   double task_overhead = 2e-6; ///< block scheduling / spin-wait cost (s)
-  /// GEMV (1 RHS) is purely bandwidth-bound; with many RHSs the kernel
-  /// becomes a blocked GEMM (shared-memory MAGMA-style on GPU, paper §3.4;
-  /// register/cache blocking on CPU) whose arithmetic intensity — and thus
-  /// sustained rate — rises with nrhs until the compute-bound cap.
-  double max_gemm_boost = 4.0;
+  /// gemm_boost(nrhs, gpu_gemm_boost_cap): the multi-RHS kernels' rate
+  /// gain over a 1-RHS GEMV (machine.hpp).
+  double boost = 1.0;
 
-  static GpuExecModel from_machine(const MachineModel& m) {
+  static GpuExecModel from_machine(const MachineModel& m, Idx nrhs) {
     GpuExecModel e;
     e.sms = m.gpu_sms;
     e.sm_flop_rate = m.gpu_flop_rate / m.gpu_sms;
     e.task_overhead = m.gpu_task_overhead;
-    e.max_gemm_boost = m.gpu_gemm_boost_cap;
+    e.boost = gemm_boost(nrhs, m.gpu_gemm_boost_cap);
     return e;
   }
 
-  double gemm_boost(Idx nrhs) const {
-    return std::min(max_gemm_boost, std::pow(static_cast<double>(nrhs), 0.4));
-  }
-
-  /// Duration of one block-column task performing `flops` work on `nrhs`
-  /// right-hand sides.
-  double task_time(double flops, Idx nrhs = 1) const {
-    return task_overhead + flops / (sm_flop_rate * gemm_boost(nrhs));
+  /// Duration of one block-column task performing `flops` work.
+  double task_time(double flops) const {
+    return task_overhead + flops / (sm_flop_rate * boost);
   }
 };
 

@@ -246,7 +246,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
         const bool is_diag = t.is_diag;
         const double arrival =
             is_diag ? t.ready : std::max(t.ready, fwd[static_cast<size_t>(g)]);
-        const double dur = exec.task_time(t.diag_flops + t.gemv_flops, nrhs);
+        const double dur = exec.task_time(t.diag_flops + t.gemv_flops);
         // The block holds its slot from admission: spin until `arrival`,
         // compute, release only at completion.
         const double admit = slots[static_cast<size_t>(g)].admit();
@@ -256,7 +256,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
         finish[static_cast<size_t>(g)] = std::max(finish[static_cast<size_t>(g)], end);
         rec.task(gpu_base + g, start, end, task_label, static_cast<int>(k));
         const double send_at =
-            is_diag ? start + exec.task_time(t.diag_flops, nrhs) : start;
+            is_diag ? start + exec.task_time(t.diag_flops) : start;
         bcast.for_each_child(g, [&](int child) {
           const double arrive =
               send_at + fabric.put_time(gpu_base + g, gpu_base + child, bytes);
@@ -303,7 +303,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     const TreeView bcast = v.bcast(p);
     const double bytes = wk * nrhs * sizeof(Real);
 
-    const double dur = exec.task_time(t.diag_flops + t.gemv_flops, nrhs);
+    const double dur = exec.task_time(t.diag_flops + t.gemv_flops);
     const auto [start, end] = slots[static_cast<size_t>(g)].schedule(ready, dur);
     finish[static_cast<size_t>(g)] = std::max(finish[static_cast<size_t>(g)], end);
     rec.task(gpu_base + g, start, end, task_label, static_cast<int>(k));
@@ -311,7 +311,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     // Forward the solution down the broadcast tree. The diagonal task has
     // the value only after its inverse-apply; a relay forwards as soon as
     // its thread block runs (Algorithm 5 line 13).
-    const double send_at = t.is_diag ? start + exec.task_time(t.diag_flops, nrhs) : start;
+    const double send_at = t.is_diag ? start + exec.task_time(t.diag_flops) : start;
     bcast.for_each_child(g, [&](int child) {
       const double arrival =
           send_at + fabric.put_time(gpu_base + g, gpu_base + child, bytes);
@@ -347,12 +347,11 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   if (cfg.nrhs < 1) {
     throw std::invalid_argument("simulate_solve_3d_gpu: nrhs must be at least 1");
   }
-  if (cfg.backend == GpuBackend::kGpu && machine.gpus_per_node < 1) {
+  if (machine.gpus_per_node < 1) {
     throw std::invalid_argument("simulate_solve_3d_gpu: " + machine.name +
-                                " has no GPUs; the GPU backend needs gpus_per_node >= 1");
+                                " has no GPUs; the model needs gpus_per_node >= 1");
   }
-  if (cfg.backend == GpuBackend::kGpu && !machine.shmem_subcomm_support &&
-      shape.px > 1) {
+  if (!machine.shmem_subcomm_support && shape.px > 1) {
     throw std::invalid_argument(
         "simulate_solve_3d_gpu: ROC-SHMEM has no subcommunicators; px must be 1 on " +
         machine.name);
@@ -364,25 +363,8 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   }
   const NdTree coarse = coarsen_nd_tree(tree, zlevels);
 
-  // Execution parameters per backend. The CPU backend runs the identical
-  // task graph on one sequential "slot" per rank at the core's flop rate —
-  // the reference curves of Fig 9-10.
-  GpuExecModel exec;
-  GpuFabric fabric;
-  if (cfg.backend == GpuBackend::kGpu) {
-    exec = GpuExecModel::from_machine(machine);
-    fabric = GpuFabric::from_machine(machine);
-  } else {
-    exec.sms = 1;
-    exec.sm_flop_rate = machine.cpu_flop_rate;
-    exec.task_overhead = machine.mpi_overhead;
-    exec.max_gemm_boost = 4.0;  // core GEMM approaches peak with many RHSs
-    fabric.latency_intra = machine.net.latency;
-    fabric.latency_inter = machine.net.latency;
-    fabric.bw_intranode = machine.net.bandwidth;
-    fabric.bw_internode = machine.net.bandwidth;
-    fabric.gpus_per_node = 1 << 30;  // locality is irrelevant for MPI sends
-  }
+  const GpuExecModel exec = GpuExecModel::from_machine(machine, cfg.nrhs);
+  const GpuFabric fabric = GpuFabric::from_machine(machine);
 
   const Grid2dShape grid2d{shape.px, 1};
   std::vector<Solve2dPlan> plans;

@@ -27,12 +27,6 @@ namespace sptrsv {
 
 class Trace;  // trace/trace.hpp
 
-/// Execution backend for the modeled solve.
-enum class GpuBackend {
-  kGpu,  ///< Algorithms 4/5: in-kernel DAG traversal, one-sided puts
-  kCpu,  ///< reference CPU solve on the same machine's cores (Fig 9-10)
-};
-
 /// In-kernel scheduling discipline (paper §3.4). NVSHMEM point-to-point
 /// synchronization caps resident thread blocks at the SM count; the paper
 /// works around it with two kernels (a single-block WAIT kernel plus the
@@ -51,9 +45,8 @@ enum class GpuScheduleMode {
 /// and holds no numeric state, so it has no fault or ABFT knobs: those run
 /// on the CPU runtime (docs/ROBUSTNESS.md).
 struct GpuSolveConfig {
-  Grid3dShape shape;  ///< py must be 1 for the GPU backend
+  Grid3dShape shape;  ///< py must be 1
   Idx nrhs = 1;
-  GpuBackend backend = GpuBackend::kGpu;
   GpuScheduleMode schedule = GpuScheduleMode::kTwoKernel;
   TreeKind tree = TreeKind::kBinary;
   /// Record per-task/per-put events into GpuSolveTimes::trace. The GPU
@@ -84,10 +77,11 @@ struct GpuSolveTimes {
 
 /// Runs the discrete-event model and returns the phase timings. Requires
 /// `px >= 1` and `nrhs >= 1`, and enforces the paper's platform
-/// constraints: `py == 1`; the GPU backend needs a machine with GPUs
-/// (`gpus_per_node >= 1`), and on machines without SHMEM subcommunicator
-/// support (Crusher/ROC-SHMEM) it requires `px == 1`. Violations throw
-/// std::invalid_argument.
+/// constraints: `py == 1`; a machine with GPUs (`gpus_per_node >= 1`); and
+/// `px == 1` on machines without SHMEM subcommunicator support
+/// (Crusher/ROC-SHMEM). Violations throw std::invalid_argument. The CPU
+/// reference of Figs 9-11 is the runtime's solve_sptrsv_3d on the same
+/// layout (core/sptrsv3d.hpp).
 GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
                                     const GpuSolveConfig& cfg,
                                     const MachineModel& machine);

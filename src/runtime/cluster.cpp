@@ -1513,10 +1513,11 @@ void Comm::advance(double seconds, TimeCategory cat) {
   ctx_->advance_traced(seconds, cat, TraceEventKind::kAdvance);
 }
 
-void Comm::compute(double flops) {
+void Comm::compute(double flops, Idx nrhs) {
   // ctx_->skew is 1 unless the perturbation model sets a compute skew.
-  ctx_->advance_traced(flops / machine().cpu_flop_rate * ctx_->skew,
-                       TimeCategory::kFp, TraceEventKind::kCompute);
+  const double rate = machine().cpu_flop_rate * gemm_boost(nrhs, kCoreGemmBoostCap);
+  ctx_->advance_traced(flops / rate * ctx_->skew, TimeCategory::kFp,
+                       TraceEventKind::kCompute);
 }
 
 void Comm::reset_clock() {

@@ -295,8 +295,9 @@ class Comm {
   // --- virtual clock ---
   double vtime() const;
   void advance(double seconds, TimeCategory cat);
-  /// Advances by flops / machine CPU rate, attributed to FP.
-  void compute(double flops);
+  /// Advances by flops / (cpu_flop_rate x gemm_boost(nrhs, kCoreGemmBoostCap)),
+  /// attributed to FP: exactly flops / cpu_flop_rate at nrhs = 1.
+  void compute(double flops, Idx nrhs = 1);
   /// Zeroes this rank's clock, category accumulators and message counters
   /// (call after a barrier so ranks restart together; setup is untimed
   /// this way).

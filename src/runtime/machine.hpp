@@ -11,14 +11,29 @@
 /// accuracy is not the goal — regime boundaries (latency-bound DAG chains,
 /// the intra/inter-node GPU bandwidth cliff) are.
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "runtime/abft.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/perturbation.hpp"
 #include "runtime/reliable.hpp"
+#include "sparse/types.hpp"
 
 namespace sptrsv {
+
+/// Multi-RHS GEMM efficiency: a 1-RHS solve kernel is a bandwidth-bound
+/// GEMV; with `nrhs` right-hand sides it becomes a blocked GEMM (register
+/// and cache blocking on a CPU core, shared-memory MAGMA-style on a GPU,
+/// paper §3.4) whose arithmetic intensity, and thus sustained rate, rises
+/// with nrhs until the compute-bound `cap`. Exactly 1 at nrhs = 1.
+inline double gemm_boost(Idx nrhs, double cap) {
+  return std::min(cap, std::pow(static_cast<double>(nrhs), 0.4));
+}
+
+/// gemm_boost cap of a CPU core (Comm::compute): its GEMM approaches peak.
+inline constexpr double kCoreGemmBoostCap = 4.0;
 
 /// One point-to-point link: first-byte latency plus stream bandwidth.
 struct LinkParams {
@@ -31,7 +46,7 @@ struct MachineModel {
   std::string name;
 
   // --- CPU side ---
-  double cpu_flop_rate = 5.0e9;   ///< sustained flops/s per rank (one core)
+  double cpu_flop_rate = 5.0e9;   ///< sustained flops/s per rank (one core), 1 RHS
   double mpi_overhead = 0.5e-6;   ///< CPU send/recv software overhead (s)
   LinkParams net;                 ///< inter-rank MPI network link
 
@@ -44,7 +59,7 @@ struct MachineModel {
   /// the physical SM count.
   int gpu_sms = 16;
   /// Saturation cap of the multi-RHS GEMM-efficiency boost for GPU solve
-  /// kernels (see GpuExecModel::gemm_boost). CPU cores cap at 4.
+  /// kernels (see gemm_boost). CPU cores cap at kCoreGemmBoostCap.
   double gpu_gemm_boost_cap = 4.0;
   double gpu_task_overhead = 2e-6;///< per block-column scheduling/spin cost (s)
   double nvshmem_latency = 1e-6;  ///< one-sided put latency, same node (s)

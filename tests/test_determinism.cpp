@@ -162,11 +162,11 @@ TEST(DetScheduler, FifoGrantOrderIsPinned) {
     cfg.algorithm = Algorithm3d::kProposed;
     check("3d proposed 2x2x2",
           solve_system_3d(fs, b, cfg, test_machine()).run_stats.schedule, 100,
-          "ea3e370d668e7a8a");
+          "cdc8d30d16f57962");
     cfg.algorithm = Algorithm3d::kBaseline;
     check("3d baseline 2x2x2",
           solve_system_3d(fs, b, cfg, test_machine()).run_stats.schedule, 100,
-          "ea3e370d668e7a8a");
+          "cdc8d30d16f57962");
   }
 
   constexpr int kRing = 128;

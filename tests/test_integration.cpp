@@ -80,28 +80,6 @@ TEST(Integration, CpuAndGpuModelsShareCorrectness) {
   EXPECT_LT(relative_residual(a, out.x, b), 1e-9);
 }
 
-TEST(Integration, GpuCpuBackendAgreesWithThreadedSolver) {
-  // Two independent performance models of the same CPU execution — the
-  // discrete-event model (gpusim kCpu) and the message-passing virtual-clock
-  // solver — must agree within a small factor on 1x1xPz layouts.
-  const CsrMatrix a = make_grid2d(32, 32, Stencil2d::kNinePoint);
-  const FactoredSystem fs = analyze_and_factor(a, 3);
-  const MachineModel m = MachineModel::perlmutter();
-  for (const int pz : {1, 4, 8}) {
-    GpuSolveConfig gcfg;
-    gcfg.shape = {1, 1, pz};
-    gcfg.backend = GpuBackend::kCpu;
-    const double des = simulate_solve_3d_gpu(fs.lu, fs.tree, gcfg, m).total;
-
-    SolveConfig cfg;
-    cfg.shape = {1, 1, pz};
-    std::vector<Real> b(static_cast<size_t>(a.rows()), 1.0);
-    const double cluster = solve_system_3d(fs, b, cfg, m).makespan;
-    EXPECT_LT(des, cluster * 3.0) << "pz=" << pz;
-    EXPECT_GT(des, cluster / 3.0) << "pz=" << pz;
-  }
-}
-
 TEST(Integration, LargeRankCountSmoke) {
   // 512 ranks end-to-end (benches go to 2048).
   const CsrMatrix a = make_grid2d(24, 24, Stencil2d::kFivePoint);

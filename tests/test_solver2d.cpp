@@ -184,8 +184,9 @@ TEST(Solver2d, ConcurrentSolvesOnOneCommStaySeparated) {
 
 // Flop conservation: a whole-matrix solve of one triangle charges each
 // diagonal inverse and each off-diagonal block exactly once, whatever the
-// grid and tree. The expected FP time comes from the symbolic structure
-// alone, not from the plan the solve runs over.
+// grid and tree, at the core's multi-RHS GEMM rate. The expected FP time
+// comes from the symbolic structure alone, not from the plan the solve
+// runs over.
 class Solver2dFlopTest : public ::testing::TestWithParam<PaperMatrix> {};
 
 TEST_P(Solver2dFlopTest, ChargesEachBlockExactlyOnce) {
@@ -205,7 +206,7 @@ TEST_P(Solver2dFlopTest, ChargesEachBlockExactlyOnce) {
        {Grid2dShape{1, 1}, Grid2dShape{2, 3}, Grid2dShape{4, 4}}) {
     for (const TreeKind kind : {TreeKind::kBinary, TreeKind::kFlat}) {
       const Solve2dPlan plan = make_grid_plan(fs.lu, fs.tree, 0, shape, kind);
-      for (const Idx nrhs : {1, 3}) {
+      for (const Idx nrhs : {1, 3, 8}) {
         const auto b = random_rhs(fs.lu.n(), nrhs, 13);
         for (const bool lower : {true, false}) {
           const Cluster::Result res = Cluster::run(shape.size(), m, [&](Comm& c) {
@@ -220,7 +221,8 @@ TEST_P(Solver2dFlopTest, ChargesEachBlockExactlyOnce) {
           for (const RankStats& r : res.ranks) {
             fp += r.category[static_cast<int>(TimeCategory::kFp)];
           }
-          const double expected = flops_per_rhs * nrhs / m.cpu_flop_rate;
+          const double rate = m.cpu_flop_rate * gemm_boost(nrhs, kCoreGemmBoostCap);
+          const double expected = flops_per_rhs * nrhs / rate;
           EXPECT_NEAR(fp, expected, 1e-12 * expected)
               << "grid " << shape.px << "x" << shape.py << " tree "
               << (kind == TreeKind::kBinary ? "binary" : "flat") << " nrhs " << nrhs
