@@ -71,7 +71,7 @@ namespace {
                "  --trace and --metrics are not supported with --refine\n"
                "\n"
                "  --metrics FILE  enable the runtime metrics registry and write the\n"
-               "                  schema-versioned JSON report (sptrsv-metrics/1) to\n"
+               "                  schema-versioned JSON report (sptrsv-metrics/2) to\n"
                "                  FILE; a one-line summary prints on normal exit\n"
                "  --sdc RATE      inject silent memory faults (bit flips in live\n"
                "                  solver state) as a Poisson process at RATE per\n"

@@ -208,6 +208,9 @@ std::pair<Idx, Idx> node_supernode_range(const SymbolicStructure& sym, const NdT
   return {first, last};
 }
 
+namespace {
+
+/// All supernodes of the given tree nodes, ascending.
 std::vector<Idx> supernodes_of_nodes(const SymbolicStructure& sym, const NdTree& tree,
                                      std::span<const Idx> nodes) {
   std::vector<Idx> out;
@@ -219,6 +222,8 @@ std::vector<Idx> supernodes_of_nodes(const SymbolicStructure& sym, const NdTree&
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
+
+}  // namespace
 
 Solve2dPlan make_grid_plan(const SupernodalLU& lu, const NdTree& tree, Idx leaf,
                            Grid2dShape shape, TreeKind kind, bool index_ranks) {

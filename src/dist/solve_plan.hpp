@@ -180,10 +180,6 @@ class Solve2dPlan {
 std::pair<Idx, Idx> node_supernode_range(const SymbolicStructure& sym, const NdTree& tree,
                                          Idx node);
 
-/// All supernodes of the given tree nodes, ascending.
-std::vector<Idx> supernodes_of_nodes(const SymbolicStructure& sym, const NdTree& tree,
-                                     std::span<const Idx> nodes);
-
 /// Plan for the proposed algorithm's whole-grid solve on leaf z: cols =
 /// rows = supernodes of the leaf and all its ancestors (Fig 1(c)).
 Solve2dPlan make_grid_plan(const SupernodalLU& lu, const NdTree& tree, Idx leaf,

@@ -74,6 +74,12 @@ double SupernodalLU::solve_flops(Idx nrhs) const {
   return fl;
 }
 
+namespace {
+
+/// Allocates the factor storage for `sym` and scatters `a`'s values into
+/// the diagonal blocks and L/U panels (no numeric work yet). Throws
+/// std::invalid_argument naming the row and column of the first NaN or
+/// infinite value of `a`.
 SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym) {
   const Idx nsup = sym.num_supernodes();
   const auto& part = sym.part;
@@ -132,8 +138,6 @@ SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym) 
   f.sym = std::move(sym);
   return f;
 }
-
-namespace {
 
 // Both constants were picked by timing analyze_and_factor on the repo
 // benchmark's 256^2 9-point grid and its 3000-vertex dense-LU input (4-vCPU

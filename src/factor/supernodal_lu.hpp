@@ -46,17 +46,12 @@ struct SupernodalLU {
   double solve_flops(Idx nrhs) const;
 };
 
-/// Allocates the factor storage for `sym` and scatters `a`'s values into
-/// the diagonal blocks and L/U panels (no numeric work yet). Shared by the
-/// sequential and distributed factorizations. Throws std::invalid_argument
-/// naming the row and column of the first NaN or infinite value of `a`.
-SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym);
-
 /// Numeric right-looking supernodal LU factorization. `a` must have a
 /// symmetric pattern and a full diagonal; no pivoting is performed, so the
 /// caller is responsible for numerical viability (the library's generators
 /// produce diagonally dominant matrices). Throws std::runtime_error on a
-/// zero or non-finite pivot.
+/// zero or non-finite pivot, and std::invalid_argument naming the row and
+/// column of the first NaN or infinite value of `a`.
 SupernodalLU factor_supernodal(const CsrMatrix& a, SymbolicStructure sym);
 
 /// Full pipeline convenience: nested-dissection order (with `nd_levels`

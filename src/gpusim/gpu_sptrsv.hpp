@@ -70,8 +70,7 @@ struct GpuSolveTimes {
   std::vector<double> u_finish;
   /// Event trace (Perfetto export only); non-null iff GpuSolveConfig::trace.
   std::shared_ptr<const Trace> trace;
-  /// Per-GPU metrics report; non-null iff GpuSolveConfig::metrics. No time
-  /// series (the sim has no sampling clock): final values only.
+  /// Per-GPU metrics report; non-null iff GpuSolveConfig::metrics.
   std::shared_ptr<const MetricsReport> metrics;
 };
 

@@ -104,21 +104,6 @@ MetricsRegistry::Histogram MetricsRegistry::histogram(
   return Histogram{hists_[it->second.index].get()};
 }
 
-void MetricsRegistry::sample(double vt) {
-  SeriesSample s;
-  s.vt = vt;
-  // Column order is the sorted name order of counters and gauges at sample
-  // time; series_names() re-derives the same order, so columns line up.
-  for (const auto& [name, slot] : names_) {
-    if (slot.kind == Slot::Kind::kCounter) {
-      s.values.push_back(static_cast<double>(*counters_[slot.index]));
-    } else if (slot.kind == Slot::Kind::kGauge) {
-      s.values.push_back(*gauges_[slot.index]);
-    }
-  }
-  series_.push_back(std::move(s));
-}
-
 void MetricsRegistry::reset() {
   for (auto& c : counters_) *c = 0;
   for (auto& g : gauges_) *g = 0.0;
@@ -127,7 +112,6 @@ void MetricsRegistry::reset() {
     h->sum = 0.0;
     h->total = 0;
   }
-  series_.clear();
 }
 
 std::map<std::string, double> MetricsRegistry::values() const {
@@ -147,14 +131,6 @@ std::map<std::string, MetricsRegistry::HistStorage> MetricsRegistry::histograms(
   std::map<std::string, HistStorage> out;
   for (const auto& [name, slot] : names_) {
     if (slot.kind == Slot::Kind::kHistogram) out[name] = *hists_[slot.index];
-  }
-  return out;
-}
-
-std::vector<std::string> MetricsRegistry::series_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, slot] : names_) {
-    if (slot.kind != Slot::Kind::kHistogram) out.push_back(name);
   }
   return out;
 }
@@ -200,8 +176,7 @@ double MetricsReport::hist_sum_max(const std::string& name) const {
 
 std::string MetricsReport::to_json() const {
   std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"metrics_period\":"
-     << fmt_double(metrics_period) << ",\"ranks\":[";
+  os << "{\"schema\":\"" << kSchema << "\",\"ranks\":[";
   for (std::size_t r = 0; r < ranks.size(); ++r) {
     const Rank& rk = ranks[r];
     if (r > 0) os << ",";
@@ -229,22 +204,7 @@ std::string MetricsReport::to_json() const {
       }
       os << "],\"sum\":" << fmt_double(h.sum) << ",\"count\":" << h.total << "}";
     }
-    os << "},\"series_names\":[";
-    for (std::size_t i = 0; i < rk.series_names.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "\"" << json_escape(rk.series_names[i]) << "\"";
-    }
-    os << "],\"series\":[";
-    for (std::size_t i = 0; i < rk.series.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "{\"vt\":" << fmt_double(rk.series[i].vt) << ",\"values\":[";
-      for (std::size_t j = 0; j < rk.series[i].values.size(); ++j) {
-        if (j > 0) os << ",";
-        os << fmt_double(rk.series[i].values[j]);
-      }
-      os << "]}";
-    }
-    os << "]}";
+    os << "}}";
   }
   os << "\n]}\n";
   return os.str();

@@ -1,8 +1,8 @@
 #pragma once
 /// \file metrics.hpp
 /// \brief Always-cheap metrics: a per-rank registry of typed counters,
-/// gauges and fixed-bucket histograms, virtual-time sampling into time
-/// series, and exporters (docs/OBSERVABILITY.md §Metrics).
+/// gauges and fixed-bucket histograms, and exporters
+/// (docs/OBSERVABILITY.md §Metrics).
 ///
 /// Design contract (mirrors the trace layer's):
 ///  - Zero allocation on the hot path. Registration (find-or-create by
@@ -89,28 +89,14 @@ class MetricsRegistry {
   /// keeps the first definition (same-name handles share storage).
   Histogram histogram(const std::string& name, std::span<const double> bounds);
 
-  /// Appends one time-series sample: the virtual timestamp plus the current
-  /// value of every counter and gauge (histograms are exported final-only).
-  void sample(double vt);
-
-  /// Zeroes every value and drops the series (reset_clock mirror: metric
-  /// mirrors of the clean counters restart with them). Definitions and
-  /// handles survive.
+  /// Zeroes every value (reset_clock mirror: metric mirrors of the clean
+  /// counters restart with them). Definitions and handles survive.
   void reset();
 
   // --- read side (report building / tests) ---
-  struct SeriesSample {
-    double vt = 0.0;
-    std::vector<double> values;  ///< parallel to series_names()
-  };
   /// Counter+gauge values flattened to doubles, sorted by name.
   std::map<std::string, double> values() const;
   std::map<std::string, HistStorage> histograms() const;
-  /// Names (sorted) of the columns of each SeriesSample captured so far.
-  /// Metrics registered after the first sample() join later samples with
-  /// the column set re-derived per sample; names are the union.
-  std::vector<std::string> series_names() const;
-  const std::vector<SeriesSample>& series() const { return series_; }
 
  private:
   struct Slot {
@@ -123,7 +109,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<std::int64_t>> counters_;
   std::vector<std::unique_ptr<double>> gauges_;
   std::vector<std::unique_ptr<HistStorage>> hists_;
-  std::vector<SeriesSample> series_;
 };
 
 /// Immutable merged snapshot of every rank's registry at run end —
@@ -131,16 +116,13 @@ class MetricsRegistry {
 /// downstream tooling (bench_compare, dashboards) can reject a format it
 /// does not understand.
 struct MetricsReport {
-  static constexpr const char* kSchema = "sptrsv-metrics/1";
+  static constexpr const char* kSchema = "sptrsv-metrics/2";
 
   struct Rank {
     std::map<std::string, double> values;
     std::map<std::string, MetricsRegistry::HistStorage> histograms;
-    std::vector<std::string> series_names;
-    std::vector<MetricsRegistry::SeriesSample> series;
   };
   std::vector<Rank> ranks;
-  double metrics_period = 0.0;  ///< RunOptions::metrics_period of the run
 
   /// Value of `name` at `rank` (0.0 when absent).
   double value(int rank, const std::string& name) const;

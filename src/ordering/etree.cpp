@@ -1,6 +1,5 @@
 #include "ordering/etree.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sptrsv {
@@ -27,70 +26,6 @@ std::vector<Idx> elimination_tree(const CsrMatrix& a) {
     }
   }
   return parent;
-}
-
-std::vector<Idx> postorder(std::span<const Idx> parent) {
-  const Idx n = static_cast<Idx>(parent.size());
-  // Build child lists (ascending order falls out of the forward scan).
-  std::vector<Idx> head(static_cast<size_t>(n), kNoIdx);
-  std::vector<Idx> next(static_cast<size_t>(n), kNoIdx);
-  std::vector<Idx> roots;
-  for (Idx j = n - 1; j >= 0; --j) {  // reverse scan so lists end up ascending
-    const Idx p = parent[static_cast<size_t>(j)];
-    if (p == kNoIdx) {
-      roots.push_back(j);
-    } else {
-      next[static_cast<size_t>(j)] = head[static_cast<size_t>(p)];
-      head[static_cast<size_t>(p)] = j;
-    }
-  }
-  std::reverse(roots.begin(), roots.end());  // ascending roots
-
-  std::vector<Idx> post;
-  post.reserve(static_cast<size_t>(n));
-  std::vector<Idx> stack;
-  std::vector<Idx> child_iter(head.begin(), head.end());
-  for (const Idx r : roots) {
-    stack.push_back(r);
-    while (!stack.empty()) {
-      const Idx v = stack.back();
-      const Idx c = child_iter[static_cast<size_t>(v)];
-      if (c != kNoIdx) {
-        child_iter[static_cast<size_t>(v)] = next[static_cast<size_t>(c)];
-        stack.push_back(c);
-      } else {
-        post.push_back(v);
-        stack.pop_back();
-      }
-    }
-  }
-  return post;
-}
-
-std::vector<Idx> tree_depths(std::span<const Idx> parent) {
-  const Idx n = static_cast<Idx>(parent.size());
-  std::vector<Idx> depth(static_cast<size_t>(n), kNoIdx);
-  for (Idx j = 0; j < n; ++j) {
-    // Walk up collecting the unknown prefix, then fill it in.
-    Idx v = j;
-    std::vector<Idx> chain;
-    while (v != kNoIdx && depth[static_cast<size_t>(v)] == kNoIdx) {
-      chain.push_back(v);
-      v = parent[static_cast<size_t>(v)];
-    }
-    Idx d = (v == kNoIdx) ? -1 : depth[static_cast<size_t>(v)];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      depth[static_cast<size_t>(*it)] = ++d;
-    }
-  }
-  return depth;
-}
-
-Idx tree_height(std::span<const Idx> parent) {
-  const auto depths = tree_depths(parent);
-  Idx h = 0;
-  for (const Idx d : depths) h = std::max(h, d + 1);
-  return h;
 }
 
 bool is_topologically_ordered_forest(std::span<const Idx> parent) {

@@ -15,17 +15,6 @@ namespace sptrsv {
 /// j, or `kNoIdx` for roots. O(nnz * alpha(n)).
 std::vector<Idx> elimination_tree(const CsrMatrix& a);
 
-/// Postorders a forest given parent pointers; returns `post` with
-/// `post[k] = j` meaning column j is the k-th in postorder. Children are
-/// visited in ascending index order, which keeps the postorder stable.
-std::vector<Idx> postorder(std::span<const Idx> parent);
-
-/// Depth of each node (roots have depth 0).
-std::vector<Idx> tree_depths(std::span<const Idx> parent);
-
-/// Height of the forest: 1 + max depth (0 for an empty forest).
-Idx tree_height(std::span<const Idx> parent);
-
 /// True if `parent` encodes a forest where every parent index exceeds the
 /// child index — the invariant elimination trees of properly ordered
 /// matrices satisfy, and which the symbolic layer relies on.

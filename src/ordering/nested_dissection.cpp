@@ -1,7 +1,5 @@
 #include "ordering/nested_dissection.hpp"
 
-#include "ordering/min_degree.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <functional>
@@ -247,40 +245,30 @@ class NdBuilder {
     order_tracked(std::move(a), nd.left);
     order_tracked(std::move(b), nd.right);
     nd.col_begin = static_cast<Idx>(perm_.size());
-    emit_separator(s);
+    emit(s);
     nd.col_end = static_cast<Idx>(perm_.size());
   }
 
   void order_untracked(std::vector<Idx> verts) {
     if (static_cast<Idx>(verts.size()) <= opt_.min_partition) {
-      emit_terminal(verts);
+      emit(verts);
       return;
     }
     std::vector<Idx> a, b, s;
     split(verts, a, b, s);
     if (a.empty() || a.size() == verts.size()) {
       // Degenerate bisection (clique-like region): stop recursing.
-      emit_terminal(verts);
+      emit(verts);
       return;
     }
     order_untracked(std::move(a));
     order_untracked(std::move(b));
-    emit_separator(s);
+    emit(s);
   }
 
-  void emit_terminal(const std::vector<Idx>& verts) {
-    if (opt_.leaf_ordering == LeafOrdering::kMinDegree && verts.size() > 1) {
-      const Graph sub = g_.induced_subgraph(verts);
-      for (const Idx local : min_degree_ordering(sub)) {
-        perm_.push_back(verts[static_cast<size_t>(local)]);
-      }
-      return;
-    }
+  /// Appends a terminal partition or a separator in its given order.
+  void emit(const std::vector<Idx>& verts) {
     perm_.insert(perm_.end(), verts.begin(), verts.end());
-  }
-
-  void emit_separator(const std::vector<Idx>& s) {
-    perm_.insert(perm_.end(), s.begin(), s.end());
   }
 
   const Graph& g_;

@@ -70,12 +70,6 @@ class NdTree {
   std::vector<NdNode> nodes_;
 };
 
-/// How terminal (small) partitions are ordered inside the leaves.
-enum class LeafOrdering {
-  kNatural,    ///< keep the input order (cheapest)
-  kMinDegree,  ///< greedy minimum degree (paper §2.2's alternative reducer)
-};
-
 /// Options for the ND orderer.
 struct NdOptions {
   /// Number of tracked binary levels; the tree has 2^levels leaves. This
@@ -86,8 +80,6 @@ struct NdOptions {
   Idx min_partition = 24;
   /// Balance slack for the bisection level cut (0.5 = perfectly balanced).
   Real balance = 0.5;
-  /// Ordering applied to terminal partitions.
-  LeafOrdering leaf_ordering = LeafOrdering::kNatural;
 };
 
 /// Result of the ordering.

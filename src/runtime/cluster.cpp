@@ -196,8 +196,6 @@ struct RankCtx {
 
   // --- metrics (docs/OBSERVABILITY.md §Metrics; null when off) ---
   MetricsRegistry* metrics = nullptr;  ///< owned by ClusterState
-  double metrics_period = 0.0;         ///< RunOptions::metrics_period
-  double next_sample = 0.0;            ///< next virtual-time sampling point
   /// The runtime's two histograms (registered in the ClusterState
   /// constructor, so observing never allocates; null when metrics are off).
   /// Every counter and gauge is read from the ledgers by export_metrics.
@@ -285,18 +283,6 @@ struct RankCtx {
     vt += seconds;
     fvt += seconds;
     category[static_cast<int>(cat)] += seconds;
-    // Virtual-time sampling: snapshot the registry at every grid point
-    // k * metrics_period the clock just crossed. The grid is a pure
-    // function of the clean clock, so the series is schedule-invariant.
-    // Metric storage is written, never read, by clock math — the sample
-    // cannot perturb the clean ledger.
-    if (metrics != nullptr && metrics_period > 0.0 && vt >= next_sample) {
-      export_metrics();
-      while (vt >= next_sample) {
-        metrics->sample(next_sample);
-        next_sample += metrics_period;
-      }
-    }
     fire_due();
     // Degradation overload: once this partition's host adopted extra
     // partitions, every clean compute second really takes `mult` seconds on
@@ -659,8 +645,8 @@ struct RankCtx {
   }
 
   /// Writes every counter and gauge the runtime owns into the registry,
-  /// read from the ledgers. Runs before every time-series sample and once
-  /// at the end of every run, so the registry cannot drift from them.
+  /// read from the ledgers. Runs once at the end of every run, so the
+  /// registry cannot drift from them.
   void export_metrics();
 };
 
@@ -1283,13 +1269,10 @@ class ClusterState {
       }
       if (opts_.metrics) {
         // Register the runtime's histograms now, so every observation is
-        // allocation-free. export_metrics registers the rest before the
-        // first sample.
+        // allocation-free. export_metrics registers the rest at run end.
         metrics_.push_back(std::make_unique<MetricsRegistry>());
         MetricsRegistry* m = metrics_.back().get();
         ctx.metrics = m;
-        ctx.metrics_period = opts_.metrics_period;
-        ctx.next_sample = opts_.metrics_period;
         ctx.mh.wait = m->histogram("cluster.wait_time", kWaitBounds);
         ctx.mh.peer_dist = m->histogram("cluster.peer_distance", kPeerDistBounds);
       }
@@ -1552,13 +1535,10 @@ void Comm::reset_clock() {
     ctx_->trace.marks.clear();
     ++ctx_->trace_epoch;
   }
-  // Metrics mirror the ledgers, so they restart with them; the sampling
-  // grid re-anchors on the fresh clock. The flight-recorder ring
-  // deliberately survives — "the most recent events" include setup.
-  if (ctx_->metrics != nullptr) {
-    ctx_->metrics->reset();
-    ctx_->next_sample = ctx_->metrics_period;
-  }
+  // Metrics mirror the ledgers, so they restart with them. The
+  // flight-recorder ring deliberately survives — "the most recent events"
+  // include setup.
+  if (ctx_->metrics != nullptr) ctx_->metrics->reset();
 }
 
 TraceSpan Comm::annotate(const char* label, std::int64_t arg) const {
@@ -2240,13 +2220,6 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   if (opts.delay_budget < 0) {
     throw std::invalid_argument("Cluster::run: delay_budget must be >= 0");
   }
-  if (opts.metrics_period < 0.0) {
-    throw std::invalid_argument("Cluster::run: metrics_period must be >= 0");
-  }
-  if (opts.metrics_period > 0.0 && !opts.metrics) {
-    throw std::invalid_argument(
-        "Cluster::run: metrics_period requires RunOptions::metrics");
-  }
   if (opts.replay_schedule != nullptr) {
     for (const std::int32_t g : opts.replay_schedule->grants) {
       if (g < 0 || g >= nranks) {
@@ -2315,7 +2288,6 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
     // Built even on a fault: the counters up to the abort are exactly the
     // post-mortem evidence a failed run leaves behind.
     auto report = std::make_shared<MetricsReport>();
-    report->metrics_period = opts.metrics_period;
     report->ranks.resize(static_cast<size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       MetricsReport::Rank& out = report->ranks[static_cast<size_t>(r)];
@@ -2323,8 +2295,6 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
       const MetricsRegistry* m = state.rank_metrics(r);
       out.values = m->values();
       out.histograms = m->histograms();
-      out.series_names = m->series_names();
-      out.series = m->series();
     }
     res.metrics = std::move(report);
   }

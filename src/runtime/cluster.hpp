@@ -138,11 +138,6 @@ struct RunOptions {
   /// Like tracing, metrics sit outside the clean ledger: enabling them
   /// changes no clock bit, fingerprint, message count or trace byte.
   bool metrics = false;
-  /// Virtual-time sampling period (seconds on the modeled clock) for the
-  /// metrics time series; 0 = no series, final snapshot only. Requires
-  /// `metrics`; samples land on the fixed grid k * metrics_period, so the
-  /// series is schedule-independent.
-  double metrics_period = 0.0;
   /// Checksum-augmented (ABFT) solves: verify a running checksum of the
   /// registered solver state at every checkpoint_epoch, localize and
   /// recompute any corrupted word on the spot (docs/ROBUSTNESS.md §SDC).

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "ordering/etree.hpp"
 #include "sparse/generators.hpp"
 
@@ -70,34 +68,6 @@ TEST(Etree, DiagonalMatrixIsAForestOfRoots) {
 TEST(Etree, IsTopologicallyOrdered) {
   const CsrMatrix a = make_grid2d(5, 5, Stencil2d::kNinePoint);
   EXPECT_TRUE(is_topologically_ordered_forest(elimination_tree(a)));
-}
-
-TEST(Postorder, VisitsChildrenBeforeParents) {
-  const CsrMatrix a = make_grid2d(4, 4, Stencil2d::kFivePoint);
-  const auto parent = elimination_tree(a);
-  const auto post = postorder(parent);
-  ASSERT_EQ(post.size(), parent.size());
-  std::vector<Idx> position(post.size());
-  for (size_t k = 0; k < post.size(); ++k) position[static_cast<size_t>(post[k])] = static_cast<Idx>(k);
-  for (size_t j = 0; j < parent.size(); ++j) {
-    if (parent[j] != kNoIdx) {
-      EXPECT_LT(position[j], position[static_cast<size_t>(parent[j])]);
-    }
-  }
-  // It is a permutation.
-  std::vector<Idx> sorted = post;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t k = 0; k < sorted.size(); ++k) EXPECT_EQ(sorted[k], static_cast<Idx>(k));
-}
-
-TEST(TreeDepths, PathDepths) {
-  const CsrMatrix a = make_banded(5, 1);
-  const auto parent = elimination_tree(a);
-  const auto depth = tree_depths(parent);
-  // Root is column 4 (depth 0), column 0 is deepest.
-  EXPECT_EQ(depth[4], 0);
-  EXPECT_EQ(depth[0], 4);
-  EXPECT_EQ(tree_height(parent), 5);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 /// \brief The metrics layer (docs/OBSERVABILITY.md §Metrics).
 ///
 /// The contract under test, in order of importance:
-///  1. Outside the clean ledger: enabling metrics (with or without
-///     virtual-time sampling) changes no solution bit, fingerprint,
-///     message/byte count or trace byte.
+///  1. Outside the clean ledger: enabling metrics changes no solution bit,
+///     fingerprint, message/byte count or trace byte.
 ///  2. Determinism: two deterministic runs of the same program produce
 ///     byte-identical MetricsReport JSON, and every metric except the
 ///     scheduler's own "sched.*" family is invariant across schedule
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -93,31 +91,12 @@ TEST(MetricsRegistry, HistogramBucketPlacement) {
   EXPECT_DOUBLE_EQ(hs.sum, 0.5 + 1.0 + 5.0 + 1000.0);
 }
 
-TEST(MetricsRegistry, SampleCapturesSeries) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("c");
-  c.add(1);
-  reg.sample(1.0);
-  c.add(2);
-  reg.sample(2.0);
-  const auto names = reg.series_names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "c");
-  ASSERT_EQ(reg.series().size(), 2u);
-  EXPECT_DOUBLE_EQ(reg.series()[0].vt, 1.0);
-  EXPECT_DOUBLE_EQ(reg.series()[0].values[0], 1.0);
-  EXPECT_DOUBLE_EQ(reg.series()[1].vt, 2.0);
-  EXPECT_DOUBLE_EQ(reg.series()[1].values[0], 3.0);
-}
-
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandles) {
   MetricsRegistry reg;
   const auto c = reg.counter("c");
   c.add(5);
-  reg.sample(1.0);
   reg.reset();
   EXPECT_DOUBLE_EQ(reg.values().at("c"), 0.0);
-  EXPECT_TRUE(reg.series().empty());
   c.add(2);  // handle survives the reset
   EXPECT_DOUBLE_EQ(reg.values().at("c"), 2.0);
 }
@@ -135,7 +114,7 @@ TEST(MetricsReport, ExportersStampSchemaAndMangleNames) {
   rep.ranks[0].histograms["cluster.wait_time"] = h;
 
   const std::string json = rep.to_json();
-  EXPECT_NE(json.find("\"schema\":\"sptrsv-metrics/1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"sptrsv-metrics/2\""), std::string::npos);
   EXPECT_EQ(json, rep.to_json());  // deterministic byte-for-byte
 
   const std::string prom = rep.to_prometheus();
@@ -155,18 +134,6 @@ TEST(MetricsReport, ExportersStampSchemaAndMangleNames) {
   EXPECT_DOUBLE_EQ(rep.value(1, "absent"), 0.0);
   EXPECT_DOUBLE_EQ(rep.hist_sum_total("cluster.wait_time"), 12.0);
   EXPECT_DOUBLE_EQ(rep.hist_sum_max("cluster.wait_time"), 12.0);
-}
-
-TEST(MetricsOptions, PeriodRequiresMetricsAndNonNegative) {
-  RunOptions bad;
-  bad.metrics_period = 1e-6;  // but metrics == false
-  EXPECT_THROW(Cluster::run(1, test_machine(), [](Comm&) {}, bad),
-               std::invalid_argument);
-  RunOptions neg;
-  neg.metrics = true;
-  neg.metrics_period = -1.0;
-  EXPECT_THROW(Cluster::run(1, test_machine(), [](Comm&) {}, neg),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,19 +170,12 @@ TEST(MetricsCleanLedger, EnablingMetricsChangesNoCleanBit) {
     const DistSolveOutcome with = solve_system_3d(s.fs, s.b, on, test_machine());
     ASSERT_NE(with.run_stats.metrics, nullptr);
 
-    SolveConfig sampled = on;
-    sampled.run.metrics_period = 1e-5;
-    const DistSolveOutcome with_series =
-        solve_system_3d(s.fs, s.b, sampled, test_machine());
-
-    for (const DistSolveOutcome* o : {&with, &with_series}) {
-      EXPECT_TRUE(bitwise_equal(base.x, o->x));
-      EXPECT_TRUE(stats_identical(base.run_stats, o->run_stats));
-      EXPECT_EQ(base.run_stats.fingerprint(), o->run_stats.fingerprint());
-      EXPECT_DOUBLE_EQ(base.run_stats.makespan(), o->run_stats.makespan());
-      // Trace bytes too: the trace layer must not see the metrics layer.
-      EXPECT_EQ(base.run_stats.trace->chrome_json(), o->run_stats.trace->chrome_json());
-    }
+    EXPECT_TRUE(bitwise_equal(base.x, with.x));
+    EXPECT_TRUE(stats_identical(base.run_stats, with.run_stats));
+    EXPECT_EQ(base.run_stats.fingerprint(), with.run_stats.fingerprint());
+    EXPECT_DOUBLE_EQ(base.run_stats.makespan(), with.run_stats.makespan());
+    // Trace bytes too: the trace layer must not see the metrics layer.
+    EXPECT_EQ(base.run_stats.trace->chrome_json(), with.run_stats.trace->chrome_json());
   }
 }
 
@@ -251,36 +211,11 @@ TEST(MetricsDeterminism, ReportJsonIsByteIdenticalAcrossRuns) {
   const SolveSetup s;
   SolveConfig cfg = tiny_cfg();
   cfg.run.metrics = true;
-  cfg.run.metrics_period = 1e-5;
   const DistSolveOutcome a = solve_system_3d(s.fs, s.b, cfg, test_machine());
   const DistSolveOutcome b = solve_system_3d(s.fs, s.b, cfg, test_machine());
   EXPECT_EQ(a.run_stats.metrics->to_json(), b.run_stats.metrics->to_json());
   EXPECT_EQ(a.run_stats.metrics->to_prometheus(),
             b.run_stats.metrics->to_prometheus());
-}
-
-TEST(MetricsDeterminism, SeriesLandsOnTheVirtualTimeGrid) {
-  const SolveSetup s;
-  SolveConfig cfg = tiny_cfg();
-  cfg.run.metrics = true;
-  cfg.run.metrics_period = 1e-5;
-  const DistSolveOutcome out = solve_system_3d(s.fs, s.b, cfg, test_machine());
-  const MetricsReport& rep = *out.run_stats.metrics;
-  EXPECT_DOUBLE_EQ(rep.metrics_period, 1e-5);
-  bool any = false;
-  for (const auto& rank : rep.ranks) {
-    double prev = 0.0;
-    for (const auto& smp : rank.series) {
-      any = true;
-      EXPECT_GT(smp.vt, prev);
-      // Every sample sits on the grid k * period exactly (the grid is a
-      // pure function of the clean clock).
-      const double k = smp.vt / rep.metrics_period;
-      EXPECT_DOUBLE_EQ(k, std::floor(k + 0.5));
-      prev = smp.vt;
-    }
-  }
-  EXPECT_TRUE(any) << "no rank captured any series sample";
 }
 
 TEST(MetricsDeterminism, AllMetricsExceptSchedAreScheduleInvariant) {

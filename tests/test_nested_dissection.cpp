@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ordering/min_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 
@@ -137,83 +136,6 @@ TEST(Nd, DisconnectedGraphStillValid) {
   const NdOrdering nd = nested_dissection(a, opt);
   EXPECT_TRUE(is_permutation(nd.perm));
   EXPECT_TRUE(nd.tree.check_invariants(32));
-}
-
-TEST(MinDegree, ProducesValidPermutation) {
-  const Graph g = Graph::from_matrix(make_grid2d(7, 9, Stencil2d::kNinePoint));
-  const auto perm = min_degree_ordering(g);
-  EXPECT_TRUE(is_permutation(perm));
-}
-
-TEST(MinDegree, StarGraphEliminatesLeavesFirst) {
-  // Star: center 0 adjacent to 1..5. Min degree removes all leaves before
-  // the center.
-  CooMatrix coo;
-  coo.rows = coo.cols = 6;
-  for (Idx i = 0; i < 6; ++i) coo.add(i, i, 1.0);
-  for (Idx i = 1; i < 6; ++i) coo.add_sym(0, i, -1.0);
-  const Graph g = Graph::from_matrix(CsrMatrix::from_coo(coo));
-  const auto perm = min_degree_ordering(g);
-  // The center survives until it ties with the final leaf (degree 1 vs 1,
-  // tie-break on id): it must be one of the last two eliminated.
-  EXPECT_TRUE(perm.back() == 0 || perm[perm.size() - 2] == 0);
-  // Leaves (degree 1) open the elimination.
-  EXPECT_NE(perm.front(), 0);
-}
-
-TEST(MinDegree, DeterministicTieBreaking) {
-  const Graph g = Graph::from_matrix(make_grid2d(6, 6, Stencil2d::kFivePoint));
-  EXPECT_EQ(min_degree_ordering(g), min_degree_ordering(g));
-}
-
-TEST(MinDegree, LeafOrderingOptionSolvesEndToEnd) {
-  const CsrMatrix a = make_grid2d(12, 12, Stencil2d::kNinePoint);
-  NdOptions opt;
-  opt.levels = 2;
-  opt.min_partition = 40;
-  opt.leaf_ordering = LeafOrdering::kMinDegree;
-  const NdOrdering nd = nested_dissection(a, opt);
-  EXPECT_TRUE(is_permutation(nd.perm));
-  EXPECT_TRUE(nd.tree.check_invariants(a.rows()));
-}
-
-TEST(MinDegree, ReducesFillOverNaturalLeafOrder) {
-  // With recursion stopped early (large terminal partitions), the terminal
-  // orderer matters; min degree must not lose to natural order.
-  const CsrMatrix a = make_grid2d(14, 14, Stencil2d::kFivePoint);
-  auto fill_of = [&](LeafOrdering lo) {
-    NdOptions opt;
-    opt.levels = 1;
-    opt.min_partition = 90;  // big terminals: the leaf orderer dominates
-    opt.leaf_ordering = lo;
-    const NdOrdering nd = nested_dissection(a, opt);
-    const CsrMatrix p = a.permuted_symmetric(nd.perm);
-    // Exact scalar fill via dense symbolic elimination.
-    const Idx n = p.rows();
-    std::vector<std::vector<bool>> f(static_cast<size_t>(n),
-                                     std::vector<bool>(static_cast<size_t>(n), false));
-    for (Idx i = 0; i < n; ++i) {
-      for (const Idx j : p.row_cols(i)) {
-        if (j <= i) f[static_cast<size_t>(i)][static_cast<size_t>(j)] = true;
-      }
-    }
-    Nnz cnt = 0;
-    for (Idx k = 0; k < n; ++k) {
-      for (Idx i = k + 1; i < n; ++i) {
-        if (!f[static_cast<size_t>(i)][static_cast<size_t>(k)]) continue;
-        for (Idx j = i; j < n; ++j) {
-          if (f[static_cast<size_t>(j)][static_cast<size_t>(k)]) {
-            f[static_cast<size_t>(j)][static_cast<size_t>(i)] = true;
-          }
-        }
-      }
-    }
-    for (Idx i = 0; i < n; ++i) {
-      for (Idx j = 0; j <= i; ++j) cnt += f[static_cast<size_t>(i)][static_cast<size_t>(j)];
-    }
-    return cnt;
-  };
-  EXPECT_LE(fill_of(LeafOrdering::kMinDegree), fill_of(LeafOrdering::kNatural));
 }
 
 TEST(Nd, FillReductionBeatsNaturalOrderOnGrid) {

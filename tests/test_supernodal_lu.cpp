@@ -107,11 +107,10 @@ TEST(AnalyzeAndFactor, SupernodesRespectTreeBoundaries) {
 }
 
 TEST(AnalyzeAndFactor, ExpertOptionsPipeline) {
-  // Full-options pipeline: min-degree leaf ordering, tight supernodes.
+  // Expert-options pipeline: tight supernodes, caller breaks overwritten.
   const CsrMatrix a = make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kTiny);
   AnalyzeOptions opt;
   opt.nd.levels = 2;
-  opt.nd.leaf_ordering = LeafOrdering::kMinDegree;
   opt.supernode.max_width = 24;
   opt.supernode.forced_breaks = {1, 2, 3};  // must be ignored/overwritten
   const FactoredSystem fs = analyze_and_factor(a, opt);
