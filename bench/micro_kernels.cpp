@@ -1,20 +1,19 @@
 /// \file micro_kernels.cpp
 /// \brief google-benchmark microbenchmarks of the kernels the factorization
 /// and the solve spend their time in: dense block GEMM/TRSM/LU, the solves'
-/// GEMV on cold panels, the whole numeric LU on all host cores, tree
-/// construction, and a SpMV bandwidth probe.
+/// GEMV on cold panels, the whole numeric LU on all host cores, the solve
+/// plans' construction, and a SpMV bandwidth probe.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <numeric>
 #include <random>
 #include <span>
 
 #include <unistd.h>
 
 #include "bench/bench_util.hpp"
-#include "comm/trees.hpp"
+#include "dist/solve_plan.hpp"
 #include "factor/dense.hpp"
 #include "factor/supernodal_lu.hpp"
 #include "sparse/generators.hpp"
@@ -206,17 +205,33 @@ BENCHMARK(BM_FactorSupernodal)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-void BM_BinaryTreeBuild(benchmark::State& state) {
-  // Tree construction happens once per supernode during setup.
-  const int n = static_cast<int>(state.range(0));
-  std::vector<int> members(static_cast<size_t>(n));
-  std::iota(members.begin(), members.end(), 0);
+void BM_PlanBuild(benchmark::State& state) {
+  // The plans one 4x4x8 solve call of a kSmall s2D9pt2048 factor (3 ND
+  // levels) builds before it starts: the proposed algorithm's grid plan of
+  // every leaf, with its rank roles (Arg0 = 0) or without them as gpusim
+  // builds it (1), or the baseline's node plan of every tree node (2).
+  static const FactoredSystem fs = analyze_and_factor(
+      make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kSmall), 3);
+  const Grid2dShape shape{4, 4};
+  const auto mode = state.range(0);
   for (auto _ : state) {
-    auto t = CommTree::build(TreeKind::kBinary, members, 0);
-    benchmark::DoNotOptimize(&t);
+    if (mode == 2) {
+      for (Idx node = 0; node < fs.tree.num_nodes(); ++node) {
+        const Solve2dPlan p =
+            make_node_plan(fs.lu, fs.tree, node, shape, TreeKind::kBinary);
+        benchmark::DoNotOptimize(p.num_rows());
+      }
+    } else {
+      for (Idx leaf = 0; leaf < fs.tree.num_leaves(); ++leaf) {
+        const Solve2dPlan p =
+            make_grid_plan(fs.lu, fs.tree, leaf, shape, TreeKind::kBinary, mode == 0);
+        benchmark::DoNotOptimize(p.num_rows());
+      }
+    }
   }
+  state.SetLabel(mode == 0 ? "grid" : mode == 1 ? "grid, no roles" : "node");
 }
-BENCHMARK(BM_BinaryTreeBuild)->Arg(4)->Arg(32)->Arg(256);
+BENCHMARK(BM_PlanBuild)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_SpmvReference(benchmark::State& state) {
   // Residual-check kernel; also a rough memory-bandwidth probe.

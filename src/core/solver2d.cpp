@@ -102,8 +102,8 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     }
     return static_cast<size_t>(it - list.begin());
   };
-  const auto target_slot = [&](Idx s) { return slot_of(my_targets, v.targets, s); };
-  const auto source_slot = [&](Idx s) { return slot_of(my_sources, v.sources, s); };
+  const auto target_slot = [&](Idx s) { return slot_of(my_targets, v.targets(), s); };
+  const auto source_slot = [&](Idx s) { return slot_of(my_sources, v.sources(), s); };
 
   // Per-target reduction state. Contributions are *recorded* as they arrive
   // but only *summed* when the target completes, in an order fixed by the
@@ -126,7 +126,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     const auto children = roles.children_of(me);
     for (size_t j = 0; j < my_targets.size(); ++j) {
       const Idx tp = my_targets[j];
-      const Idx s = v.targets[static_cast<size_t>(tp)];
+      const Idx s = v.targets()[static_cast<size_t>(tp)];
       TargetState& st = state[j];
       st.sum.assign(static_cast<size_t>(part.width(s)) * nrhs, 0.0);
       st.child_sums.reserve(static_cast<size_t>(children[j]));
@@ -150,7 +150,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
 
   // `xs` must stay valid until the solve returns.
   auto process_source = [&](Idx sp, std::span<const Real> xs) {
-    const Idx s = v.sources[static_cast<size_t>(sp)];
+    const Idx s = v.sources()[static_cast<size_t>(sp)];
     const TreeView t = v.bcast(sp);
     {
       // Span arg = my depth in the broadcast tree (relay stage number).
@@ -166,7 +166,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
     // overlaps the remaining traffic), but defer the numeric fold to target
     // completion so the accumulation order is fixed by the plan.
     solution[source_slot(s)] = xs.data();
-    for (const Idx d : v.dependents[static_cast<size_t>(sp)]) {
+    for (const Idx d : v.dependents(sp)) {
       if (shape.owner_row(d) != myrow) continue;
       const size_t j = target_slot(d);
       grid.compute(plan.block_flops(d, s, nrhs), nrhs);
@@ -176,7 +176,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
 
   auto complete_target = [&](size_t j) {
     const Idx tp = my_targets[j];
-    const Idx s = v.targets[static_cast<size_t>(tp)];
+    const Idx s = v.targets()[static_cast<size_t>(tp)];
     const TraceSpan target_span =
         grid.annotate(names.target, static_cast<std::int64_t>(s));
     m_done.add();
@@ -194,8 +194,8 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
       }
     }
     if (shape.owner_row(s) == myrow) {
-      const auto& contributors = v.contributors[static_cast<size_t>(tp)];
-      const auto& block_index = v.block_index[static_cast<size_t>(tp)];
+      const auto contributors = v.contributors(tp);
+      const auto block_index = v.block_index(tp);
       const Idx ws = part.width(s);
       for (size_t k = 0; k < contributors.size(); ++k) {
         const Idx c = contributors[k];
@@ -279,7 +279,7 @@ Solve2dOut solve_2d(Comm& grid, const Solve2dPlan& plan, Triangle tri, const Vec
   for (const auto& [tp, j] : kickoff) {
     if (state[j].pending == 0) ready.push_back(j);
   }
-  for (const Idx s : v.seeded_sources) {
+  for (const Idx s : v.seeded_sources()) {
     const Idx sp = v.source_pos(s);
     if (v.bcast(sp).root() != me) continue;
     const auto it = seeded.find(s);

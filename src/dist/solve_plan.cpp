@@ -2,31 +2,62 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sptrsv {
 
 namespace {
 
-/// Builds a member list: root first, remaining members ascending, deduped.
-std::vector<int> make_members(int root, std::vector<int> others) {
-  std::sort(others.begin(), others.end());
-  others.erase(std::unique(others.begin(), others.end()), others.end());
-  std::vector<int> out{root};
-  for (const int r : others) {
-    if (r != root) out.push_back(r);
-  }
-  return out;
-}
-
-Idx find_pos(std::span<const Idx> sorted, Idx v) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), v);
-  if (it == sorted.end() || *it != v) return kNoIdx;
-  return static_cast<Idx>(it - sorted.begin());
-}
-
-/// Turns per-rank counts (at index rank + 1) into list offsets.
+/// Turns per-list counts (at index list + 1) into list offsets.
 void prefix_sum(std::vector<Idx>& start) {
   for (size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
+}
+
+/// The member lists of two tree families at once, list j for supernode
+/// s = ids[j]: s's diagonal owner (the root) first, then the other owners
+/// of the blocks (s, e) (`in_row`) or (e, s) (`in_col`) over the entries e
+/// of pattern list j, ascending, each once. `Pattern` and `Members` are the
+/// plan's private list storage.
+template <class Pattern, class Members>
+void build_members(std::span<const Idx> ids, const Pattern& pattern,
+                   const Grid2dShape& shape, Members& in_row, Members& in_col) {
+  // stamp[r] == j marks rank r as already in list j.
+  std::vector<Idx> row_stamp(static_cast<size_t>(shape.size()), kNoIdx);
+  std::vector<Idx> col_stamp(row_stamp);
+  const auto add = [](Members& m, std::vector<Idx>& stamp, Idx j, int r) {
+    if (stamp[static_cast<size_t>(r)] == j) return;
+    stamp[static_cast<size_t>(r)] = j;
+    m.ranks.push_back(r);
+  };
+  // Ends the list being walked: its members after the root ascend.
+  const auto close = [](Members& m) {
+    std::sort(m.ranks.begin() + m.start.back() + 1, m.ranks.end());
+    m.start.push_back(static_cast<Idx>(m.ranks.size()));
+  };
+  for (Members* m : {&in_row, &in_col}) {
+    m->start.assign(1, 0);
+    m->start.reserve(ids.size() + 1);
+    m->ranks.reserve(ids.size());
+  }
+  for (Idx j = 0; j < static_cast<Idx>(ids.size()); ++j) {
+    const Idx s = ids[static_cast<size_t>(j)];
+    const int srow = shape.owner_row(s);
+    const int scol = shape.owner_col(s);
+    const int root = shape.rank_of(srow, scol);
+    row_stamp[static_cast<size_t>(root)] = j;
+    col_stamp[static_cast<size_t>(root)] = j;
+    in_row.ranks.push_back(root);
+    in_col.ranks.push_back(root);
+    const auto first = static_cast<size_t>(pattern.start[static_cast<size_t>(j)]);
+    const auto last = static_cast<size_t>(pattern.start[static_cast<size_t>(j) + 1]);
+    for (size_t q = first; q < last; ++q) {
+      const Idx e = pattern.ids[q];
+      add(in_row, row_stamp, j, shape.rank_of(srow, shape.owner_col(e)));
+      add(in_col, col_stamp, j, shape.rank_of(shape.owner_row(e), scol));
+    }
+    close(in_row);
+    close(in_col);
+  }
 }
 
 /// Each grid rank's roles in the solve `v`: one pass over the reduction
@@ -39,11 +70,17 @@ Solve2dPlan::Roles index_roles(const Solve2dPlan::View& v, const Grid2dShape& sh
   roles.source_start.assign(nranks + 1, 0);
   roles.receives.assign(nranks, 0);
   roles.diag_solves.assign(nranks, 0);
-  for (const auto& members : v.reduce_members) {
-    for (const int r : members) ++roles.target_start[static_cast<size_t>(r) + 1];
+  const auto ntargets = static_cast<Idx>(v.targets().size());
+  const auto nsources = static_cast<Idx>(v.sources().size());
+  for (Idx tp = 0; tp < ntargets; ++tp) {
+    for (const int r : v.reduce_members(tp)) {
+      ++roles.target_start[static_cast<size_t>(r) + 1];
+    }
   }
-  for (const auto& members : v.bcast_members) {
-    for (const int r : members) ++roles.source_start[static_cast<size_t>(r) + 1];
+  for (Idx sp = 0; sp < nsources; ++sp) {
+    for (const int r : v.bcast_members(sp)) {
+      ++roles.source_start[static_cast<size_t>(r) + 1];
+    }
   }
   prefix_sum(roles.target_start);
   prefix_sum(roles.source_start);
@@ -55,12 +92,12 @@ Solve2dPlan::Roles index_roles(const Solve2dPlan::View& v, const Grid2dShape& sh
   // blocks[c]: the target's contributors stored in process column c.
   std::vector<Idx> blocks(static_cast<size_t>(shape.py), 0);
   std::vector<Idx> next(roles.target_start.begin(), roles.target_start.end() - 1);
-  for (Idx tp = 0; tp < static_cast<Idx>(v.targets.size()); ++tp) {
-    const Idx s = v.targets[static_cast<size_t>(tp)];
-    const auto& contributors = v.contributors[static_cast<size_t>(tp)];
+  for (Idx tp = 0; tp < ntargets; ++tp) {
+    const Idx s = v.targets()[static_cast<size_t>(tp)];
+    const auto contributors = v.contributors(tp);
     for (const Idx c : contributors) ++blocks[static_cast<size_t>(shape.owner_col(c))];
     const TreeView t = v.reduce(tp);
-    for (const int r : v.reduce_members[static_cast<size_t>(tp)]) {
+    for (const int r : v.reduce_members(tp)) {
       const Idx children = t.num_children(r);
       const Idx local = shape.owner_row(s) == shape.row_of(r)
                             ? blocks[static_cast<size_t>(shape.col_of(r))]
@@ -75,8 +112,8 @@ Solve2dPlan::Roles index_roles(const Solve2dPlan::View& v, const Grid2dShape& sh
     for (const Idx c : contributors) blocks[static_cast<size_t>(shape.owner_col(c))] = 0;
   }
   next.assign(roles.source_start.begin(), roles.source_start.end() - 1);
-  for (Idx sp = 0; sp < static_cast<Idx>(v.sources.size()); ++sp) {
-    const auto& members = v.bcast_members[static_cast<size_t>(sp)];
+  for (Idx sp = 0; sp < nsources; ++sp) {
+    const auto members = v.bcast_members(sp);
     for (size_t q = 0; q < members.size(); ++q) {
       const auto r = static_cast<size_t>(members[q]);
       roles.sources[static_cast<size_t>(next[r]++)] = sp;
@@ -87,22 +124,6 @@ Solve2dPlan::Roles index_roles(const Solve2dPlan::View& v, const Grid2dShape& sh
 }
 
 }  // namespace
-
-Idx Solve2dPlan::View::target_pos(Idx s) const { return find_pos(targets, s); }
-Idx Solve2dPlan::View::source_pos(Idx s) const { return find_pos(sources, s); }
-
-Solve2dPlan::View Solve2dPlan::view(Triangle tri) const {
-  if (tri == Triangle::kLower) {
-    return {.targets = rows_, .sources = cols_, .seeded_sources = {},
-            .contributors = row_pattern_, .block_index = row_pattern_index_,
-            .dependents = below_, .reduce_members = l_reduce_,
-            .bcast_members = l_bcast_, .kind = kind_};
-  }
-  return {.targets = cols_, .sources = rows_, .seeded_sources = external_rows_,
-          .contributors = below_, .block_index = below_index_,
-          .dependents = row_pattern_, .reduce_members = u_reduce_,
-          .bcast_members = u_bcast_, .kind = kind_};
-}
 
 const Solve2dPlan::Roles& Solve2dPlan::roles(Triangle tri) const {
   if (roles_.empty()) {
@@ -118,74 +139,88 @@ Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKi
       std::adjacent_find(cols.begin(), cols.end()) != cols.end()) {
     throw std::invalid_argument("Solve2dPlan: cols must be sorted unique");
   }
+  const Idx nsup = lu.num_supernodes();
+  const auto check_ids = [nsup](const std::vector<Idx>& ids, const char* name) {
+    for (const Idx s : ids) {
+      if (s < 0 || s >= nsup) {
+        throw std::invalid_argument("Solve2dPlan: " + std::string(name) +
+                                    " holds supernode " + std::to_string(s) +
+                                    ", outside [0, " + std::to_string(nsup) + ")");
+      }
+    }
+  };
+  check_ids(cols, "cols");
+  check_ids(extra_rows, "extra_rows");
   Solve2dPlan p;
   p.lu_ = &lu;
   p.shape_ = shape;
   p.kind_ = kind;
   p.cols_ = std::move(cols);
 
-  // rows = cols ∪ extra_rows (sorted unique).
-  p.rows_ = p.cols_;
-  p.rows_.insert(p.rows_.end(), extra_rows.begin(), extra_rows.end());
-  std::sort(p.rows_.begin(), p.rows_.end());
-  p.rows_.erase(std::unique(p.rows_.begin(), p.rows_.end()), p.rows_.end());
-  for (const Idx r : p.rows_) {
-    if (find_pos(p.cols_, r) == kNoIdx) p.external_rows_.push_back(r);
-  }
-
   const Idx nc = p.num_cols();
-  const Idx nr = p.num_rows();
-  p.below_.resize(static_cast<size_t>(nc));
-  p.below_index_.resize(static_cast<size_t>(nc));
-  p.row_pattern_.resize(static_cast<size_t>(nr));
-  p.row_pattern_index_.resize(static_cast<size_t>(nr));
-
-  // Filter each column's pattern to the tracked rows; record row patterns.
+  p.col_pos_.assign(static_cast<size_t>(nsup), kNoIdx);
   for (Idx cp = 0; cp < nc; ++cp) {
-    const Idx k = p.cols_[static_cast<size_t>(cp)];
-    const auto& full = lu.sym.below[static_cast<size_t>(k)];
-    for (size_t bi = 0; bi < full.size(); ++bi) {
-      const Idx i = full[bi];
-      const Idx rp = find_pos(p.rows_, i);
-      if (rp == kNoIdx) continue;  // outside this solve's scope
-      p.below_[static_cast<size_t>(cp)].push_back(i);
-      p.below_index_[static_cast<size_t>(cp)].push_back(static_cast<Idx>(bi));
-      p.row_pattern_[static_cast<size_t>(rp)].push_back(k);
-      p.row_pattern_index_[static_cast<size_t>(rp)].push_back(static_cast<Idx>(bi));
-    }
+    p.col_pos_[static_cast<size_t>(p.cols_[static_cast<size_t>(cp)])] = cp;
   }
+  // rows = cols ∪ extra_rows, ascending: mark them by id, then number them.
+  p.row_pos_.assign(static_cast<size_t>(nsup), kNoIdx);
+  p.rows_.reserve(p.cols_.size() + extra_rows.size());
+  for (const Idx s : p.cols_) p.row_pos_[static_cast<size_t>(s)] = 0;
+  for (const Idx s : extra_rows) p.row_pos_[static_cast<size_t>(s)] = 0;
+  for (Idx s = 0; s < nsup; ++s) {
+    Idx& rp = p.row_pos_[static_cast<size_t>(s)];
+    if (rp == kNoIdx) continue;
+    rp = p.num_rows();
+    p.rows_.push_back(s);
+    if (p.col_pos_[static_cast<size_t>(s)] == kNoIdx) p.external_rows_.push_back(s);
+  }
+  const Idx nr = p.num_rows();
+
+  // Filter each column's pattern to the tracked rows and record the row
+  // patterns, walking every column's blocks twice: once to count each
+  // list, once to fill it.
+  const auto for_each_block = [&](auto&& fn) {
+    for (Idx cp = 0; cp < nc; ++cp) {
+      const Idx k = p.cols_[static_cast<size_t>(cp)];
+      const auto& full = lu.sym.below[static_cast<size_t>(k)];
+      for (size_t bi = 0; bi < full.size(); ++bi) {
+        const Idx rp = p.row_pos_[static_cast<size_t>(full[bi])];
+        if (rp == kNoIdx) continue;  // outside this solve's scope
+        fn(cp, k, rp, full[bi], static_cast<Idx>(bi));
+      }
+    }
+  };
+  Pattern& below = p.below_;
+  Pattern& rowp = p.row_pattern_;
+  below.start.assign(static_cast<size_t>(nc) + 1, 0);
+  rowp.start.assign(static_cast<size_t>(nr) + 1, 0);
+  for_each_block([&](Idx cp, Idx, Idx rp, Idx, Idx) {
+    ++below.start[static_cast<size_t>(cp) + 1];
+    ++rowp.start[static_cast<size_t>(rp) + 1];
+  });
+  prefix_sum(below.start);
+  prefix_sum(rowp.start);
+  const auto nblocks = static_cast<size_t>(below.start.back());
+  below.ids.resize(nblocks);
+  below.block_index.resize(nblocks);
+  rowp.ids.resize(nblocks);
+  rowp.block_index.resize(nblocks);
+  std::vector<Idx> next_in_row(rowp.start.begin(), rowp.start.end() - 1);
+  size_t at = 0;
+  for_each_block([&](Idx, Idx k, Idx rp, Idx i, Idx bi) {
+    below.ids[at] = i;
+    below.block_index[at] = bi;
+    ++at;
+    const auto r = static_cast<size_t>(next_in_row[static_cast<size_t>(rp)]++);
+    rowp.ids[r] = k;
+    rowp.block_index[r] = bi;
+  });
 
   // Communication trees. Roots are the diagonal owners; members are the
   // grid ranks holding blocks of the column (L broadcast / U reduction) or
   // of the row (L reduction / U broadcast).
-  p.l_bcast_.resize(static_cast<size_t>(nc));
-  p.u_reduce_.resize(static_cast<size_t>(nc));
-  p.l_reduce_.resize(static_cast<size_t>(nr));
-  p.u_bcast_.resize(static_cast<size_t>(nr));
-  for (Idx cp = 0; cp < nc; ++cp) {
-    const Idx k = p.cols_[static_cast<size_t>(cp)];
-    std::vector<int> bcast, ureduce;
-    for (const Idx i : p.below_[static_cast<size_t>(cp)]) {
-      bcast.push_back(shape.rank_of(shape.owner_row(i), shape.owner_col(k)));
-      ureduce.push_back(shape.rank_of(shape.owner_row(k), shape.owner_col(i)));
-    }
-    p.l_bcast_[static_cast<size_t>(cp)] =
-        make_members(shape.diag_owner(k), std::move(bcast));
-    p.u_reduce_[static_cast<size_t>(cp)] =
-        make_members(shape.diag_owner(k), std::move(ureduce));
-  }
-  for (Idx rp = 0; rp < nr; ++rp) {
-    const Idx i = p.rows_[static_cast<size_t>(rp)];
-    std::vector<int> lreduce, ubcast;
-    for (const Idx k : p.row_pattern_[static_cast<size_t>(rp)]) {
-      lreduce.push_back(shape.rank_of(shape.owner_row(i), shape.owner_col(k)));
-      ubcast.push_back(shape.rank_of(shape.owner_row(k), shape.owner_col(i)));
-    }
-    p.l_reduce_[static_cast<size_t>(rp)] =
-        make_members(shape.diag_owner(i), std::move(lreduce));
-    p.u_bcast_[static_cast<size_t>(rp)] =
-        make_members(shape.diag_owner(i), std::move(ubcast));
-  }
+  build_members(p.cols_, below, shape, p.u_reduce_, p.l_bcast_);
+  build_members(p.rows_, rowp, shape, p.l_reduce_, p.u_bcast_);
   if (index_ranks) {
     for (const Triangle tri : {Triangle::kLower, Triangle::kUpper}) {
       p.roles_.push_back(index_roles(p.view(tri), shape));

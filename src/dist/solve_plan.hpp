@@ -16,6 +16,15 @@
 /// the setup precomputation the paper performs on the CPU before the solve.
 /// A plan for the runtime's solvers also indexes each grid rank's roles
 /// (Roles), so no rank scans every target and source to find its own.
+///
+/// Storage is flat: each family of lists (the column patterns and their
+/// block indices, the row patterns, each of the four tree families) is one
+/// items array cut by an offsets array. The patterns are filled by one
+/// pass that counts every list and one that writes it, the member lists
+/// by one pass that stamps each grid rank it has listed. Two dense maps
+/// from supernode id to row and to column position make the build's row
+/// filter and View::target_pos/source_pos O(1); they cost
+/// 2 x num_supernodes() indices per plan, whatever the plan's size.
 
 #include <span>
 #include <vector>
@@ -31,13 +40,29 @@ namespace sptrsv {
 enum class Triangle { kLower, kUpper };
 
 class Solve2dPlan {
+  /// One list of supernode ids per position, stored back to back: list j
+  /// is ids[start[j], start[j + 1]), and block_index[q] is the entry of the
+  /// block ids[q] in lu.sym.below of the panel that stores it.
+  struct Pattern {
+    std::vector<Idx> start;
+    std::vector<Idx> ids;
+    std::vector<Idx> block_index;
+  };
+  /// One tree member list per position, stored back to back like Pattern.
+  struct Members {
+    std::vector<Idx> start;
+    std::vector<int> ranks;
+  };
+
  public:
-  /// Builds a plan. `cols` must be sorted ascending; `rows` must be sorted
-  /// ascending and contain every block row of every column's (filtered)
-  /// pattern that the solve should track. Rows of `cols` are implicitly
-  /// tracked and need not be listed separately.
-  /// Without `index_ranks` the plan has no roles(): gpusim's model walks
-  /// the plan by supernode and rebuilds its plans on every simulation.
+  /// Builds a plan. `cols` must be sorted ascending and unique;
+  /// `extra_rows` lists further block rows whose partial sums the solve
+  /// tracks, in any order. Blocks in any other row are dropped from the
+  /// patterns. Throws std::invalid_argument for unsorted `cols` or a
+  /// supernode id outside [0, lu.num_supernodes()).
+  /// Without `index_ranks` the plan has no roles(). gpusim's model walks
+  /// the plan by supernode and needs none: the role index would add ~5 ms
+  /// to the benchmark's ~50 ms gpu-3d pass, about 10% (4-vCPU Xeon VM).
   static Solve2dPlan build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
                            std::vector<Idx> cols, std::vector<Idx> extra_rows,
                            bool index_ranks = true);
@@ -56,45 +81,78 @@ class Solve2dPlan {
   Idx num_cols() const { return static_cast<Idx>(cols_.size()); }
   Idx num_rows() const { return static_cast<Idx>(rows_.size()); }
 
-  /// The plan's arrays bound by their role in one triangle's solve; see
-  /// view(). Per-target lists are indexed by position into `targets`,
-  /// per-source lists by position into `sources`.
-  struct View {
+  /// The plan's lists bound by their role in one triangle's solve. This is
+  /// the one place the L/U mirror is written down: the L-solve reduces into
+  /// rows and broadcasts columns, the U-solve reduces into columns and
+  /// broadcasts rows, seeded with the external rows' solutions. Per-target
+  /// lists are indexed by position into targets(), per-source lists by
+  /// position into sources(). A View is two words because every rank's
+  /// solve keeps one on its fiber stack: a View of 15 spans raised the
+  /// repo benchmark's cpu-strong-2d peak RSS by ~7 MB (2,048 ranks).
+  class View {
+   public:
     /// Reduced, then solved or handed back as partial sums, ascending.
-    std::span<const Idx> targets;
+    std::span<const Idx> targets() const { return lower_ ? p_->rows_ : p_->cols_; }
     /// Solved, then broadcast to the ranks holding their blocks, ascending.
-    std::span<const Idx> sources;
+    std::span<const Idx> sources() const { return lower_ ? p_->cols_ : p_->rows_; }
     /// Sources whose solution is an input: broadcast, never solved.
-    std::span<const Idx> seeded_sources;
-    /// Per target: supernodes holding a tracked block in the target's block
-    /// row (L) or block column (U), ascending. Aligned `block_index` gives
-    /// each block's entry in lu.sym.below of the panel that stores it.
-    std::span<const std::vector<Idx>> contributors;
-    std::span<const std::vector<Idx>> block_index;
-    /// Per source: the targets whose partial sums its blocks update.
-    std::span<const std::vector<Idx>> dependents;
+    std::span<const Idx> seeded_sources() const {
+      return lower_ ? std::span<const Idx>() : p_->external_rows_;
+    }
+    /// Supernodes holding a tracked block in target `tp`'s block row (L) or
+    /// block column (U), ascending. Aligned block_index(tp) gives each
+    /// block's entry in lu.sym.below of the panel that stores it.
+    std::span<const Idx> contributors(Idx tp) const {
+      return list(target_pattern().start, target_pattern().ids, tp);
+    }
+    std::span<const Idx> block_index(Idx tp) const {
+      return list(target_pattern().start, target_pattern().block_index, tp);
+    }
+    /// The targets whose partial sums source `sp`'s blocks update.
+    std::span<const Idx> dependents(Idx sp) const {
+      const Pattern& p = lower_ ? p_->below_ : p_->row_pattern_;
+      return list(p.start, p.ids, sp);
+    }
     /// Reduction (per target) and broadcast (per source) tree member lists
     /// of §3.3: root first, remaining members ascending (see TreeView).
-    std::span<const std::vector<int>> reduce_members;
-    std::span<const std::vector<int>> bcast_members;
-    TreeKind kind = TreeKind::kBinary;
+    std::span<const int> reduce_members(Idx tp) const {
+      const Members& m = lower_ ? p_->l_reduce_ : p_->u_reduce_;
+      return list(m.start, m.ranks, tp);
+    }
+    std::span<const int> bcast_members(Idx sp) const {
+      const Members& m = lower_ ? p_->l_bcast_ : p_->u_bcast_;
+      return list(m.start, m.ranks, sp);
+    }
+    TreeView reduce(Idx tp) const { return {reduce_members(tp), p_->kind_}; }
+    TreeView bcast(Idx sp) const { return {bcast_members(sp), p_->kind_}; }
+    /// Position of supernode `s` in targets()/sources(); kNoIdx if absent.
+    Idx target_pos(Idx s) const {
+      return position(lower_ ? p_->row_pos_ : p_->col_pos_, s);
+    }
+    Idx source_pos(Idx s) const {
+      return position(lower_ ? p_->col_pos_ : p_->row_pos_, s);
+    }
 
-    /// Position of supernode `s` in targets/sources; kNoIdx if absent.
-    Idx target_pos(Idx s) const;
-    Idx source_pos(Idx s) const;
-    TreeView reduce(Idx tp) const {
-      return {reduce_members[static_cast<size_t>(tp)], kind};
+   private:
+    friend class Solve2dPlan;
+    View(const Solve2dPlan& plan, Triangle tri)
+        : p_(&plan), lower_(tri == Triangle::kLower) {}
+
+    const Pattern& target_pattern() const {
+      return lower_ ? p_->row_pattern_ : p_->below_;
     }
-    TreeView bcast(Idx sp) const {
-      return {bcast_members[static_cast<size_t>(sp)], kind};
+    static Idx position(const std::vector<Idx>& by_id, Idx s) {
+      return s >= 0 && static_cast<size_t>(s) < by_id.size()
+                 ? by_id[static_cast<size_t>(s)]
+                 : kNoIdx;
     }
+
+    const Solve2dPlan* p_;
+    bool lower_;
   };
 
-  /// Binds the plan's arrays to the roles of `tri`'s solve. This is the one
-  /// place the L/U mirror is written down: the L-solve reduces into rows
-  /// and broadcasts columns, the U-solve reduces into columns and
-  /// broadcasts rows, seeded with the external rows' solutions.
-  View view(Triangle tri) const;
+  /// Binds the plan's lists to the roles of `tri`'s solve.
+  View view(Triangle tri) const { return View(*this, tri); }
 
   /// Every grid rank's part in one triangle's solve, derived from view()
   /// once per plan. Per-rank lists are flat arrays cut by `*_start`
@@ -118,24 +176,16 @@ class Solve2dPlan {
     std::vector<Idx> diag_solves;
 
     std::span<const Idx> targets_of(int rank) const {
-      return cut(targets, target_start, rank);
+      return list(target_start, targets, rank);
     }
     std::span<const Idx> pending_of(int rank) const {
-      return cut(pending, target_start, rank);
+      return list(target_start, pending, rank);
     }
     std::span<const Idx> children_of(int rank) const {
-      return cut(children, target_start, rank);
+      return list(target_start, children, rank);
     }
     std::span<const Idx> sources_of(int rank) const {
-      return cut(sources, source_start, rank);
-    }
-
-   private:
-    static std::span<const Idx> cut(const std::vector<Idx>& v,
-                                    const std::vector<Idx>& start, int rank) {
-      const auto r = static_cast<size_t>(rank);
-      return std::span<const Idx>(v).subspan(
-          static_cast<size_t>(start[r]), static_cast<size_t>(start[r + 1] - start[r]));
+      return list(source_start, sources, rank);
     }
   };
 
@@ -154,24 +204,32 @@ class Solve2dPlan {
   }
 
  private:
+  /// List j of lists stored back to back: items[start[j], start[j + 1]).
+  template <class T>
+  static std::span<const T> list(const std::vector<Idx>& start,
+                                 const std::vector<T>& items, Idx j) {
+    const auto b = static_cast<size_t>(start[static_cast<size_t>(j)]);
+    const auto e = static_cast<size_t>(start[static_cast<size_t>(j) + 1]);
+    return std::span<const T>(items).subspan(b, e - b);
+  }
+
   const SupernodalLU* lu_ = nullptr;
   Grid2dShape shape_;
   TreeKind kind_ = TreeKind::kBinary;
   std::vector<Idx> cols_;
   std::vector<Idx> rows_;
   std::vector<Idx> external_rows_;
-  // Per column position: its pattern filtered to rows(), with each entry's
-  // index in lu.sym.below[K]. Per row position: the columns whose pattern
-  // holds it, with the same index. view() binds these by role.
-  std::vector<std::vector<Idx>> below_;
-  std::vector<std::vector<Idx>> below_index_;
-  std::vector<std::vector<Idx>> row_pattern_;
-  std::vector<std::vector<Idx>> row_pattern_index_;
-  std::vector<std::vector<int>> l_bcast_;   // per column
-  std::vector<std::vector<int>> u_reduce_;  // per column
-  std::vector<std::vector<int>> l_reduce_;  // per row
-  std::vector<std::vector<int>> u_bcast_;   // per row
-  std::vector<Roles> roles_;                // by Triangle; empty unless indexed
+  std::vector<Idx> col_pos_;  // by supernode id: position in cols_, or kNoIdx
+  std::vector<Idx> row_pos_;  // by supernode id: position in rows_, or kNoIdx
+  // Per column position: its pattern filtered to rows(). Per row position:
+  // the columns whose pattern holds it. view() binds these by role.
+  Pattern below_;
+  Pattern row_pattern_;
+  Members l_bcast_;   // per column
+  Members u_reduce_;  // per column
+  Members l_reduce_;  // per row
+  Members u_bcast_;   // per row
+  std::vector<Roles> roles_;  // by Triangle; empty unless indexed
 };
 
 /// Supernode id range [first, last) of a tracked tree node's columns.

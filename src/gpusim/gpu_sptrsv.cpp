@@ -189,7 +189,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
   // Build tasks. A supernode's tasks sit on its broadcast tree: the
   // diagonal owner and every GPU holding a block its solution multiplies.
   for (Idx p = 0; p < nc; ++p) {
-    const Idx k = v.sources[static_cast<size_t>(p)];
+    const Idx k = v.sources()[static_cast<size_t>(p)];
     const double wk = part.width(k);
     // With py == 1, tree member grid-ranks coincide with process rows.
     const int diag_gpu = shape.row_of(shape.diag_owner(k));
@@ -199,10 +199,10 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     dt.exists = true;
     dt.is_diag = true;
     dt.diag_flops = 2.0 * wk * wk * nrhs;
-    dt.deps = static_cast<int>(v.contributors[static_cast<size_t>(p)].size());
+    dt.deps = static_cast<int>(v.contributors(p).size());
     dt.ready = t0[static_cast<size_t>(diag_gpu)];
     // GEMV work of every member GPU for this supernode's panel.
-    for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+    for (const Idx i : v.dependents(p)) {
       const int g = shape.owner_row(i);
       PhaseTask& t = task_at(g, p);
       if (!t.exists) {
@@ -228,7 +228,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     // keeps every producer's completion computed before its consumers.
     for (Idx step = 0; step < nc; ++step) {
       const Idx p = tri == Triangle::kLower ? step : nc - 1 - step;
-      const Idx k = v.sources[static_cast<size_t>(p)];
+      const Idx k = v.sources()[static_cast<size_t>(p)];
       const double wk = part.width(k);
       const TreeView bcast = v.bcast(p);
       const double bytes = wk * nrhs * sizeof(Real);
@@ -265,7 +265,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
                   TimeCategory::kXyComm);
         });
         // Feed my local targets' diagonal readiness.
-        for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+        for (const Idx i : v.dependents(p)) {
           if (shape.owner_row(i) != g) continue;
           PhaseTask& t2 = task_at(g, v.target_pos(i));
           t2.ready = std::max(t2.ready, end);
@@ -281,7 +281,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
 
   for (Idx p = 0; p < nc; ++p) {
-    const Idx k = v.sources[static_cast<size_t>(p)];
+    const Idx k = v.sources()[static_cast<size_t>(p)];
     const int diag_gpu = shape.row_of(shape.diag_owner(k));
     PhaseTask& dt = task_at(diag_gpu, p);
     if (dt.exists && dt.deps == 0) queue.push({dt.ready, {diag_gpu, p}});
@@ -298,7 +298,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     queue.pop();
     const auto [g, p] = id;
     PhaseTask& t = task_at(g, p);
-    const Idx k = v.sources[static_cast<size_t>(p)];
+    const Idx k = v.sources()[static_cast<size_t>(p)];
     const double wk = part.width(k);
     const TreeView bcast = v.bcast(p);
     const double bytes = wk * nrhs * sizeof(Real);
@@ -321,7 +321,7 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Triangle tri, Idx nrhs,
     });
 
     // The GEMVs completed here feed the diagonal tasks of my local targets.
-    for (const Idx i : v.dependents[static_cast<size_t>(p)]) {
+    for (const Idx i : v.dependents(p)) {
       if (shape.owner_row(i) != g) continue;
       on_contribution(g, v.target_pos(i), end);
     }

@@ -400,8 +400,8 @@ TEST(ReductionOrder, LSolvePinnedToPlanOrder) {
   for (Idx i = 0; i < n; ++i) {
     const Idx rp = lower.target_pos(i);
     const TreeView t = lower.reduce(rp);
-    const auto& pat = lower.contributors[static_cast<size_t>(rp)];
-    const auto& pidx = lower.block_index[static_cast<size_t>(rp)];
+    const auto pat = lower.contributors(rp);
+    const auto pidx = lower.block_index(rp);
     auto partial = [&](int member) {
       Real s = 0;
       for (size_t pi = 0; pi < pat.size(); ++pi) {
