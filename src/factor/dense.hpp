@@ -7,6 +7,13 @@
 /// bounded by the supernode width cap, so the GEMM and TRSM kernels tile
 /// registers but not caches, and no external BLAS is needed.
 ///
+/// The GEMMs and trsm_right_upper run on register tiles compiled once per
+/// vector width: 16-byte vectors (SSE2 on x86-64) always, and 64-byte
+/// AVX-512F vectors in x86-64 builds (dense_tiles.hpp). The first call
+/// picks the widest width the CPU runs, from CPUID; there is no option or
+/// environment variable (dense_kernels.hpp). The other kernels are plain
+/// loops with the default flags.
+///
 /// Every kernel fixes its summation order, so results are bitwise
 /// reproducible and independent of the tile shape:
 ///  - GEMM: C(i,j) adds A(i,p) * (+/-B(p,j)) one p at a time, in ascending
@@ -19,8 +26,11 @@
 ///  - trsm_left_unit_lower: X(i,j) subtracts L(i,k) * X(k,j) for ascending
 ///    k < i, skipping X(k,j) == 0.
 ///
-/// tests/test_dense.cpp checks each kernel bit for bit against plain
-/// reference loops with these orders.
+/// Every vector width keeps these orders and rounds every multiply and add
+/// on its own (no fused multiply-add), so results do not depend on the CPU
+/// (docs/DETERMINISM.md). tests/test_dense.cpp checks each kernel, and each
+/// compiled width of the tiled ones, bit for bit against plain reference
+/// loops with these orders.
 
 #include <span>
 

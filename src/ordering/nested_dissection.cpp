@@ -187,7 +187,8 @@ namespace {
 /// Recursive ND builder working on global vertex id lists.
 class NdBuilder {
  public:
-  NdBuilder(const Graph& g, const NdOptions& opt) : g_(g), opt_(opt) {
+  NdBuilder(const Graph& g, const NdOptions& opt)
+      : g_(g), opt_(opt), local_(static_cast<size_t>(g.num_vertices()), kNoIdx) {
     const Idx n_nodes = (Idx{1} << (opt.levels + 1)) - 1;
     nodes_.resize(static_cast<size_t>(n_nodes));
     perm_.reserve(static_cast<size_t>(g.num_vertices()));
@@ -224,8 +225,8 @@ class NdBuilder {
 
   /// Splits `verts` by the bisection labels of their induced subgraph.
   void split(const std::vector<Idx>& verts, std::vector<Idx>& a, std::vector<Idx>& b,
-             std::vector<Idx>& s) const {
-    const Graph sub = g_.induced_subgraph(verts);
+             std::vector<Idx>& s) {
+    const Graph sub = g_.induced_subgraph(verts, local_);
     const auto label = bisect_graph(sub, opt_.balance);
     for (size_t i = 0; i < verts.size(); ++i) {
       (label[i] == 0 ? a : label[i] == 1 ? b : s).push_back(verts[i]);
@@ -273,6 +274,9 @@ class NdBuilder {
 
   const Graph& g_;
   NdOptions opt_;
+  /// induced_subgraph's global->local map, all kNoIdx between calls: one
+  /// n-entry map for the whole recursion instead of one per bisection.
+  std::vector<Idx> local_;
   std::vector<Idx> perm_;
   std::vector<NdNode> nodes_;
 };

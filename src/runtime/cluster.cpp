@@ -135,6 +135,13 @@ struct WaitInfo {
   int b = 0;              ///< recv: tag_lo
   int c = 0;              ///< recv: tag_hi (lo >= hi: any tag)
   std::uint64_t ctx = 0;  ///< communicator context id
+
+  /// Whether a published receive wait accepts a message from comm-local
+  /// rank `src` with `tag` on communicator `msg_ctx`.
+  bool accepts(std::uint64_t msg_ctx, int src, int tag) const {
+    return kind == 1 && ctx == msg_ctx && (a == kAnySource || a == src) &&
+           (b >= c || (tag >= b && tag < c));
+  }
 };
 
 /// RAII publication of a WaitInfo around a blocking wait.
@@ -1017,6 +1024,18 @@ class Scheduler {
     }
   }
 
+  /// Lowers the key of a rank that yielded through the commit fence to
+  /// `key`, if that is earlier (no-op otherwise). A delivery calls this when
+  /// the new message matches the yielded receive: the rank can now commit,
+  /// and send, at `key`, so ready_below must see it there.
+  void lower_yielded_key(int rank, double key) {
+    const auto r = static_cast<size_t>(rank);
+    if (state_[r] != State::kReady || !yielded_[r] || key >= key_[r]) return;
+    ready_.erase({key_[r], rank});
+    key_[r] = key;
+    ready_.emplace(key, rank);
+  }
+
   /// True if a READY rank's key is strictly below `key` — i.e. someone
   /// could still execute (and send) at an earlier virtual time. The caller
   /// is RUNNING, so it is never in the ready set itself.
@@ -1682,8 +1701,13 @@ void Comm::send(int dst, int tag, std::vector<Real> data, TimeCategory cat) {
     }
     ctx_->trace.events.push_back(e);
   }
-  cluster->rank(dst_grank).mailbox.push_back(std::move(env));
+  detail::RankCtx& dst_ctx = cluster->rank(dst_grank);
+  const double arrival = env.msg.arrival;
+  dst_ctx.mailbox.push_back(std::move(env));
   cluster->sched().wake(dst_grank);
+  if (dst_ctx.wait.accepts(group_->ctx(), rank_, tag)) {
+    cluster->sched().lower_yielded_key(dst_grank, std::max(dst_ctx.vt, arrival));
+  }
 }
 
 Message Comm::recv(int src, int tag, TimeCategory cat) {

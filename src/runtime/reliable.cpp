@@ -1,6 +1,7 @@
 #include "runtime/reliable.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -75,37 +76,42 @@ void rethrow_with_phase(FaultError& fe, const char* phase) {
   throw FaultError(std::move(r));
 }
 
+namespace {
+
+constexpr std::uint64_t kChecksumBasis = 0xcbf29ce484222325ULL;
+
+/// Folds one 64-bit word into `h`: the xor and the multiply by an odd
+/// constant carry every bit of the word into every higher bit, and the
+/// xor-shift carries the high half back into the low half, so the same
+/// flip in two words does not cancel, as it does in a word-wise FNV-1a,
+/// whose multiply leaves a sign-bit flip a sign-bit flip. Each step is a
+/// bijection of `h` for a given word.
+std::uint64_t mix_word(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+
+/// Folds the payload in one word per Real, then finalizes with SplitMix64
+/// so the last word's bits also reach every output bit.
+std::uint64_t mix_payload(std::uint64_t h, std::span<const Real> data) {
+  for (const Real v : data) h = mix_word(h, std::bit_cast<std::uint64_t>(v));
+  return detail::hash64(h);
+}
+
+}  // namespace
+
 std::uint64_t payload_checksum(std::span<const Real> data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
-  const std::size_t n = data.size() * sizeof(Real);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return mix_payload(mix_word(kChecksumBasis, data.size()), data);
 }
 
 std::uint64_t frame_checksum(int src, int dst, int tag, std::uint64_t seq,
                              std::span<const Real> data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<unsigned char>(v >> (8 * i));
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
-  mix(seq);
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
-  const std::size_t n = data.size() * sizeof(Real);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  std::uint64_t h = kChecksumBasis;
+  h = mix_word(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(src)));
+  h = mix_word(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(dst)));
+  h = mix_word(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
+  h = mix_word(h, seq);
+  return mix_payload(mix_word(h, data.size()), data);
 }
 
 double drop_prob_for(const PerturbationModel& pm, int src, int dst) {

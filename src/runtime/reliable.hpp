@@ -137,13 +137,13 @@ struct FaultError : std::runtime_error {
 /// "sptrsv3d L-solve: retry budget exhausted ...".
 [[noreturn]] void rethrow_with_phase(FaultError& fe, const char* phase);
 
-/// End-to-end payload checksum (FNV-1a over the raw bytes). Stamped on
-/// every envelope while delivery faults are active and verified when the
-/// receiver takes the message.
+/// End-to-end payload checksum over the length and the raw bits of every
+/// word, mixed one 8-byte word per step (multiply and xor-shift) so that
+/// every input bit reaches every output bit.
 std::uint64_t payload_checksum(std::span<const Real> data);
 
-/// Whole-frame checksum: FNV-1a over the frame header (src, dst, tag,
-/// sequence number) before the payload bytes, so a corrupted header cannot
+/// Whole-frame checksum: the same mixing over the frame header (src, dst,
+/// tag, sequence number) before the payload, so a corrupted header cannot
 /// deliver an intact-looking payload to the wrong wait. This is the checksum
 /// the transport actually stamps and verifies; payload_checksum remains for
 /// header-free state images (buddy checkpoints).

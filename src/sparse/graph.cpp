@@ -43,6 +43,13 @@ Graph Graph::from_raw(Idx n, std::vector<Nnz> xadj, std::vector<Idx> adj) {
 
 Graph Graph::induced_subgraph(std::span<const Idx> vertices) const {
   std::vector<Idx> local(static_cast<size_t>(n_), kNoIdx);
+  return induced_subgraph(vertices, local);
+}
+
+Graph Graph::induced_subgraph(std::span<const Idx> vertices, std::span<Idx> local) const {
+  if (local.size() != static_cast<size_t>(n_)) {
+    throw std::invalid_argument("Graph::induced_subgraph: map size != num_vertices()");
+  }
   for (size_t i = 0; i < vertices.size(); ++i) {
     local[static_cast<size_t>(vertices[i])] = static_cast<Idx>(i);
   }
@@ -64,6 +71,7 @@ Graph Graph::induced_subgraph(std::span<const Idx> vertices) const {
       if (lu != kNoIdx) s.adj_[static_cast<size_t>(p++)] = lu;
     }
   }
+  for (const Idx v : vertices) local[static_cast<size_t>(v)] = kNoIdx;
   return s;
 }
 

@@ -37,6 +37,13 @@ class Graph {
   /// (which is just `vertices`) implicitly — callers keep their own copy.
   Graph induced_subgraph(std::span<const Idx> vertices) const;
 
+  /// The same, with a caller-owned global->local map of num_vertices()
+  /// entries that must be all kNoIdx on entry and is all kNoIdx again on
+  /// return. Only the entries of `vertices` are written, so a caller that
+  /// takes many small subgraphs (nested dissection) pays for their sizes,
+  /// not for n per call.
+  Graph induced_subgraph(std::span<const Idx> vertices, std::span<Idx> local) const;
+
   /// Number of connected components.
   Idx num_components() const;
 

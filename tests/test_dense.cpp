@@ -3,9 +3,11 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "factor/dense.hpp"
+#include "factor/dense_kernels.hpp"
 #include "test_support.hpp"
 
 namespace sptrsv {
@@ -54,16 +56,16 @@ void ref_gemm(Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b, Idx ld
   }
 }
 
-/// B (m x n) := B * inv(U), column by column of U.
+/// B (m x n, leading dimension ldb) := B * inv(U), column by column of U.
 void ref_trsm_right_upper(Idx m, Idx n, const std::vector<Real>& lu,
-                          std::vector<Real>& b) {
+                          std::vector<Real>& b, Idx ldb) {
   for (Idx j = 0; j < n; ++j) {
-    Real* bj = b.data() + static_cast<size_t>(j) * m;
+    Real* bj = b.data() + static_cast<size_t>(j) * ldb;
     const Real* uj = lu.data() + static_cast<size_t>(j) * n;
     for (Idx k = 0; k < j; ++k) {
       const Real ukj = uj[k];
       if (ukj == 0.0) continue;
-      const Real* bk = b.data() + static_cast<size_t>(k) * m;
+      const Real* bk = b.data() + static_cast<size_t>(k) * ldb;
       for (Idx i = 0; i < m; ++i) bj[i] -= bk[i] * ukj;
     }
     const Real inv = 1.0 / uj[j];
@@ -169,7 +171,7 @@ TEST(DenseBitwise, TrsmsMatchReference) {
       auto b = random_matrix(rows, w, 70 + static_cast<std::uint64_t>(rows));
       for (size_t e = 0; e < b.size(); e += 7) b[e] = 0.0;
       auto expect = b;
-      ref_trsm_right_upper(rows, w, lu, expect);
+      ref_trsm_right_upper(rows, w, lu, expect, rows);
       trsm_right_upper(rows, w, lu, b);
       EXPECT_TRUE(test::bitwise_equal(b, expect))
           << "trsm_right_upper rows=" << rows << " w=" << w;
@@ -189,13 +191,13 @@ TEST(DenseBitwise, TrsmsOnRowAndColumnRangesMatchWholePanel) {
   // factor_supernodal splits a step's L panel into row ranges and its U
   // panel into column ranges. Split in two at every point, each TRSM must
   // give the reference bits of the whole panel.
-  constexpr Idx m = 37;  // four 8-row tiles, a pair and an odd row
+  constexpr Idx m = 37;  // full tiles of both widths, then narrower remainder tiles
   for (const Idx w : {1, 5, 96}) {
     const auto lu = sparse_lu(w, 90 + static_cast<std::uint64_t>(w));
     auto b0 = random_matrix(m, w, 95 + static_cast<std::uint64_t>(w));
     for (size_t e = 0; e < b0.size(); e += 7) b0[e] = 0.0;
     auto expect = b0;
-    ref_trsm_right_upper(m, w, lu, expect);
+    ref_trsm_right_upper(m, w, lu, expect, m);
     auto x0 = random_matrix(w, m, 99 + static_cast<std::uint64_t>(w));
     for (size_t e = 0; e < x0.size(); e += 5) x0[e] = 0.0;
     auto expect_x = x0;
@@ -216,6 +218,122 @@ TEST(DenseBitwise, TrsmsOnRowAndColumnRangesMatchWholePanel) {
     }
   }
 }
+
+// Every compiled vector width, bit for bit. The public functions reach only
+// the width this CPU dispatches to, so these run the same reference checks
+// on each width's table directly, skipping a width the CPU cannot run.
+
+using detail::DenseKernels;
+
+class DenseWidth : public ::testing::TestWithParam<const DenseKernels*> {
+ protected:
+  void SetUp() override {
+    if (!GetParam()->cpu_supports()) {
+      GTEST_SKIP() << "this CPU lacks " << GetParam()->isa;
+    }
+  }
+  const DenseKernels& kern() const { return *GetParam(); }
+};
+
+/// gemm_matches_reference on one width's kernels.
+::testing::AssertionResult width_gemm_matches_reference(const DenseKernels& kern,
+                                                        int sign, Idx m, Idx k, Idx n,
+                                                        const std::vector<Real>& b,
+                                                        std::uint64_t seed) {
+  const Idx lda = m + 3, ldb = k + 2, ldc = m + 5;
+  const auto a = random_matrix(lda, k, seed);
+  auto c = random_matrix(ldc, n, seed + 1);
+  auto expect = c;
+  if (sign < 0) {
+    ref_gemm<-1>(m, k, n, a.data(), lda, b.data(), ldb, expect.data(), ldc);
+    kern.gemm_minus_ld(m, k, n, a.data(), lda, b.data(), ldb, c.data(), ldc);
+  } else {
+    ref_gemm<+1>(m, k, n, a.data(), lda, b.data(), ldb, expect.data(), ldc);
+    kern.gemm_plus_ld(m, k, n, a.data(), lda, b.data(), ldb, c.data(), ldc);
+  }
+  return test::bitwise_equal(c, expect);
+}
+
+TEST(DenseWidths, SixteenByteWidthComesFirstAndDispatchTakesTheWidestSupported) {
+  const auto widths = detail::dense_kernel_widths();
+  ASSERT_FALSE(widths.empty());
+  EXPECT_EQ(widths.front()->vector_bytes, 16);
+  EXPECT_TRUE(widths.front()->cpu_supports());
+  const DenseKernels* widest = widths.front();
+  for (const DenseKernels* k : widths) {
+    EXPECT_GE(k->vector_bytes, widest->vector_bytes) << k->isa;
+    if (k->cpu_supports()) widest = k;
+  }
+  EXPECT_EQ(&detail::dense_kernels(), widest);
+  EXPECT_EQ(&detail::dense_kernels(), &detail::dense_kernels());  // chosen once
+}
+
+TEST_P(DenseWidth, GemmMatchesReferenceAtEveryRowCount) {
+  // Every row count up to two of the tallest tiles plus three, so each
+  // remainder tile runs after full tiles and alone. B has an all-zero
+  // column and zero entries (+0 and -0) inside the others.
+  const Idx kMaxRows = 2 * kern().max_tile_rows + 3;
+  std::uint64_t seed = 300;
+  for (const Idx n : {1, 2, 8, 50}) {
+    for (const Idx k : {1, 9}) {
+      const Idx ldb = k + 2;
+      auto b = random_matrix(ldb, n, seed++);
+      if (n > 1) {
+        for (Idx p = 0; p < k; ++p) b[static_cast<size_t>(n / 2) * ldb + p] = 0.0;
+      }
+      for (size_t e = 0; e < b.size(); e += 5) b[e] = (e % 2 == 0) ? 0.0 : -0.0;
+      for (Idx m = 1; m <= kMaxRows; ++m) {
+        EXPECT_TRUE(width_gemm_matches_reference(kern(), -1, m, k, n, b, seed++))
+            << kern().isa << " minus m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(width_gemm_matches_reference(kern(), +1, m, k, n, b, seed++))
+            << kern().isa << " plus m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(DenseWidth, GemmMatchesReferenceAtEveryShape) {
+  const Idx sizes[] = {0, 1, 2, 3, 7, 8, 9, 17, 96};
+  std::uint64_t seed = 100;
+  for (const Idx m : sizes) {
+    for (const Idx k : sizes) {
+      for (const Idx n : sizes) {
+        const auto b = random_matrix(k + 2, n, seed++);
+        EXPECT_TRUE(width_gemm_matches_reference(kern(), -1, m, k, n, b, seed++))
+            << kern().isa << " minus m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(width_gemm_matches_reference(kern(), +1, m, k, n, b, seed++))
+            << kern().isa << " plus m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(DenseWidth, TrsmRightUpperMatchesReferenceAtEveryRowCount) {
+  // Row counts as in the GEMM case; U has exact zeros off the diagonal and
+  // B zero entries. The panel's leading dimension exceeds its row count,
+  // and the padding must keep its bits.
+  const Idx kMaxRows = 2 * kern().max_tile_rows + 3;
+  for (const Idx w : {1, 2, 8, 50}) {
+    const auto lu = sparse_lu(w, 400 + static_cast<std::uint64_t>(w));
+    for (Idx rows = 1; rows <= kMaxRows; ++rows) {
+      const Idx ldb = rows + 3;
+      auto b = random_matrix(ldb, w, 500 + static_cast<std::uint64_t>(rows));
+      for (size_t e = 0; e < b.size(); e += 7) b[e] = 0.0;
+      auto expect = b;
+      ref_trsm_right_upper(rows, w, lu, expect, ldb);
+      kern().trsm_right_upper_ld(rows, w, lu.data(), b.data(), ldb);
+      EXPECT_TRUE(test::bitwise_equal(b, expect))
+          << kern().isa << " rows=" << rows << " w=" << w;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CompiledWidths, DenseWidth,
+                         ::testing::ValuesIn(detail::dense_kernel_widths().begin(),
+                                             detail::dense_kernel_widths().end()),
+                         [](const ::testing::TestParamInfo<const DenseKernels*>& info) {
+                           return std::string(info.param->isa);
+                         });
 
 TEST(Dense, GemmMinusMatchesNaive) {
   const Idx m = 5, k = 4, n = 3;

@@ -61,6 +61,54 @@ TEST(DetScheduler, WildcardTakesGloballyEarliestArrival) {
   }
 }
 
+TEST(DetScheduler, MessageToAYieldedRankLowersItsKey) {
+  // Rank 1 yields on its wildcard receive while only rank 3's late message
+  // (arrival ~83.5 us) is queued. Rank 0's message then reaches it with an
+  // earlier arrival, so rank 1 can still run early and send rank 2 a
+  // message arriving at 9.5 us, long before rank 3's 53.5 us one. Rank 2's
+  // wildcard receives must take the two in arrival order under every
+  // policy: the delivery to the yielded rank has to lower its ready key.
+  auto program = [](Comm& c) {
+    switch (c.rank()) {
+      case 3:
+        c.send(0, 0, {3.0});
+        c.advance(50e-6, TimeCategory::kOther);
+        c.send(2, 2, {3.0});
+        c.advance(30e-6, TimeCategory::kOther);
+        c.send(1, 1, {3.0});
+        break;
+      case 0:
+        c.recv(3, 0);
+        c.send(1, 1, {0.0});
+        break;
+      case 1:
+        c.recv(kAnySource, 1);
+        c.send(2, 2, {1.0});
+        break;
+      case 2: {
+        const Message first = c.recv(kAnySource, 2);
+        const Message second = c.recv(kAnySource, 2);
+        EXPECT_EQ(first.src, 1) << "receive out of arrival order";
+        EXPECT_EQ(second.src, 3);
+        EXPECT_LT(first.arrival, second.arrival);
+        break;
+      }
+    }
+  };
+  Cluster::run(4, test_machine(), program, kDet);
+  for (const SchedulePolicy policy :
+       {SchedulePolicy::kRandomPriority, SchedulePolicy::kDelayBounded}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "policy " << static_cast<int>(policy)
+                                        << " seed " << seed);
+      RunOptions opts;
+      opts.schedule = policy;
+      opts.schedule_seed = seed;
+      Cluster::run(4, test_machine(), program, opts);
+    }
+  }
+}
+
 TEST(DetScheduler, FingerprintStableAcrossRuns) {
   // Messy all-to-all traffic with wildcard receives; three runs must agree
   // on every statistic bit.

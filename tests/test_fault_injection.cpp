@@ -20,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/sparse_allreduce.hpp"
@@ -103,6 +105,35 @@ TEST(Transport, FrameChecksumCoversTheHeader) {
   // Header mixing is positional, not a plain byte concatenation: swapping
   // src and dst changes the digest even though the byte multiset matches.
   EXPECT_NE(frame_checksum(1, 0, 7, 5, payload), frame_checksum(0, 1, 7, 5, payload));
+}
+
+TEST(Transport, ChecksumsSeeEveryBitAndPairedSignFlips) {
+  std::vector<Real> payload(17);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = 1.0 / static_cast<Real>(i + 3);
+  const std::uint64_t clean = payload_checksum(payload);
+  const std::uint64_t frame = frame_checksum(0, 1, 7, 5, payload);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      auto flipped = payload;
+      flipped[i] = std::bit_cast<Real>(std::bit_cast<std::uint64_t>(flipped[i]) ^
+                                       (std::uint64_t{1} << bit));
+      EXPECT_NE(clean, payload_checksum(flipped)) << "word " << i << " bit " << bit;
+      EXPECT_NE(frame, frame_checksum(0, 1, 7, 5, flipped)) << "word " << i << " bit " << bit;
+    }
+  }
+  // The sign bits of two different words: a word-wise FNV-1a cancels this
+  // pair, because its multiply turns a sign-bit flip into a sign-bit flip.
+  for (const auto& [i, j] : {std::pair<size_t, size_t>{0, 1}, {3, 4}, {2, 16}}) {
+    auto flipped = payload;
+    flipped[i] = -flipped[i];
+    flipped[j] = -flipped[j];
+    EXPECT_NE(clean, payload_checksum(flipped)) << "words " << i << " and " << j;
+    EXPECT_NE(frame, frame_checksum(0, 1, 7, 5, flipped)) << "words " << i << " and " << j;
+  }
+  // A trailing zero word changes the length, not any bit already hashed.
+  auto longer = payload;
+  longer.push_back(0.0);
+  EXPECT_NE(clean, payload_checksum(longer));
 }
 
 TEST(Transport, LinkFaultsPickWorstMatch) {

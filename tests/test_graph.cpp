@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sparse/generators.hpp"
 #include "sparse/graph.hpp"
 
@@ -44,6 +47,26 @@ TEST(Graph, InducedSubgraphRelabelsLocally) {
       EXPECT_LT(u, s.num_vertices());
     }
   }
+}
+
+TEST(Graph, InducedSubgraphWithCallerMapMatchesAndResetsTheMap) {
+  const Graph g = Graph::from_matrix(make_grid2d(5, 4, Stencil2d::kNinePoint));
+  std::vector<Idx> local(static_cast<size_t>(g.num_vertices()), kNoIdx);
+  const std::vector<std::vector<Idx>> subsets{
+      {0, 1, 2, 5, 6}, {19, 3, 7, 11}, {}, {4, 8, 12, 16, 9, 13, 17}};
+  for (const auto& verts : subsets) {
+    const Graph expect = g.induced_subgraph(verts);
+    const Graph s = g.induced_subgraph(verts, local);
+    ASSERT_EQ(s.num_vertices(), expect.num_vertices());
+    for (Idx v = 0; v < s.num_vertices(); ++v) {
+      const auto got = s.neighbors(v);
+      const auto want = expect.neighbors(v);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    }
+    for (const Idx l : local) ASSERT_EQ(l, kNoIdx) << "map not reset after a call";
+  }
+  std::vector<Idx> short_map(3, kNoIdx);
+  EXPECT_THROW(g.induced_subgraph(subsets[0], short_map), std::invalid_argument);
 }
 
 TEST(Graph, ComponentsOfConnectedGrid) {
