@@ -16,7 +16,9 @@
 #include "dist/solve_plan.hpp"
 #include "factor/dense.hpp"
 #include "factor/supernodal_lu.hpp"
+#include "ordering/nested_dissection.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/graph.hpp"
 #include "sparse/paper_matrices.hpp"
 
 namespace sptrsv {
@@ -199,6 +201,30 @@ void BM_FactorSupernodal(benchmark::State& state) {
   state.SetLabel(paper_matrix_name(pm));
 }
 BENCHMARK(BM_FactorSupernodal)
+    ->Arg(static_cast<int>(PaperMatrix::kGa19As19H42))
+    ->Arg(static_cast<int>(PaperMatrix::kS2D9pt2048))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+void BM_NestedDissection(benchmark::State& state) {
+  // The ordering analyze_and_factor runs on a kSmall Table-1 stand-in (3
+  // ND levels), whose top splits fork on the pool of one thread per CPU of
+  // the affinity mask. Real and CPU time as in BM_FactorSupernodal. Arg0 =
+  // PaperMatrix.
+  const auto pm = static_cast<PaperMatrix>(state.range(0));
+  const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kSmall);
+  const Graph g =
+      Graph::from_matrix(a.has_symmetric_pattern() ? a : a.symmetrized_pattern());
+  NdOptions opt;
+  opt.levels = 3;
+  for (auto _ : state) {
+    const NdOrdering nd = nested_dissection(g, opt);
+    benchmark::DoNotOptimize(nd.perm.data());
+  }
+  state.SetLabel(paper_matrix_name(pm));
+}
+BENCHMARK(BM_NestedDissection)
     ->Arg(static_cast<int>(PaperMatrix::kGa19As19H42))
     ->Arg(static_cast<int>(PaperMatrix::kS2D9pt2048))
     ->Unit(benchmark::kMillisecond)

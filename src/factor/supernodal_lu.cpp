@@ -1,22 +1,17 @@
 #include "factor/supernodal_lu.hpp"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cassert>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <span>
 #include <string>
 
 #include "ordering/etree.hpp"
+#include "sparse/step_pool.hpp"
 #include "symbolic/colcounts.hpp"
 
 namespace sptrsv {
@@ -139,178 +134,224 @@ SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym) 
   return f;
 }
 
-// Both constants were picked by timing analyze_and_factor on the repo
+// kParallelFlops was picked by timing analyze_and_factor on the repo
 // benchmark's 256^2 9-point grid and its 3000-vertex dense-LU input (4-vCPU
-// VM, GCC 12, medians of 4 rounds). Serial: 0.50 s and 1.55 s. At 1e5
-// flops and 200 us: 0.31 s and 0.38 s. Raising the threshold to 1e6 read
-// 0.38 s on the grid; 50 us and 1000 us spins read within noise of 200 us.
+// VM, GCC 12, medians of 4 rounds), when every step ran on the pool. Serial:
+// 0.50 s and 1.55 s. At 1e5 flops: 0.31 s and 0.38 s. Raising it to 1e6
+// read 0.38 s on the grid.
 
-/// A step of factor_supernodal (or its pass of diagonal inverses) runs on
-/// the pool once its flops reach this; lighter work runs on the calling
-/// thread alone, where a fork-join costs more than it saves.
+/// A run of factor_supernodal (the subtree phase, a top step, a flush of
+/// deferred updates or the pass of diagonal inverses) goes to the pool once
+/// its flops reach this; lighter work runs on the calling thread alone,
+/// where a fork-join costs more than it saves.
 constexpr double kParallelFlops = 1e5;
 
-/// How long an idle worker spins for the next run before it sleeps. A run
-/// that opens while a worker sleeps wakes it, but starts without it.
-constexpr std::chrono::microseconds kSpinBeforeSleep{200};
+/// The subtree phase splits the elimination tree until no subtree holds
+/// more than total flops / (kSubtreesPerThread x threads), so that claiming
+/// the subtrees heaviest first leaves every thread a balanced share.
+constexpr double kSubtreesPerThread = 4;
 
-/// CPUs in the calling thread's affinity mask; 1 if it cannot be read.
-int affinity_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) != 0) return 1;
-  return std::max(1, CPU_COUNT(&set));
+/// Threads worth using on `flops` of work: all of the pool's, or the caller
+/// alone if the work is too light.
+int threads_for(const StepPool& pool, double flops) {
+  return flops >= kParallelFlops ? pool.threads() : 1;
 }
 
-void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
+/// Estimated flops of step K: its diagonal LU, its two panel TRSMs and its
+/// Schur updates.
+double step_flops(const SymbolicStructure& sym, Idx k) {
+  const double w = sym.part.width(k);
+  const double r = sym.panel_rows[static_cast<size_t>(k)];
+  return 2.0 / 3.0 * w * w * w + 2.0 * r * w * (w + r);
 }
 
-/// The fork-join pool one factor_supernodal call owns. A parallel run
-/// calls task(t) once for every t in [0, n), on the caller and on every
-/// worker that joins while the run is open, and returns when all n calls
-/// have returned. Tasks are claimed from one counter, so which thread runs
-/// which task differs from run to run; the caller keeps the results
-/// independent of that by giving each task of a run memory no other task
-/// of it touches.
-///
-/// The workers, one per CPU of the caller's affinity mask beyond its own,
-/// start at the first parallel run and are joined by the destructor, so none
-/// outlives the call, whether it returns or throws. Between runs a worker
-/// spins for kSpinBeforeSleep, then sleeps until the next run opens. A run
-/// closes when the caller runs out of tasks; it then waits only for the
-/// workers that joined it, never for one still waking up. Workers neither
-/// allocate nor throw (a thread's first malloc creates a glibc arena),
-/// which is why they are bare pthreads: std::thread frees its start state
-/// on the new thread.
-class StepPool {
- public:
-  StepPool() : threads_(affinity_cpus()) {}
-  StepPool(const StepPool&) = delete;
-  StepPool& operator=(const StepPool&) = delete;
+std::runtime_error pivot_error(Idx k) {
+  return std::runtime_error("factor_supernodal: zero or non-finite pivot in supernode " +
+                            std::to_string(k));
+}
 
-  ~StepPool() {
-    {
-      const std::lock_guard lock(mu_);
-      stop_.store(true, std::memory_order_relaxed);
-    }
-    wake_.notify_all();
-    for (const pthread_t& t : std::span(workers_.get(), started_)) pthread_join(t, nullptr);
-  }
-
-  /// Threads worth using on `flops` of work: every one the pool may run,
-  /// the caller included, or the caller alone if the work is too light.
-  int threads_for(double flops) const { return flops >= kParallelFlops ? threads_ : 1; }
-
-  /// Calls task(t) for every t in [0, n): on the pool, or in ascending t on
-  /// the caller if `threads` is 1.
-  template <class Task>
-  void run(int threads, std::int64_t n, const Task& task) {
-    if (threads == 1) {
-      for (std::int64_t t = 0; t < n; ++t) task(t);
-      return;
-    }
-    run_erased(n, [](const void* f, std::int64_t t) { (*static_cast<const Task*>(f))(t); },
-               &task);
-  }
-
- private:
-  void run_erased(std::int64_t n, void (*call)(const void*, std::int64_t), const void* task) {
-    if (workers_ == nullptr) start_workers();
-    ntasks_ = n;
-    call_ = call;
-    task_ = task;
-    next_.store(0, std::memory_order_relaxed);
-    const std::uint64_t open = epoch_.load(std::memory_order_relaxed) + 1;
-    epoch_.store(open);  // odd: open
-    if (sleepers_.load() > 0) {
-      {
-        const std::lock_guard lock(mu_);
-        ++wakes_;
-      }
-      wake_.notify_all();
-    }
-    drain();
-    epoch_.store(open + 1);  // even: closed, so no worker joins from here on
-    for (unsigned spins = 1; joined_.load(std::memory_order_acquire) > 0; ++spins) {
-      if (spins % 1024 == 0) {
-        sched_yield();  // a worker that joined may have lost its CPU
-      } else {
-        cpu_relax();
-      }
-    }
-  }
-
-  void start_workers() {
-    workers_ = std::make_unique<pthread_t[]>(static_cast<size_t>(threads_ - 1));
-    while (started_ < threads_ - 1 &&
-           pthread_create(&workers_[started_], nullptr, &StepPool::worker_main, this) == 0) {
-      ++started_;  // on failure, run with the workers that did start
-    }
-  }
-
-  static void* worker_main(void* pool) {
-    static_cast<StepPool*>(pool)->work();
-    return nullptr;
-  }
-
-  void work() {
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t seen = 0;
-    auto sleep_at = Clock::now() + kSpinBeforeSleep;
-    for (unsigned spins = 1; !stop_.load(std::memory_order_relaxed); ++spins) {
-      const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-      if (e != seen && e % 2 == 1) {
-        // Join the open run unless it closed in between: the caller closes
-        // before it reads joined_, so either it sees this worker or this
-        // worker sees the run closed.
-        joined_.fetch_add(1);
-        if (epoch_.load() == e) drain();
-        joined_.fetch_sub(1, std::memory_order_release);
-        seen = e;
-        sleep_at = Clock::now() + kSpinBeforeSleep;
-      } else if (spins % 64 != 0 || Clock::now() < sleep_at) {
-        cpu_relax();
-      } else {
-        // The caller opens a run before it reads sleepers_, so either it
-        // wakes this worker or this worker sees the run open and stays up.
-        std::unique_lock lock(mu_);
-        const std::uint64_t wakes = wakes_;
-        sleepers_.fetch_add(1);
-        if (epoch_.load() == e) {
-          wake_.wait(lock, [&] { return stop_.load() || wakes_ != wakes; });
-        }
-        sleepers_.fetch_sub(1);
-        sleep_at = Clock::now() + kSpinBeforeSleep;
-      }
-    }
-  }
-
-  void drain() {
-    for (std::int64_t t = next_.fetch_add(1, std::memory_order_relaxed); t < ntasks_;
-         t = next_.fetch_add(1, std::memory_order_relaxed)) {
-      call_(task_, t);
-    }
-  }
-
-  const int threads_;
-  // The current run, written by the caller before it opens the run.
-  std::int64_t ntasks_ = 0;
-  void (*call_)(const void*, std::int64_t) = nullptr;
-  const void* task_ = nullptr;
-  alignas(64) std::atomic<std::int64_t> next_{0};
-  alignas(64) std::atomic<std::uint64_t> epoch_{0};  ///< odd while a run is open
-  alignas(64) std::atomic<int> joined_{0};           ///< workers inside the open run
-  std::atomic<int> sleepers_{0};
-  std::mutex mu_;
-  std::uint64_t wakes_ = 0;  ///< guarded by mu_; bumped to wake the sleepers
-  std::atomic<bool> stop_{false};  ///< set under mu_
-  std::condition_variable wake_;
-  std::unique_ptr<pthread_t[]> workers_;
-  int started_ = 0;
+/// How factor_supernodal splits the supernodal elimination tree
+/// (`sym.sn_parent`). A supernode is *top* when the flops of its subtree
+/// exceed the limit; every other supernode falls into the subtree of its
+/// highest ancestor that is not top. A subtree holds all descendants of its
+/// root, so every Schur update into a block it owns comes from its own
+/// steps.
+struct SubtreePlan {
+  /// Supernodes of subtree s in ascending order:
+  /// members[begin[s], begin[s + 1]). Subtrees are listed heaviest first.
+  std::vector<Idx> begin;
+  std::vector<Idx> members;
+  std::vector<Idx> top;      ///< top supernodes, ascending
+  std::vector<char> is_top;  ///< per supernode
+  /// Per supernode: the number of top supernodes below its index. For a top
+  /// supernode that is its position in `top`; for any other, the top step
+  /// before which its deferred updates run.
+  std::vector<Idx> tops_before;
+  double flops = 0;  ///< the subtrees' estimated flops
 };
+
+/// Splits until no subtree's flops exceed total / (kSubtreesPerThread x
+/// threads). With one thread (one CPU, or too few flops for the pool) every
+/// supernode is top, so factor_supernodal runs its serial loop.
+SubtreePlan plan_subtrees(const SymbolicStructure& sym, const StepPool& pool) {
+  const Idx nsup = sym.num_supernodes();
+  const auto n = static_cast<size_t>(nsup);
+  std::vector<double> flops(n, 0.0);  // of each supernode's subtree
+  double total = 0;
+  for (Idx k = 0; k < nsup; ++k) {  // a parent's index exceeds its children's
+    const double fk = step_flops(sym, k);
+    flops[static_cast<size_t>(k)] += fk;
+    total += fk;
+    if (const Idx p = sym.sn_parent[static_cast<size_t>(k)]; p != kNoIdx) {
+      flops[static_cast<size_t>(p)] += flops[static_cast<size_t>(k)];
+    }
+  }
+  const int threads = threads_for(pool, total);
+  const double limit = threads == 1 ? -1.0 : total / (kSubtreesPerThread * threads);
+
+  SubtreePlan plan;
+  plan.is_top.resize(n);
+  plan.tops_before.resize(n);
+  for (Idx k = 0; k < nsup; ++k) {
+    plan.tops_before[static_cast<size_t>(k)] = static_cast<Idx>(plan.top.size());
+    plan.is_top[static_cast<size_t>(k)] = flops[static_cast<size_t>(k)] > limit;
+    if (plan.is_top[static_cast<size_t>(k)]) plan.top.push_back(k);
+  }
+
+  // The root of each other supernode's subtree, parents first.
+  std::vector<Idx> root(n, kNoIdx);
+  std::vector<Idx> roots;
+  for (Idx k = nsup - 1; k >= 0; --k) {
+    if (plan.is_top[static_cast<size_t>(k)]) continue;
+    const Idx p = sym.sn_parent[static_cast<size_t>(k)];
+    const bool is_root = p == kNoIdx || plan.is_top[static_cast<size_t>(p)];
+    root[static_cast<size_t>(k)] = is_root ? k : root[static_cast<size_t>(p)];
+    if (is_root) {
+      roots.push_back(k);
+      plan.flops += flops[static_cast<size_t>(k)];
+    }
+  }
+  std::sort(roots.begin(), roots.end(), [&](Idx x, Idx y) {
+    const double fx = flops[static_cast<size_t>(x)];
+    const double fy = flops[static_cast<size_t>(y)];
+    return fx != fy ? fx > fy : x < y;
+  });
+
+  // Subtree s holds the supernodes whose root is roots[s].
+  std::vector<Idx> sub(n, kNoIdx);
+  for (size_t s = 0; s < roots.size(); ++s) {
+    sub[static_cast<size_t>(roots[s])] = static_cast<Idx>(s);
+  }
+  plan.begin.assign(roots.size() + 1, 0);
+  for (Idx k = 0; k < nsup; ++k) {
+    if (plan.is_top[static_cast<size_t>(k)]) continue;
+    sub[static_cast<size_t>(k)] = sub[static_cast<size_t>(root[static_cast<size_t>(k)])];
+    ++plan.begin[static_cast<size_t>(sub[static_cast<size_t>(k)]) + 1];
+  }
+  std::partial_sum(plan.begin.begin(), plan.begin.end(), plan.begin.begin());
+  plan.members.resize(static_cast<size_t>(plan.begin.back()));
+  std::vector<Idx> next(plan.begin.begin(), plan.begin.end() - 1);
+  for (Idx k = 0; k < nsup; ++k) {
+    if (plan.is_top[static_cast<size_t>(k)]) continue;
+    Idx& slot = next[static_cast<size_t>(sub[static_cast<size_t>(k)])];
+    plan.members[static_cast<size_t>(slot++)] = k;
+  }
+  return plan;
+}
+
+/// How many leading entries of below[k] lie in the subtree of k, a
+/// supernode that is not top. The rest are top supernodes: they are the
+/// ancestors of its subtree's root.
+Idx blocks_in_subtree(const SymbolicStructure& sym, const SubtreePlan& plan, Idx k) {
+  const auto& blist = sym.below[static_cast<size_t>(k)];
+  return static_cast<Idx>(
+      std::partition_point(blist.begin(), blist.end(),
+                           [&](Idx i) { return !plan.is_top[static_cast<size_t>(i)]; }) -
+      blist.begin());
+}
+
+/// A Schur update a subtree's step k makes to a block that a top supernode
+/// owns: pair (bi, bj) of below[k] (schur_update). The subtree phase leaves
+/// it to phase 2.
+struct Deferred {
+  Idx k;
+  Idx bi;
+  Idx bj;
+};
+
+/// The deferred updates in the order phase 2 runs them. Flush f, which runs
+/// before top step f, holds the updates of the steps between top supernodes
+/// f - 1 and f, grouped by target block: groups [flush_begin[f],
+/// flush_begin[f + 1]), group g being updates[group_begin[g],
+/// group_begin[g + 1]) in ascending k.
+struct DeferredPlan {
+  std::vector<Deferred> updates;
+  std::vector<std::int64_t> group_begin;
+  std::vector<std::int64_t> flush_begin;
+  std::vector<double> flush_flops;
+};
+
+/// Stable counting sort of `v` by key(v[i]) in [0, nkeys); `tmp` is scratch.
+template <class Key>
+void sort_by_key(std::vector<Deferred>& v, std::vector<Deferred>& tmp, Idx nkeys,
+                 const Key& key) {
+  std::vector<std::int64_t> at(static_cast<size_t>(nkeys) + 1, 0);
+  for (const Deferred& u : v) ++at[static_cast<size_t>(key(u)) + 1];
+  std::partial_sum(at.begin(), at.end(), at.begin());
+  tmp.resize(v.size());
+  for (const Deferred& u : v) tmp[static_cast<size_t>(at[static_cast<size_t>(key(u))]++)] = u;
+  v.swap(tmp);
+}
+
+DeferredPlan plan_deferred(const SymbolicStructure& sym, const SubtreePlan& plan) {
+  const Idx nsup = sym.num_supernodes();
+  const auto ntop = static_cast<Idx>(plan.top.size());
+  DeferredPlan d;
+  size_t count = 0;
+  for (const Idx k : plan.members) {
+    const auto m = sym.below[static_cast<size_t>(k)].size() -
+                   static_cast<size_t>(blocks_in_subtree(sym, plan, k));
+    count += m * m;
+  }
+  d.updates.reserve(count);
+  for (Idx k = 0; k < nsup; ++k) {  // ascending k, which the stable sorts keep
+    if (plan.is_top[static_cast<size_t>(k)]) continue;
+    const auto nb = static_cast<Idx>(sym.below[static_cast<size_t>(k)].size());
+    const Idx p = blocks_in_subtree(sym, plan, k);
+    for (Idx bi = p; bi < nb; ++bi) {
+      for (Idx bj = p; bj < nb; ++bj) d.updates.push_back({k, bi, bj});
+    }
+  }
+  // Sort by (flush, row block, column block) as three stable passes.
+  const auto tops_before = [&](Idx k) { return plan.tops_before[static_cast<size_t>(k)]; };
+  const auto block = [&](Idx k, Idx b) {
+    return sym.below[static_cast<size_t>(k)][static_cast<size_t>(b)];
+  };
+  std::vector<Deferred> tmp;
+  sort_by_key(d.updates, tmp, ntop,
+              [&](const Deferred& u) { return tops_before(block(u.k, u.bj)); });
+  sort_by_key(d.updates, tmp, ntop,
+              [&](const Deferred& u) { return tops_before(block(u.k, u.bi)); });
+  sort_by_key(d.updates, tmp, ntop, [&](const Deferred& u) { return tops_before(u.k); });
+
+  d.flush_begin.assign(static_cast<size_t>(ntop) + 1, 0);
+  d.flush_flops.assign(static_cast<size_t>(ntop), 0.0);
+  std::array<Idx, 3> prev{kNoIdx, kNoIdx, kNoIdx};
+  for (size_t u = 0; u < d.updates.size(); ++u) {
+    const Deferred& x = d.updates[u];
+    const std::array<Idx, 3> target{tops_before(x.k), block(x.k, x.bi), block(x.k, x.bj)};
+    if (target != prev) {
+      d.group_begin.push_back(static_cast<std::int64_t>(u));
+      ++d.flush_begin[static_cast<size_t>(target[0]) + 1];
+      prev = target;
+    }
+    d.flush_flops[static_cast<size_t>(target[0])] +=
+        2.0 * sym.part.width(target[1]) * sym.part.width(x.k) * sym.part.width(target[2]);
+  }
+  d.group_begin.push_back(static_cast<std::int64_t>(d.updates.size()));
+  std::partial_sum(d.flush_begin.begin(), d.flush_begin.end(), d.flush_begin.begin());
+  return d;
+}
 
 /// (I, J) -= L(I,K) * U(K,J) for I = below[K][bi] and J = below[K][bj]:
 /// the Schur update step K makes to diag[I] (I == J), to rows I of L panel
@@ -360,9 +401,10 @@ SupernodalLU factor_supernodal(const CsrMatrix& a, SymbolicStructure sym0) {
   const auto& part = sym.part;
   const Idx nsup = sym.num_supernodes();
 
-  // Storage for the inverted diagonal blocks, allocated here, before any
-  // worker starts: workers never allocate, and the pool's own allocations
-  // land after every factor array.
+  // Everything the workers touch is allocated here, before any of them
+  // starts: the inverted diagonal blocks, the subtree split and the list of
+  // deferred updates. Workers never allocate, and the pool's own
+  // allocations land after every factor array.
   double inverse_flops = 0;
   for (Idx k = 0; k < nsup; ++k) {
     const size_t w = static_cast<size_t>(part.width(k));
@@ -370,49 +412,95 @@ SupernodalLU factor_supernodal(const CsrMatrix& a, SymbolicStructure sym0) {
     f.diag_uinv[static_cast<size_t>(k)].assign(w * w, 0.0);
     inverse_flops += 2.0 / 3.0 * static_cast<double>(w * w * w);
   }
-
   StepPool pool;
+  const SubtreePlan plan = plan_subtrees(sym, pool);
+  const DeferredPlan deferred = plan_deferred(sym, plan);
 
-  // Right-looking factorization over the block structure. Steps run in
-  // order; within step K the diagonal LU runs here, then the panel TRSMs in
-  // row chunks of L and column chunks of U, then the Schur updates one
-  // (I, J) pair per task. Every element keeps its update order, so the bits
-  // do not depend on the number of threads.
-  for (Idx k = 0; k < nsup; ++k) {
+  // Phase 1: the subtrees, one task each, heaviest first. A task runs its
+  // steps in ascending order: the diagonal LU, both panel TRSMs whole, and
+  // the Schur updates into blocks its subtree owns. The updates into blocks
+  // of top supernodes wait in `deferred`. A zero pivot ends the task; the
+  // lowest one is thrown below, once no lower top supernode can fail first.
+  const auto nsub = static_cast<std::int64_t>(plan.begin.size()) - 1;
+  std::vector<Idx> failed(static_cast<size_t>(nsub), nsup);  // nsup: none
+  pool.run(threads_for(pool, plan.flops), nsub, [&](std::int64_t s) {
+    const auto s0 = static_cast<size_t>(s);
+    for (Idx m = plan.begin[s0]; m < plan.begin[s0 + 1]; ++m) {
+      const Idx k = plan.members[static_cast<size_t>(m)];
+      const Idx w = part.width(k);
+      auto& d = f.diag[static_cast<size_t>(k)];
+      if (!lu_unpivoted_inplace(w, d)) {
+        failed[s0] = k;
+        return;
+      }
+      const Idx r = sym.panel_rows[static_cast<size_t>(k)];
+      if (r == 0) continue;
+      trsm_right_upper_ld(r, w, d, f.lpanel[static_cast<size_t>(k)], r);
+      trsm_left_unit_lower(w, r, d, f.upanel[static_cast<size_t>(k)]);
+      const auto nb = static_cast<Idx>(sym.below[static_cast<size_t>(k)].size());
+      const Idx own = blocks_in_subtree(sym, plan, k);
+      for (Idx bi = 0; bi < nb; ++bi) {
+        for (Idx bj = 0; bj < nb; ++bj) {
+          if (std::min(bi, bj) < own) {
+            schur_update(f, k, static_cast<size_t>(bi), static_cast<size_t>(bj));
+          }
+        }
+      }
+    }
+  });
+  const Idx first_failed = nsub == 0 ? nsup : *std::min_element(failed.begin(), failed.end());
+
+  // Phase 2: the top supernodes in ascending order, each step as in the
+  // serial loop: the diagonal LU here, then the panel TRSMs in row chunks
+  // of L and column chunks of U, then the Schur updates one (I, J) pair per
+  // task. Before step K, the deferred updates of the subtree steps below K
+  // run, one task per target block in ascending step order. So every
+  // element gets its updates in ascending step order, as in the serial
+  // loop, and the bits do not depend on the number of threads.
+  for (const Idx k : plan.top) {
+    if (first_failed < k) throw pivot_error(first_failed);
+    const auto t = static_cast<size_t>(plan.tops_before[static_cast<size_t>(k)]);
+    const std::int64_t g0 = deferred.flush_begin[t];
+    pool.run(threads_for(pool, deferred.flush_flops[t]), deferred.flush_begin[t + 1] - g0,
+             [&](std::int64_t g) {
+               for (std::int64_t u = deferred.group_begin[static_cast<size_t>(g0 + g)];
+                    u < deferred.group_begin[static_cast<size_t>(g0 + g) + 1]; ++u) {
+                 const Deferred& x = deferred.updates[static_cast<size_t>(u)];
+                 schur_update(f, x.k, static_cast<size_t>(x.bi), static_cast<size_t>(x.bj));
+               }
+             });
+
     const Idx w = part.width(k);
     auto& d = f.diag[static_cast<size_t>(k)];
-    if (!lu_unpivoted_inplace(w, d)) {
-      throw std::runtime_error(
-          "factor_supernodal: zero or non-finite pivot in supernode " +
-          std::to_string(k));
-    }
+    if (!lu_unpivoted_inplace(w, d)) throw pivot_error(k);
     const Idx r = sym.panel_rows[static_cast<size_t>(k)];
     if (r == 0) continue;
-    const int threads = pool.threads_for(2.0 * r * w * (w + r));
+    const int threads = threads_for(pool, 2.0 * r * w * (w + r));
     const Idx lrows = ((r + threads - 1) / threads + 7) & ~Idx{7};  // whole 8-row tiles
     const Idx ucols = (r + threads - 1) / threads;
     const int lchunks = static_cast<int>((r + lrows - 1) / lrows);
     const int uchunks = static_cast<int>((r + ucols - 1) / ucols);
     const std::span<Real> lp(f.lpanel[static_cast<size_t>(k)]);
     const std::span<Real> up(f.upanel[static_cast<size_t>(k)]);
-    pool.run(threads, lchunks + uchunks, [&](std::int64_t t) {
-      if (t < lchunks) {
-        const Idx i0 = static_cast<Idx>(t) * lrows;
+    pool.run(threads, lchunks + uchunks, [&](std::int64_t c) {
+      if (c < lchunks) {
+        const Idx i0 = static_cast<Idx>(c) * lrows;
         trsm_right_upper_ld(std::min(lrows, r - i0), w, d, lp.subspan(i0), r);
       } else {
-        const Idx j0 = static_cast<Idx>(t - lchunks) * ucols;
+        const Idx j0 = static_cast<Idx>(c - lchunks) * ucols;
         trsm_left_unit_lower(w, std::min(ucols, r - j0), d,
                              up.subspan(static_cast<size_t>(j0) * w));
       }
     });
     const auto nb = static_cast<std::int64_t>(sym.below[static_cast<size_t>(k)].size());
-    pool.run(threads, nb * nb, [&](std::int64_t t) {
-      schur_update(f, k, static_cast<size_t>(t / nb), static_cast<size_t>(t % nb));
+    pool.run(threads, nb * nb, [&](std::int64_t c) {
+      schur_update(f, k, static_cast<size_t>(c / nb), static_cast<size_t>(c % nb));
     });
   }
+  if (first_failed < nsup) throw pivot_error(first_failed);
 
   // Inverted diagonal blocks: diag[K] is final once step K's LU is done.
-  pool.run(pool.threads_for(inverse_flops), 2 * std::int64_t{nsup}, [&](std::int64_t t) {
+  pool.run(threads_for(pool, inverse_flops), 2 * std::int64_t{nsup}, [&](std::int64_t t) {
     const size_t k = static_cast<size_t>(t / 2);
     const Idx w = part.width(static_cast<Idx>(k));
     if (t % 2 == 0) {

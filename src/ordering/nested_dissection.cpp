@@ -7,6 +7,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sparse/step_pool.hpp"
+
 namespace sptrsv {
 
 NdTree::NdTree(int levels, std::vector<NdNode> nodes)
@@ -184,14 +186,20 @@ std::vector<std::uint8_t> bisect_graph(const Graph& g, Real balance) {
 
 namespace {
 
-/// Recursive ND builder working on global vertex id lists.
+/// Recursive ND builder working on global vertex id lists. A part's
+/// ordering takes exactly as many columns as the part has vertices, so the
+/// column segment of every subtree of the recursion is known once its
+/// parent is split: the two halves fill the front of their parent's
+/// segment, left then right, and the separator its end. The halves of the
+/// top splits therefore order concurrently, each into its own segment and
+/// with its own global-to-local map, and give the serial recursion's
+/// permutation and tree.
 class NdBuilder {
  public:
   NdBuilder(const Graph& g, const NdOptions& opt)
-      : g_(g), opt_(opt), local_(static_cast<size_t>(g.num_vertices()), kNoIdx) {
+      : g_(g), opt_(opt), perm_(static_cast<size_t>(g.num_vertices())) {
     const Idx n_nodes = (Idx{1} << (opt.levels + 1)) - 1;
     nodes_.resize(static_cast<size_t>(n_nodes));
-    perm_.reserve(static_cast<size_t>(g.num_vertices()));
     for (Idx id = 0; id < n_nodes; ++id) {
       auto& nd = nodes_[static_cast<size_t>(id)];
       if (id > 0) nd.parent = (id - 1) / 2;
@@ -204,9 +212,35 @@ class NdBuilder {
   }
 
   NdOrdering build() {
-    std::vector<Idx> all(static_cast<size_t>(g_.num_vertices()));
-    std::iota(all.begin(), all.end(), 0);
-    order_tracked(std::move(all), /*node_id=*/0);
+    StepPool pool;
+    // The halves of the splits in the top `fork` levels order concurrently:
+    // level d splits its 2^d tracked nodes at once, then the 2^fork parts
+    // below them order in full. With one CPU, fork is 0 and the whole
+    // recursion runs on this thread.
+    int fork = 0;
+    while (fork < opt_.levels && (1 << fork) < pool.threads()) ++fork;
+    const auto n = static_cast<size_t>(g_.num_vertices());
+    std::vector<std::vector<Idx>> maps(size_t{1} << fork, std::vector<Idx>(n, kNoIdx));
+    std::vector<Part> level(1);
+    level[0].verts.resize(n);
+    std::iota(level[0].verts.begin(), level[0].verts.end(), 0);
+    for (int d = 0; d < fork; ++d) {
+      std::vector<Part> next(2 * level.size());
+      pool.run(pool.threads(), std::ssize(level), [&](std::int64_t t) {
+        const Part& p = level[static_cast<size_t>(t)];
+        auto [a, b] = split_node(p.verts, (Idx{1} << d) - 1 + static_cast<Idx>(t), p.first,
+                                 maps[static_cast<size_t>(t)]);
+        const Idx a_size = static_cast<Idx>(a.size());
+        next[2 * static_cast<size_t>(t)] = {std::move(a), p.first};
+        next[2 * static_cast<size_t>(t) + 1] = {std::move(b), p.first + a_size};
+      });
+      level = std::move(next);
+    }
+    pool.run(pool.threads(), std::ssize(level), [&](std::int64_t t) {
+      Part& p = level[static_cast<size_t>(t)];
+      Segment seg{p.first, maps[static_cast<size_t>(t)]};
+      order_tracked(std::move(p.verts), (Idx{1} << fork) - 1 + static_cast<Idx>(t), seg);
+    });
     NdOrdering out;
     out.perm = std::move(perm_);
     out.tree = NdTree(opt_.levels, std::move(nodes_));
@@ -214,6 +248,20 @@ class NdBuilder {
   }
 
  private:
+  /// A tracked node's vertices and the first column of its segment.
+  struct Part {
+    std::vector<Idx> verts;
+    Idx first = 0;
+  };
+
+  /// What one task of the recursion owns: the next column of its segment to
+  /// fill, and induced_subgraph's global->local map of n entries, all
+  /// kNoIdx between calls (one map per task instead of one per bisection).
+  struct Segment {
+    Idx next;
+    std::span<Idx> local;
+  };
+
   static int depth_of(Idx id) {
     int d = 0;
     while (id > 0) {
@@ -224,59 +272,71 @@ class NdBuilder {
   }
 
   /// Splits `verts` by the bisection labels of their induced subgraph.
-  void split(const std::vector<Idx>& verts, std::vector<Idx>& a, std::vector<Idx>& b,
-             std::vector<Idx>& s) {
-    const Graph sub = g_.induced_subgraph(verts, local_);
+  void split(const std::vector<Idx>& verts, std::span<Idx> local, std::vector<Idx>& a,
+             std::vector<Idx>& b, std::vector<Idx>& s) const {
+    const Graph sub = g_.induced_subgraph(verts, local);
     const auto label = bisect_graph(sub, opt_.balance);
     for (size_t i = 0; i < verts.size(); ++i) {
       (label[i] == 0 ? a : label[i] == 1 ? b : s).push_back(verts[i]);
     }
   }
 
-  void order_tracked(std::vector<Idx> verts, Idx node_id) {
+  /// Splits the vertices of tracked node `id`, whose segment starts at
+  /// column `first`: places the separator at the end of the segment, as
+  /// the node's own columns, and returns the two halves.
+  std::pair<std::vector<Idx>, std::vector<Idx>> split_node(const std::vector<Idx>& verts,
+                                                           Idx id, Idx first,
+                                                           std::span<Idx> local) {
+    std::vector<Idx> a, b, s;
+    split(verts, local, a, b, s);
+    auto& nd = nodes_[static_cast<size_t>(id)];
+    nd.col_begin = first + static_cast<Idx>(a.size() + b.size());
+    nd.col_end = nd.col_begin + static_cast<Idx>(s.size());
+    std::copy(s.begin(), s.end(), perm_.begin() + nd.col_begin);
+    return {std::move(a), std::move(b)};
+  }
+
+  void order_tracked(std::vector<Idx> verts, Idx node_id, Segment& seg) {
     auto& nd = nodes_[static_cast<size_t>(node_id)];
     if (nd.depth == opt_.levels) {  // tracked leaf: whole remaining subdomain
-      nd.col_begin = static_cast<Idx>(perm_.size());
-      order_untracked(std::move(verts));
-      nd.col_end = static_cast<Idx>(perm_.size());
+      nd.col_begin = seg.next;
+      order_untracked(std::move(verts), seg);
+      nd.col_end = seg.next;
       return;
     }
-    std::vector<Idx> a, b, s;
-    split(verts, a, b, s);
-    order_tracked(std::move(a), nd.left);
-    order_tracked(std::move(b), nd.right);
-    nd.col_begin = static_cast<Idx>(perm_.size());
-    emit(s);
-    nd.col_end = static_cast<Idx>(perm_.size());
+    auto [a, b] = split_node(verts, node_id, seg.next, seg.local);
+    verts = {};
+    order_tracked(std::move(a), nd.left, seg);
+    order_tracked(std::move(b), nd.right, seg);
+    seg.next = nd.col_end;
   }
 
-  void order_untracked(std::vector<Idx> verts) {
+  void order_untracked(std::vector<Idx> verts, Segment& seg) {
     if (static_cast<Idx>(verts.size()) <= opt_.min_partition) {
-      emit(verts);
+      emit(verts, seg);
       return;
     }
     std::vector<Idx> a, b, s;
-    split(verts, a, b, s);
+    split(verts, seg.local, a, b, s);
     if (a.empty() || a.size() == verts.size()) {
       // Degenerate bisection (clique-like region): stop recursing.
-      emit(verts);
+      emit(verts, seg);
       return;
     }
-    order_untracked(std::move(a));
-    order_untracked(std::move(b));
-    emit(s);
+    order_untracked(std::move(a), seg);
+    order_untracked(std::move(b), seg);
+    emit(s, seg);
   }
 
-  /// Appends a terminal partition or a separator in its given order.
-  void emit(const std::vector<Idx>& verts) {
-    perm_.insert(perm_.end(), verts.begin(), verts.end());
+  /// Places a terminal partition or a separator, in its given order, at the
+  /// segment's next columns.
+  void emit(const std::vector<Idx>& verts, Segment& seg) {
+    std::copy(verts.begin(), verts.end(), perm_.begin() + seg.next);
+    seg.next += static_cast<Idx>(verts.size());
   }
 
   const Graph& g_;
   NdOptions opt_;
-  /// induced_subgraph's global->local map, all kNoIdx between calls: one
-  /// n-entry map for the whole recursion instead of one per bisection.
-  std::vector<Idx> local_;
   std::vector<Idx> perm_;
   std::vector<NdNode> nodes_;
 };

@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -180,6 +181,10 @@ struct RankCtx {
   std::int64_t messages[kNumTimeCategories] = {0, 0, 0, 0};
   std::int64_t bytes[kNumTimeCategories] = {0, 0, 0, 0};
   double skew = 1.0;             ///< perturbation compute-skew factor
+  /// Comm::compute's modeled rate for its latest nrhs (0: none yet), kept
+  /// because gemm_boost calls std::pow.
+  Idx rate_nrhs = 0;
+  double rate = 0.0;
   std::uint64_t pseq = 0;        ///< per-message perturbation draw counter
 
   // --- fault ledger (docs/ROBUSTNESS.md) ---
@@ -887,6 +892,81 @@ void keep_stacks(StackMapping stacks) {
   if (stacks.slots() > t_kept_stacks.slots()) t_kept_stacks = std::move(stacks);
 }
 
+/// The READY ranks of a run as an indexed binary min-heap ordered by
+/// (key, rank), keys read from the scheduler's per-rank array. Its front is
+/// the minimal key, the lowest rank on a tie. Every rank's heap slot is
+/// tracked, so erasing a rank or lowering its key costs O(log P), and no
+/// operation allocates once the heap is built.
+class ReadyHeap {
+ public:
+  /// Every rank of `key`, all at key 0 (ascending ranks form a heap).
+  explicit ReadyHeap(const std::vector<double>& key)
+      : key_(key), heap_(key.size()), slot_(key.size()) {
+    std::iota(heap_.begin(), heap_.end(), 0);
+    std::iota(slot_.begin(), slot_.end(), 0);
+  }
+
+  bool empty() const { return heap_.empty(); }
+  /// The minimal (key, rank) READY rank; the heap must not be empty.
+  int front() const { return heap_.front(); }
+
+  /// Adds `rank`, not in the heap, at its current key.
+  void push(int rank) {
+    heap_.push_back(rank);
+    sift_up(heap_.size() - 1);
+  }
+
+  /// Removes `rank`, which is in the heap.
+  void erase(int rank) {
+    const std::size_t i = slot_[static_cast<size_t>(rank)];
+    const int last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    place(i, last);
+    sift_down(i);
+    sift_up(slot_[static_cast<size_t>(last)]);
+  }
+
+  /// Restores the order after the key of `rank`, in the heap, was lowered.
+  void key_lowered(int rank) { sift_up(slot_[static_cast<size_t>(rank)]); }
+
+ private:
+  bool before(int a, int b) const {
+    const double ka = key_[static_cast<size_t>(a)];
+    const double kb = key_[static_cast<size_t>(b)];
+    return ka < kb || (ka == kb && a < b);
+  }
+
+  void place(std::size_t i, int rank) {
+    heap_[i] = rank;
+    slot_[static_cast<size_t>(rank)] = i;
+  }
+
+  void sift_up(std::size_t i) {
+    const int r = heap_[i];
+    while (i > 0 && before(r, heap_[(i - 1) / 2])) {
+      place(i, heap_[(i - 1) / 2]);
+      i = (i - 1) / 2;
+    }
+    place(i, r);
+  }
+
+  void sift_down(std::size_t i) {
+    const int r = heap_[i];
+    for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
+      if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], r)) break;
+      place(i, heap_[c]);
+      i = c;
+    }
+    place(i, r);
+  }
+
+  const std::vector<double>& key_;
+  std::vector<int> heap_;
+  std::vector<std::size_t> slot_;  ///< heap index of each rank in the heap
+};
+
 }  // namespace
 
 /// The run scheduler (docs/DETERMINISM.md).
@@ -896,9 +976,10 @@ void keep_stacks(StackMapping stacks) {
 /// runtime is a user-space switch to the next rank. Under the
 /// default kFifo policy the next rank is always the READY rank with the
 /// lexicographically smallest (virtual-time key, rank) pair, kept in an
-/// ordered set, so a grant and a commit-fence check cost O(log P). The
-/// complete execution order — and with it every wildcard-receive choice,
-/// clock value and message count — is a pure function of the program.
+/// indexed binary heap, so a grant costs O(log P) and a commit-fence check
+/// O(1). The complete execution order — and with it every wildcard-receive
+/// choice, clock value and message count — is a pure function of the
+/// program.
 ///
 /// Exploration policies (docs/TESTING.md) permute the grant order among
 /// *eligible* ranks only: a rank that yielded through the commit fence
@@ -924,8 +1005,8 @@ class Scheduler {
         state_(static_cast<size_t>(nranks), State::kReady),
         key_(static_cast<size_t>(nranks), 0.0),
         yielded_(static_cast<size_t>(nranks), 0),
+        ready_(key_),
         fibers_(static_cast<size_t>(nranks)) {
-    for (int r = 0; r < nranks; ++r) ready_.emplace_hint(ready_.end(), 0.0, r);
     if (policy_ == SchedulePolicy::kRandomPriority) {
       prio_.resize(static_cast<size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
@@ -997,7 +1078,7 @@ class Scheduler {
     state_[static_cast<size_t>(rank)] = State::kReady;
     key_[static_cast<size_t>(rank)] = key;
     yielded_[static_cast<size_t>(rank)] = 1;
-    ready_.emplace(key, rank);
+    ready_.push(rank);
     running_ = -1;
     const int next = grant();
     if (next != rank) switch_to(rank, next);
@@ -1020,7 +1101,7 @@ class Scheduler {
   void wake(int rank) {
     if (state_[static_cast<size_t>(rank)] == State::kBlocked) {
       state_[static_cast<size_t>(rank)] = State::kReady;
-      ready_.emplace(key_[static_cast<size_t>(rank)], rank);
+      ready_.push(rank);
     }
   }
 
@@ -1031,16 +1112,15 @@ class Scheduler {
   void lower_yielded_key(int rank, double key) {
     const auto r = static_cast<size_t>(rank);
     if (state_[r] != State::kReady || !yielded_[r] || key >= key_[r]) return;
-    ready_.erase({key_[r], rank});
     key_[r] = key;
-    ready_.emplace(key, rank);
+    ready_.key_lowered(rank);
   }
 
   /// True if a READY rank's key is strictly below `key` — i.e. someone
   /// could still execute (and send) at an earlier virtual time. The caller
   /// is RUNNING, so it is never in the ready set itself.
   bool ready_below(double key) const {
-    return !ready_.empty() && ready_.begin()->first < key;
+    return !ready_.empty() && key_[static_cast<size_t>(ready_.front())] < key;
   }
 
   /// Stops granting; every parked rank throws ClusterAborted on resume.
@@ -1152,12 +1232,12 @@ class Scheduler {
       }
       return -1;
     }
-    // The set's front is the FIFO choice (minimal key, lowest rank on a
+    // The heap's front is the FIFO choice (minimal key, lowest rank on a
     // tie, so always eligible); exploration policies may substitute any
     // other eligible rank without breaking the commit fence.
-    const auto [min_key, fifo] = *ready_.begin();
-    const int best = pick(fifo, min_key);
-    ready_.erase({key_[static_cast<size_t>(best)], best});
+    const int fifo = ready_.front();
+    const int best = pick(fifo, key_[static_cast<size_t>(fifo)]);
+    ready_.erase(best);
     yielded_[static_cast<size_t>(best)] = 0;
     record_.push_back(best);
     ++grant_n_;
@@ -1241,7 +1321,7 @@ class Scheduler {
   std::vector<State> state_;
   std::vector<double> key_;
   std::vector<char> yielded_;
-  std::set<std::pair<double, int>> ready_;  ///< READY ranks by (key, rank)
+  ReadyHeap ready_;  ///< READY ranks by (key, rank); reads key_
   const std::function<void(int)>* body_ = nullptr;
   std::vector<Fiber> fibers_;
   Fiber main_;
@@ -1516,9 +1596,12 @@ void Comm::advance(double seconds, TimeCategory cat) {
 }
 
 void Comm::compute(double flops, Idx nrhs) {
+  if (nrhs != ctx_->rate_nrhs) {
+    ctx_->rate = machine().cpu_flop_rate * gemm_boost(nrhs, kCoreGemmBoostCap);
+    ctx_->rate_nrhs = nrhs;
+  }
   // ctx_->skew is 1 unless the perturbation model sets a compute skew.
-  const double rate = machine().cpu_flop_rate * gemm_boost(nrhs, kCoreGemmBoostCap);
-  ctx_->advance_traced(flops / rate * ctx_->skew, TimeCategory::kFp,
+  ctx_->advance_traced(flops / ctx_->rate * ctx_->skew, TimeCategory::kFp,
                        TraceEventKind::kCompute);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <random>
 #include <span>
 #include <string>
@@ -224,6 +225,19 @@ TEST(DenseBitwise, TrsmsOnRowAndColumnRangesMatchWholePanel) {
 // on each width's table directly, skipping a width the CPU cannot run.
 
 using detail::DenseKernels;
+
+}  // namespace
+
+namespace detail {
+// gtest lists a pointer parameter by its address, which moves from build to
+// build, and ctest names each case after that listing. Print a width as its
+// vector bytes instead, so every case keeps one name.
+[[maybe_unused]] static void PrintTo(const DenseKernels* kern, std::ostream* os) {
+  *os << kern->vector_bytes;
+}
+}  // namespace detail
+
+namespace {
 
 class DenseWidth : public ::testing::TestWithParam<const DenseKernels*> {
  protected:

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
+#include <string>
 
+#include "cpu_mask.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 
@@ -136,6 +139,67 @@ TEST(Nd, DisconnectedGraphStillValid) {
   const NdOrdering nd = nested_dissection(a, opt);
   EXPECT_TRUE(is_permutation(nd.perm));
   EXPECT_TRUE(nd.tree.check_invariants(32));
+}
+
+TEST(Nd, OrderingDoesNotDependOnTheCpuMask) {
+  // The halves of the splits in the top ceil(log2 CPUs) levels order
+  // concurrently, so each mask size runs the recursion differently. The
+  // repo benchmark's grid and dense-LU inputs, and a disconnected graph
+  // whose isolated vertex 0 leaves the right half of the first left split
+  // empty.
+  GridOptions grid;
+  grid.seed = 42;
+  CooMatrix coo;
+  const CsrMatrix g = make_grid2d(4, 4, Stencil2d::kFivePoint);
+  coo.rows = coo.cols = 33;
+  coo.add(0, 0, 1.0);
+  for (Idx r = 0; r < 16; ++r) {
+    const auto cs = g.row_cols(r);
+    const auto vs = g.row_vals(r);
+    for (size_t i = 0; i < cs.size(); ++i) {
+      coo.add(r + 1, cs[i] + 1, vs[i]);
+      coo.add(r + 17, cs[i] + 17, vs[i]);
+    }
+  }
+  const struct {
+    const char* name;
+    CsrMatrix a;
+    int levels;
+  } inputs[] = {{"256^2 9-point grid", make_grid2d(256, 256, Stencil2d::kNinePoint, grid), 5},
+                {"dense-LU input", make_random_geometric(3000, 12.0, 4.0, 1234), 2},
+                {"disconnected graph", CsrMatrix::from_coo(coo), 4}};
+  const int cpus = std::min(4, test::affinity_cpu_count());
+  if (cpus == 1) std::cout << "note: one CPU in the affinity mask, nothing to compare\n";
+  for (const auto& in : inputs) {
+    NdOptions opt;
+    opt.levels = in.levels;
+    NdOrdering one;
+    ASSERT_TRUE(test::on_first_cpus(1, [&] { one = nested_dissection(in.a, opt); }));
+    ASSERT_TRUE(is_permutation(one.perm)) << in.name;
+    ASSERT_TRUE(one.tree.check_invariants(in.a.rows())) << in.name;
+    if (std::string(in.name) == "disconnected graph") {
+      const NdNode& empty = one.tree.node(4);  // right child of the root's left child
+      EXPECT_EQ(empty.col_begin, empty.col_end);
+    }
+    for (int c = 2; c <= cpus; ++c) {
+      NdOrdering more;
+      ASSERT_TRUE(test::on_first_cpus(c, [&] { more = nested_dissection(in.a, opt); }));
+      EXPECT_EQ(more.perm, one.perm) << in.name << ", " << c << " CPUs";
+      ASSERT_EQ(more.tree.num_nodes(), one.tree.num_nodes());
+      for (Idx id = 0; id < one.tree.num_nodes(); ++id) {
+        const NdNode& x = more.tree.node(id);
+        const NdNode& y = one.tree.node(id);
+        const std::string where =
+            std::string(in.name) + ", node " + std::to_string(id) + ", " + std::to_string(c);
+        EXPECT_EQ(x.col_begin, y.col_begin) << where << " CPUs";
+        EXPECT_EQ(x.col_end, y.col_end) << where << " CPUs";
+        EXPECT_EQ(x.parent, y.parent);
+        EXPECT_EQ(x.left, y.left);
+        EXPECT_EQ(x.right, y.right);
+        EXPECT_EQ(x.depth, y.depth);
+      }
+    }
+  }
 }
 
 TEST(Nd, FillReductionBeatsNaturalOrderOnGrid) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <sched.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -14,6 +16,7 @@
 #include "ordering/etree.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/paper_matrices.hpp"
+#include "cpu_mask.hpp"
 #include "symbolic/colcounts.hpp"
 #include "test_support.hpp"
 
@@ -230,6 +233,123 @@ TEST(SupernodalLu, ZeroPivotAfterParallelStepsThrowsNamingTheSupernode) {
               "factor_supernodal: zero or non-finite pivot in supernode " +
                   std::to_string(singular));
   }
+}
+
+TEST(SupernodalLu, BitsDoNotDependOnTheCpuMask) {
+  // factor_supernodal splits its elimination tree by the thread count, one
+  // subtree per task, so every mask size splits it differently, and nested
+  // dissection forks its top splits by it too. The repo benchmark's grid
+  // and dense-LU inputs; the dense one defers many Schur updates from its
+  // subtrees to the top supernodes.
+  GridOptions grid;
+  grid.seed = 42;
+  const struct {
+    const char* name;
+    CsrMatrix a;
+    int levels;
+  } inputs[] = {{"256^2 9-point grid", make_grid2d(256, 256, Stencil2d::kNinePoint, grid), 5},
+                {"dense-LU input", make_random_geometric(3000, 12.0, 4.0, 1234), 2}};
+  const int cpus = std::min(4, test::affinity_cpu_count());
+  if (cpus == 1) std::cout << "note: one CPU in the affinity mask, nothing to compare\n";
+  for (const auto& in : inputs) {
+    std::optional<FactoredSystem> one;
+    const auto on = [&](int c, std::optional<FactoredSystem>& fs) {
+      return test::on_first_cpus(c, [&] { fs.emplace(analyze_and_factor(in.a, in.levels)); });
+    };
+    ASSERT_TRUE(on(1, one));
+    for (int c = 2; c <= cpus; ++c) {
+      std::optional<FactoredSystem> more;
+      ASSERT_TRUE(on(c, more));
+      EXPECT_EQ(more->perm, one->perm) << in.name << ", " << c << " CPUs";
+      for (Idx id = 0; id < one->tree.num_nodes(); ++id) {
+        EXPECT_EQ(more->tree.node(id).col_begin, one->tree.node(id).col_begin) << in.name;
+        EXPECT_EQ(more->tree.node(id).col_end, one->tree.node(id).col_end) << in.name;
+      }
+      EXPECT_TRUE(same_factor_bits(more->lu, one->lu)) << in.name << ", " << c << " CPUs";
+    }
+  }
+}
+
+/// 16 dense 40 x 40 blocks D_0..D_15, a 2 x 2 block T = [t 1; 1 1], then 16
+/// more dense 40 x 40 blocks E_0..E_15, in that column order. Each D block
+/// couples to T through explicit zeros, so T is the parent of every D block
+/// in the elimination tree, yet its diagonal block reaches its own step
+/// still holding [t 1; 1 1]. The E blocks stand alone. A block listed in
+/// `singular` (0-15 for D, 16-31 for E) gets a zero first pivot. With more
+/// than one CPU, factor_supernodal makes every 40-wide block a subtree of
+/// its own and T a top supernode (T's subtree holds half the flops).
+CsrMatrix blocks_around_a_top(Real t, std::initializer_list<int> singular) {
+  constexpr Idx w = 40;
+  constexpr Idx top = 16 * w;
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<Real> uni(-1.0, 1.0);
+  CooMatrix coo;
+  coo.rows = coo.cols = 32 * w + 2;
+  for (int b = 0; b < 32; ++b) {
+    const Idx c0 = b * w + (b < 16 ? 0 : 2);
+    const bool zero = std::find(singular.begin(), singular.end(), b) != singular.end();
+    for (Idx i = 0; i < w; ++i) {
+      for (Idx j = 0; j < w; ++j) {
+        coo.add(c0 + i, c0 + j, i != j ? uni(rng) : i == 0 && zero ? 0.0 : Real{w});
+      }
+      if (b < 16) {
+        for (const Idx k : {top, top + 1}) {
+          coo.add(c0 + i, k, 0.0);
+          coo.add(k, c0 + i, 0.0);
+        }
+      }
+    }
+  }
+  coo.add(top, top, t);
+  coo.add(top, top + 1, 1.0);
+  coo.add(top + 1, top, 1.0);
+  coo.add(top + 1, top + 1, 1.0);
+  return CsrMatrix::from_coo(coo);
+}
+
+/// Supernodes of blocks_around_a_top: one per block, T included (D_15
+/// would otherwise share T's supernode).
+SupernodeOptions one_supernode_per_block() {
+  SupernodeOptions opt;
+  opt.relax_width = 0;
+  opt.forced_breaks = {16 * 40};
+  return opt;
+}
+
+/// The message factor_supernodal throws for `a`, or "" if it returns.
+std::string factor_error(const CsrMatrix& a) {
+  try {
+    factor(a, one_supernode_per_block());
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string pivot_message(const CsrMatrix& a, Idx column) {
+  const auto parent = elimination_tree(a);
+  const SupernodePartition part =
+      find_supernodes(parent, cholesky_col_counts(a, parent), one_supernode_per_block());
+  return "factor_supernodal: zero or non-finite pivot in supernode " +
+         std::to_string(part.col_to_sn[static_cast<size_t>(column)]);
+}
+
+TEST(SupernodalLu, ZeroPivotInASubtreeNamesThatSupernode) {
+  // E_5 alone fails: it is recorded in the subtree phase and thrown after
+  // the top steps. With D_3 failing too, D_3 is the lowest and is thrown
+  // before T's step, though E_5's subtree may fail first in time.
+  const CsrMatrix e5 = blocks_around_a_top(2.0, {21});
+  EXPECT_EQ(factor_error(e5), pivot_message(e5, 21 * 40 + 2));
+  const CsrMatrix d3_e5 = blocks_around_a_top(2.0, {3, 21});
+  EXPECT_EQ(factor_error(d3_e5), pivot_message(d3_e5, 3 * 40));
+}
+
+TEST(SupernodalLu, FailingTopSupernodeBeforeAFailingSubtreeIsNamed) {
+  // T = [1 1; 1 1] is singular and comes before E_5, which fails in the
+  // subtree phase, before T's step runs; the serial loop would stop at T.
+  const CsrMatrix a = blocks_around_a_top(1.0, {21});
+  EXPECT_EQ(factor_error(a), pivot_message(a, 16 * 40));
+  EXPECT_EQ(factor_error(blocks_around_a_top(2.0, {})), "");
 }
 
 TEST(AnalyzeAndFactor, ZeroPivotThrows) {
